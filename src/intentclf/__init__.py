@@ -11,7 +11,6 @@ from .dataset import (
     LabelSet,
     LabelVocabulary,
     TextSample,
-    decode_labels,
     encode_labels,
     load_dataset,
     load_vocabulary,
@@ -54,6 +53,7 @@ from .errors import (
     RemoteServiceError,
     ValidationError,
 )
+from .gradcheck import GradCheckReport, grad_check
 from .losses import (
     LossOutput,
     OFCConfig,
@@ -84,24 +84,19 @@ from .mining import (
     SimilarityTable,
     batch_similarity_table,
     build_pairs,
-    cosine_similarity,
     mine,
     select_top,
 )
 from .trainer import (
     ClassifierHead,
-    GradCheckReport,
     ModelArtifact,
     ProjectionHead,
     TrainConfig,
     bce_loss,
-    classify,
     finetune,
-    grad_check,
     load_artifact,
     predict,
     pretrain,
-    project,
     projection_margin_gap,
     save_artifact,
     score_samples,

@@ -2,8 +2,10 @@
 
 Subcommands: ``generate``, ``embed``, ``train``, ``eval``, ``predict``,
 ``serve``. Every subcommand accepts ``--config cfg.json`` supplying defaults
-for its flags (explicit flags win). Exit codes: 0 success, 2 validation,
-3 file/I-O, 4 remote service.
+for its flags (explicit flags win). The ``train``, ``mining``, ``ofc`` and
+``provider`` sections hold fields of the matching config dataclass; a flag
+whose ``dest`` is ``<section>.<field>`` overrides that field. Exit codes:
+0 success, 2 validation, 3 file/I-O, 4 remote service.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .datagen import (
 )
 from .embedding import (
     ProviderConfig,
-    embed_texts,
+    embed_dataset,
     load_embeddings,
     save_embeddings,
 )
@@ -40,9 +42,7 @@ from .errors import (
     RemoteServiceError,
     ValidationError,
 )
-from .losses import OFCConfig
 from .metrics import EvalReport, evaluate, save_report
-from .mining import MiningConfig
 from .service import classification_body, serve_forever
 from .trainer import (
     TrainConfig,
@@ -54,9 +54,13 @@ from .trainer import (
 )
 
 _EXIT_OK = 0
-_EXIT_VALIDATION = 2
-_EXIT_IO = 3
-_EXIT_REMOTE = 4
+# first match wins: FileFormatError is a PipelineError but a file problem
+_EXIT_CODES = (
+    ((RemoteServiceError, GenerationError), 4),
+    (FileFormatError, 3),
+    (PipelineError, 2),
+    (OSError, 3),
+)
 
 _TABLE_COLUMNS = (
     ("Accuracy", "subset_accuracy"),
@@ -83,19 +87,19 @@ class _Cfg:
             if not isinstance(self.data, dict):
                 raise FileFormatError("config must be a JSON object", path=path)
 
-    def get(self, *keys, default=None):
+    def section(self, name: str) -> dict:
+        return _as_section(self.data.get(name, {}), name)
+
+    def pick(self, cli_value, *keys, default=None):
+        """The flag if given, else the config value at ``keys``, else ``default``."""
+        if cli_value is not None:
+            return cli_value
         node = self.data
         for key in keys:
             if not isinstance(node, dict) or key not in node:
                 return default
             node = node[key]
         return node
-
-
-def _pick(cli_value, cfg: _Cfg, keys: tuple, default):
-    if cli_value is not None:
-        return cli_value
-    return cfg.get(*keys, default=default)
 
 
 def _require(value, what: str):
@@ -116,14 +120,30 @@ def _load_combos(path: str | None) -> list[frozenset[str]]:
     return [frozenset(c) for c in obj]
 
 
-def _provider_from(args, cfg: _Cfg) -> ProviderConfig:
-    return ProviderConfig(
-        kind=_pick(getattr(args, "provider", None), cfg, ("provider", "kind"), "toy"),
-        dim=int(_pick(getattr(args, "dim", None), cfg, ("provider", "dim"), 256)),
-        path=_pick(getattr(args, "embeddings_path", None), cfg, ("provider", "path"), None),
-        endpoint=_pick(getattr(args, "endpoint", None), cfg, ("provider", "endpoint"), None),
-        seed=int(_pick(getattr(args, "embed_seed", None), cfg, ("provider", "seed"), 0)),
-    )
+def _as_section(node, name: str) -> dict:
+    if not isinstance(node, dict):
+        raise ValidationError(f"config section {name!r} must be a JSON object")
+    return node
+
+
+def _layered(args, cfg: _Cfg, name: str) -> dict:
+    """Config section ``name`` with explicit ``name.<field>`` flags laid over it."""
+    merged = dict(cfg.section(name))
+    prefix = name + "."
+    for dest, value in vars(args).items():
+        if dest.startswith(prefix) and value is not None:
+            merged[dest[len(prefix):]] = value
+    return merged
+
+
+def _train_config(args, cfg: _Cfg) -> TrainConfig:
+    train = _layered(args, cfg, "train")
+    # train may nest mining/ofc, as the artifact's config snapshot does;
+    # the top-level sections win key by key
+    for name in ("mining", "ofc"):
+        nested = _as_section(train.get(name, {}), f"train.{name}")
+        train[name] = {**nested, **_layered(args, cfg, name)}
+    return TrainConfig.from_json(train)
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +152,20 @@ def _provider_from(args, cfg: _Cfg) -> ProviderConfig:
 
 def run_generate(args) -> int:
     cfg = _Cfg(args.config)
-    taxonomy_path = _require(_pick(args.taxonomy, cfg, ("taxonomy",), None), "--taxonomy")
-    out_path = _require(_pick(args.out, cfg, ("dataset",), None), "--out")
-    per_class = int(_pick(args.per_class, cfg, ("generate", "per_class"), 40))
-    seed = int(_pick(args.seed, cfg, ("generate", "seed"), 0))
-    offline = args.offline or bool(cfg.get("generate", "offline", default=False))
+    taxonomy_path = _require(cfg.pick(args.taxonomy, "taxonomy"), "--taxonomy")
+    out_path = _require(cfg.pick(args.out, "dataset"), "--out")
+    per_class = int(cfg.pick(args.per_class, "generate", "per_class", default=40))
+    seed = int(cfg.pick(args.seed, "generate", "seed", default=0))
+    offline = bool(cfg.pick(args.offline or None, "generate", "offline"))
     vocabulary = load_vocabulary(taxonomy_path)
-    combos = _load_combos(_pick(args.combos, cfg, ("generate", "combos"), None))
+    combos = _load_combos(cfg.pick(args.combos, "generate", "combos"))
     if offline:
         dataset = offline_generate(vocabulary, per_class, combos, seed)
     else:
-        client = LLMClientConfig(
-            endpoint_url=_require(_pick(args.endpoint, cfg, ("llm", "endpoint_url"), None), "--endpoint"),
-            model_name=_require(_pick(args.model_name, cfg, ("llm", "model_name"), None), "--model-name"),
-            auth_token_env=_pick(args.auth_token_env, cfg, ("llm", "auth_token_env"), "LLM_API_TOKEN"),
-            timeout=float(_pick(args.timeout, cfg, ("llm", "timeout"), 30.0)),
-            max_retries=int(_pick(args.max_retries, cfg, ("llm", "max_retries"), 2)),
-            temperature=float(_pick(args.temperature, cfg, ("llm", "temperature"), 0.7)),
-        )
+        llm = _layered(args, cfg, "llm")
+        _require(llm.get("endpoint_url"), "--endpoint")
+        _require(llm.get("model_name"), "--model-name")
+        client = LLMClientConfig.from_json(llm)
         dataset = llm_generate(vocabulary, per_class, combos, client, seed)
     save_dataset(dataset, out_path)
     for label in vocabulary.labels:
@@ -161,73 +177,44 @@ def run_generate(args) -> int:
 
 def run_embed(args) -> int:
     cfg = _Cfg(args.config)
-    taxonomy_path = _require(_pick(args.taxonomy, cfg, ("taxonomy",), None), "--taxonomy")
-    dataset_path = _require(_pick(args.dataset, cfg, ("dataset",), None), "--dataset")
-    out_path = _require(_pick(args.out, cfg, ("embeddings",), None), "--out")
-    vocabulary = load_vocabulary(taxonomy_path)
-    dataset = load_dataset(dataset_path, vocabulary)
-    provider = _provider_from(args, cfg)
-    if provider.kind == "file":
-        vectors = [e.vector for e in load_embeddings(provider.path, dataset)]
-    else:
-        vectors = embed_texts([s.text for s in dataset.samples], provider)
-    save_embeddings(vectors, out_path)
-    print(f"embedded {len(vectors)} samples at dim {provider.dim} -> {out_path}")
+    out_path = _require(cfg.pick(args.out, "embeddings"), "--out")
+    _, dataset = _load_dataset(cfg, args)
+    provider = ProviderConfig.from_json(_layered(args, cfg, "provider"))
+    embedded = embed_dataset(dataset, provider)
+    save_embeddings([e.vector for e in embedded], out_path)
+    print(f"embedded {len(embedded)} samples at dim {provider.dim} -> {out_path}")
     return _EXIT_OK
 
 
-def _load_embedded(cfg: _Cfg, args):
-    taxonomy_path = _require(_pick(args.taxonomy, cfg, ("taxonomy",), None), "--taxonomy")
-    dataset_path = _require(_pick(args.dataset, cfg, ("dataset",), None), "--dataset")
-    embeddings_path = _require(_pick(args.embeddings, cfg, ("embeddings",), None), "--embeddings")
+def _load_dataset(cfg: _Cfg, args):
+    taxonomy_path = _require(cfg.pick(args.taxonomy, "taxonomy"), "--taxonomy")
+    dataset_path = _require(cfg.pick(args.dataset, "dataset"), "--dataset")
     vocabulary = load_vocabulary(taxonomy_path)
-    dataset = load_dataset(dataset_path, vocabulary)
+    return vocabulary, load_dataset(dataset_path, vocabulary)
+
+
+def _load_embedded(cfg: _Cfg, args):
+    embeddings_path = _require(cfg.pick(args.embeddings, "embeddings"), "--embeddings")
+    vocabulary, dataset = _load_dataset(cfg, args)
     embedded = load_embeddings(embeddings_path, dataset)
     return vocabulary, dataset, embedded
 
 
-def _split_config(args, cfg: _Cfg) -> tuple[float, int]:
-    fraction = float(_pick(args.holdout_fraction, cfg, ("split", "holdout_fraction"), 0.2))
-    seed = int(_pick(args.split_seed, cfg, ("split", "seed"), 0))
-    return fraction, seed
+def _split(args, cfg: _Cfg, n: int) -> tuple[list[int], list[int]]:
+    fraction = float(cfg.pick(args.holdout_fraction, "split", "holdout_fraction", default=0.2))
+    seed = int(cfg.pick(args.split_seed, "split", "seed", default=0))
+    return split_indices(n, fraction, seed)
 
 
 def run_train(args) -> int:
     cfg = _Cfg(args.config)
     vocabulary, dataset, embedded = _load_embedded(cfg, args)
-    out_path = _require(_pick(args.out, cfg, ("model",), None), "--out")
-    fraction, split_seed = _split_config(args, cfg)
-    train_idx, _ = split_indices(len(dataset), fraction, split_seed)
+    out_path = _require(cfg.pick(args.out, "model"), "--out")
+    train_idx, _ = _split(args, cfg, len(dataset))
     train_part = [embedded[i] for i in train_idx]
 
-    mining = MiningConfig(
-        p=float(_pick(args.mining_p, cfg, ("mining", "p"), 10.0)),
-        mode=_pick(args.mining_mode, cfg, ("mining", "mode"), "literal"),
-        positive_rule=_pick(args.positive_rule, cfg, ("mining", "positive_rule"), "exact"),
-    )
-    ofc = OFCConfig(
-        alpha=float(_pick(args.alpha, cfg, ("ofc", "alpha"), 1.0)),
-        gamma=float(_pick(args.gamma, cfg, ("ofc", "gamma"), 2.0)),
-        margin=float(_pick(args.margin, cfg, ("ofc", "margin"), 0.5)),
-    )
-    config = TrainConfig(
-        lr_pretrain=float(_pick(args.lr_pretrain, cfg, ("train", "lr_pretrain"), 0.05)),
-        lr_finetune=float(_pick(args.lr_finetune, cfg, ("train", "lr_finetune"), 0.2)),
-        momentum=float(_pick(args.momentum, cfg, ("train", "momentum"), 0.9)),
-        epochs_pretrain=int(_pick(args.epochs_pretrain, cfg, ("train", "epochs_pretrain"), 30)),
-        epochs_finetune=int(_pick(args.epochs_finetune, cfg, ("train", "epochs_finetune"), 50)),
-        batch_size=int(_pick(args.batch_size, cfg, ("train", "batch_size"), 32)),
-        seed=int(_pick(args.seed, cfg, ("train", "seed"), 0)),
-        decision_threshold=float(
-            _pick(args.decision_threshold, cfg, ("train", "decision_threshold"), 0.5)
-        ),
-        loss_kind=_pick(args.loss, cfg, ("train", "loss_kind"), "ofc"),
-        d_hidden=int(_pick(args.d_hidden, cfg, ("train", "d_hidden"), 128)),
-        d_proj=int(_pick(args.d_proj, cfg, ("train", "d_proj"), 128)),
-        mining=mining,
-        ofc=ofc,
-    )
-    provider = _provider_from(args, cfg)
+    config = _train_config(args, cfg)
+    provider = ProviderConfig.from_json(_layered(args, cfg, "provider"))
     embed_dim = train_part[0].vector.shape[0] if train_part else 0
     if provider.kind != "file" and provider.dim != embed_dim:
         raise ValidationError(
@@ -241,7 +228,7 @@ def run_train(args) -> int:
     for epoch, value in enumerate(finetune_losses):
         print(f"finetune epoch {epoch}: loss {value:.6f}")
     save_artifact(artifact, out_path)
-    loss_log = _pick(args.loss_log, cfg, ("loss_log",), None)
+    loss_log = cfg.pick(args.loss_log, "loss_log")
     if loss_log:
         Path(loss_log).write_text(
             json.dumps({"pretrain": pretrain_losses, "finetune": finetune_losses}, indent=2)
@@ -255,13 +242,12 @@ def run_train(args) -> int:
 def run_eval(args) -> int:
     cfg = _Cfg(args.config)
     vocabulary, dataset, embedded = _load_embedded(cfg, args)
-    model_path = _require(_pick(args.model, cfg, ("model",), None), "--model")
-    out_path = _require(_pick(args.out, cfg, ("report",), None), "--out")
+    model_path = _require(cfg.pick(args.model, "model"), "--model")
+    out_path = _require(cfg.pick(args.out, "report"), "--out")
     artifact = load_artifact(model_path)
     if artifact.vocabulary.labels != vocabulary.labels:
         raise ValidationError("model vocabulary does not match the taxonomy file")
-    fraction, split_seed = _split_config(args, cfg)
-    _, holdout_idx = split_indices(len(dataset), fraction, split_seed)
+    _, holdout_idx = _split(args, cfg, len(dataset))
     holdout = [embedded[i] for i in holdout_idx]
     truth = np.stack([encode_labels(e.labels, vocabulary) for e in holdout])
     scores = score_samples(holdout, artifact)
@@ -273,11 +259,8 @@ def run_eval(args) -> int:
 
 
 def _print_report_table(report: EvalReport) -> None:
-    values = {name: getattr(report, attr) for name, attr in _TABLE_COLUMNS}
-    header = " | ".join(name for name, _ in _TABLE_COLUMNS)
-    row = " | ".join(f"{values[name] * 100:.2f}" for name, _ in _TABLE_COLUMNS)
-    print(header)
-    print(row)
+    print(" | ".join(name for name, _ in _TABLE_COLUMNS))
+    print(" | ".join(f"{getattr(report, attr) * 100:.2f}" for _, attr in _TABLE_COLUMNS))
 
 
 def run_predict(args) -> int:
@@ -300,6 +283,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file supplying flag defaults")
 
 
+def _add_provider(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--provider", dest="provider.kind", choices=["toy", "http", "file"])
+    sub.add_argument("--dim", dest="provider.dim", type=int)
+    sub.add_argument("--embed-seed", dest="provider.seed", type=int)
+    sub.add_argument("--endpoint", dest="provider.endpoint")
+    sub.add_argument("--path", dest="provider.path", help="precomputed vectors (file provider)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intentclf", description="Multi-label intent classification pipeline"
@@ -314,12 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--offline", action="store_true", help="use the deterministic offline generator")
     p.add_argument("--combos", help="JSON file: array of label arrays")
-    p.add_argument("--endpoint", help="chat-completion endpoint URL")
-    p.add_argument("--model-name", dest="model_name")
-    p.add_argument("--auth-token-env", dest="auth_token_env")
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--max-retries", dest="max_retries", type=int)
-    p.add_argument("--temperature", type=float)
+    p.add_argument("--endpoint", dest="llm.endpoint_url", help="chat-completion endpoint URL")
+    p.add_argument("--model-name", dest="llm.model_name")
+    p.add_argument("--auth-token-env", dest="llm.auth_token_env")
+    p.add_argument("--timeout", dest="llm.timeout", type=float)
+    p.add_argument("--max-retries", dest="llm.max_retries", type=int)
+    p.add_argument("--temperature", dest="llm.temperature", type=float)
     p.set_defaults(handler=run_generate)
 
     p = subparsers.add_parser("embed", help="embed a dataset into vectors")
@@ -327,11 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taxonomy")
     p.add_argument("--dataset")
     p.add_argument("--out")
-    p.add_argument("--provider", choices=["toy", "http", "file"])
-    p.add_argument("--dim", type=int)
-    p.add_argument("--embed-seed", dest="embed_seed", type=int)
-    p.add_argument("--endpoint")
-    p.add_argument("--path", dest="embeddings_path", help="precomputed vectors (file provider)")
+    _add_provider(p)
     p.set_defaults(handler=run_embed)
 
     p = subparsers.add_parser("train", help="pretrain and fine-tune a model")
@@ -340,30 +327,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset")
     p.add_argument("--embeddings")
     p.add_argument("--out")
-    p.add_argument("--loss", choices=["ofc", "oc", "cs"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs-pretrain", dest="epochs_pretrain", type=int)
-    p.add_argument("--epochs-finetune", dest="epochs_finetune", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr-pretrain", dest="lr_pretrain", type=float)
-    p.add_argument("--lr-finetune", dest="lr_finetune", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--decision-threshold", dest="decision_threshold", type=float)
-    p.add_argument("--d-hidden", dest="d_hidden", type=int)
-    p.add_argument("--d-proj", dest="d_proj", type=int)
-    p.add_argument("--mining-p", dest="mining_p", type=float)
-    p.add_argument("--mining-mode", dest="mining_mode", choices=["literal", "standard"])
-    p.add_argument("--positive-rule", dest="positive_rule", choices=["exact", "overlap"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--margin", type=float)
+    p.add_argument("--loss", dest="train.loss_kind", choices=["ofc", "oc", "cs"])
+    p.add_argument("--seed", dest="train.seed", type=int)
+    p.add_argument("--epochs-pretrain", dest="train.epochs_pretrain", type=int)
+    p.add_argument("--epochs-finetune", dest="train.epochs_finetune", type=int)
+    p.add_argument("--batch-size", dest="train.batch_size", type=int)
+    p.add_argument("--lr-pretrain", dest="train.lr_pretrain", type=float)
+    p.add_argument("--lr-finetune", dest="train.lr_finetune", type=float)
+    p.add_argument("--momentum", dest="train.momentum", type=float)
+    p.add_argument("--decision-threshold", dest="train.decision_threshold", type=float)
+    p.add_argument("--d-hidden", dest="train.d_hidden", type=int)
+    p.add_argument("--d-proj", dest="train.d_proj", type=int)
+    p.add_argument("--mining-p", dest="mining.p", type=float)
+    p.add_argument("--mining-mode", dest="mining.mode", choices=["literal", "standard"])
+    p.add_argument("--positive-rule", dest="mining.positive_rule", choices=["exact", "overlap"])
+    p.add_argument("--alpha", dest="ofc.alpha", type=float)
+    p.add_argument("--gamma", dest="ofc.gamma", type=float)
+    p.add_argument("--margin", dest="ofc.margin", type=float)
     p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
     p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--provider", choices=["toy", "http", "file"])
-    p.add_argument("--dim", type=int)
-    p.add_argument("--embed-seed", dest="embed_seed", type=int)
-    p.add_argument("--endpoint")
-    p.add_argument("--path", dest="embeddings_path")
+    _add_provider(p)
     p.add_argument("--loss-log", dest="loss_log")
     p.set_defaults(handler=run_train)
 
@@ -397,21 +380,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (RemoteServiceError, GenerationError) as exc:
+    except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_REMOTE
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_IO
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def entry() -> None:

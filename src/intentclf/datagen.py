@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import JsonConfig
 from .dataset import Dataset, LabelSet, LabelVocabulary, TextSample, validate_labels
 from .errors import GenerationError, RemoteServiceError, ValidationError
 from .httpclient import post_json
@@ -67,7 +68,7 @@ class PromptTemplate:
 
 
 @dataclass(frozen=True)
-class LLMClientConfig:
+class LLMClientConfig(JsonConfig):
     endpoint_url: str
     model_name: str
     auth_token_env: str = "LLM_API_TOKEN"
@@ -87,10 +88,6 @@ class GenerationResult:
     class_label: str
     texts: tuple[str, ...]
     requested: int
-
-    @property
-    def received(self) -> int:
-        return len(self.texts)
 
 
 def build_prompt(template: PromptTemplate) -> str:

@@ -147,16 +147,6 @@ def encode_labels(labels: Iterable[str], vocabulary: LabelVocabulary) -> np.ndar
     return vec
 
 
-def decode_labels(vector: np.ndarray, vocabulary: LabelVocabulary) -> LabelSet:
-    """Inverse of :func:`encode_labels`."""
-    vec = np.asarray(vector)
-    if vec.shape != (len(vocabulary),):
-        raise ValidationError(
-            f"expected vector of length {len(vocabulary)}, got shape {vec.shape}"
-        )
-    return frozenset(lab for lab, bit in zip(vocabulary.labels, vec) if bit > 0.5)
-
-
 def _sample_to_record(sample: TextSample, vocabulary: LabelVocabulary) -> dict:
     return {"text": sample.text, "labels": vocabulary.sorted_members(sample.labels)}
 

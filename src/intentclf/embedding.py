@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import JsonConfig
 from .dataset import Dataset, LabelSet
 from .errors import (
     DegenerateEmbeddingError,
@@ -46,15 +47,14 @@ class EmbeddedSample:
 
     vector: EmbeddingVector
     labels: LabelSet
-    source_index: int
 
 
 @dataclass(frozen=True)
-class ProviderConfig:
+class ProviderConfig(JsonConfig):
     """Which embedding provider to use and how to reach it."""
 
-    kind: str
-    dim: int
+    kind: str = "toy"
+    dim: int = 256
     path: str | None = None
     endpoint: str | None = None
     seed: int = 0
@@ -70,29 +70,6 @@ class ProviderConfig:
             raise ValidationError("http provider needs an endpoint")
         if self.kind == "file" and not self.path:
             raise ValidationError("file provider needs a path")
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "path": self.path,
-            "endpoint": self.endpoint,
-            "seed": self.seed,
-            "timeout": self.timeout,
-            "max_retries": self.max_retries,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ProviderConfig":
-        return cls(
-            kind=obj["kind"],
-            dim=int(obj["dim"]),
-            path=obj.get("path"),
-            endpoint=obj.get("endpoint"),
-            seed=int(obj.get("seed", 0)),
-            timeout=float(obj.get("timeout", 30.0)),
-            max_retries=int(obj.get("max_retries", 2)),
-        )
 
 
 def l2_normalize(v: Sequence[float] | np.ndarray) -> EmbeddingVector:
@@ -192,8 +169,8 @@ def embed_dataset(dataset: Dataset, config: ProviderConfig) -> list[EmbeddedSamp
         return load_embeddings(config.path, dataset)
     vectors = embed_texts([s.text for s in dataset.samples], config)
     return [
-        EmbeddedSample(vector=vec, labels=sample.labels, source_index=i)
-        for i, (vec, sample) in enumerate(zip(vectors, dataset.samples))
+        EmbeddedSample(vector=vec, labels=sample.labels)
+        for vec, sample in zip(vectors, dataset.samples)
     ]
 
 
@@ -250,6 +227,6 @@ def load_embeddings(path: str | Path, dataset: Dataset) -> list[EmbeddedSample]:
             f"embedding file has {len(rows)} rows but dataset has {len(dataset)} samples"
         )
     return [
-        EmbeddedSample(vector=l2_normalize(vec), labels=sample.labels, source_index=i)
-        for i, (vec, sample) in enumerate(zip(rows, dataset.samples))
+        EmbeddedSample(vector=l2_normalize(vec), labels=sample.labels)
+        for vec, sample in zip(rows, dataset.samples)
     ]

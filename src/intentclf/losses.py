@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import JsonConfig
 from .errors import NoPairsError, ValidationError
 from .mining import MinedPairs
 
@@ -27,7 +28,7 @@ PairSims = Sequence[tuple[int, float]]
 
 
 @dataclass(frozen=True)
-class OFCConfig:
+class OFCConfig(JsonConfig):
     """Focal-contrastive hyperparameters.
 
     alpha: positive weight factor; gamma: focusing exponent; margin: the
@@ -52,25 +53,6 @@ class OFCConfig:
             raise ValidationError(f"epsilon must be in (0, 1e-3], got {self.epsilon}")
         if self.reduction not in _REDUCTIONS:
             raise ValidationError(f"reduction must be one of {_REDUCTIONS}")
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "margin": self.margin,
-            "epsilon": self.epsilon,
-            "reduction": self.reduction,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "OFCConfig":
-        return cls(
-            alpha=float(obj.get("alpha", 1.0)),
-            gamma=float(obj.get("gamma", 2.0)),
-            margin=float(obj.get("margin", 0.5)),
-            epsilon=float(obj.get("epsilon", 1e-12)),
-            reduction=obj.get("reduction", "mean"),
-        )
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import JsonConfig
 from .dataset import LabelSet
 from .errors import ValidationError
 
@@ -63,7 +64,7 @@ class SimilarityTable:
 
 
 @dataclass(frozen=True)
-class MiningConfig:
+class MiningConfig(JsonConfig):
     p: float = 10.0
     mode: str = "literal"
     positive_rule: str = "exact"
@@ -77,17 +78,6 @@ class MiningConfig:
             raise ValidationError(
                 f"positive_rule must be one of {_POSITIVE_RULES}, got {self.positive_rule!r}"
             )
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "mode": self.mode, "positive_rule": self.positive_rule}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MiningConfig":
-        return cls(
-            p=float(obj.get("p", 10.0)),
-            mode=obj.get("mode", "literal"),
-            positive_rule=obj.get("positive_rule", "exact"),
-        )
 
 
 @dataclass(frozen=True)
@@ -115,15 +105,6 @@ class MinedPairs:
     t_neg: float | None
     t_pos: float | None
     counts: MinedCounts
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two unit-norm vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.clip(np.dot(a, b), -1.0, 1.0))
 
 
 def build_pairs(labels: Sequence[LabelSet], rule: str = "exact") -> PairSet:

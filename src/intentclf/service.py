@@ -33,10 +33,9 @@ def classification_body(artifact: ModelArtifact, text: str) -> str:
         raise ValidationError("artifact carries no embedding provider config")
     vector = embed_texts([text], artifact.provider)[0]
     labels, scores = predict(vector, artifact)
-    ordered = artifact.vocabulary.sorted_members(labels)
     payload = {
-        "labels": ordered,
-        "scores": {label: scores[label] for label in artifact.vocabulary.labels},
+        "labels": artifact.vocabulary.sorted_members(labels),
+        "scores": scores,
         "model_version": artifact.format_version,
     }
     return json.dumps(payload, separators=(",", ":"))

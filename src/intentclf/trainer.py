@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import JsonConfig
 from .dataset import LabelSet, LabelVocabulary, encode_labels
 from .embedding import EmbeddedSample, ProviderConfig
 from .errors import (
@@ -32,9 +33,8 @@ from .losses import (
     ofc_loss,
     oc_loss,
 )
+from .metrics import threshold_scores
 from .mining import (
-    MinedCounts,
-    MinedPairs,
     MiningConfig,
     PairSet,
     batch_similarity_table,
@@ -95,15 +95,12 @@ class ClassifierHead:
     def init(cls, d_proj: int, n_labels: int, rng: np.random.Generator) -> "ClassifierHead":
         return cls(w=_glorot(rng, d_proj, n_labels), b=np.zeros(n_labels))
 
-    def copy(self) -> "ClassifierHead":
-        return ClassifierHead(self.w.copy(), self.b.copy())
-
     def params(self) -> list[np.ndarray]:
         return [self.w, self.b]
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     lr_pretrain: float = 0.05
     lr_finetune: float = 0.2
     momentum: float = 0.9
@@ -137,47 +134,6 @@ class TrainConfig:
         if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
             raise ValidationError("grad_clip_norm must be > 0 or None")
 
-    def to_json(self) -> dict:
-        return {
-            "lr_pretrain": self.lr_pretrain,
-            "lr_finetune": self.lr_finetune,
-            "momentum": self.momentum,
-            "epochs_pretrain": self.epochs_pretrain,
-            "epochs_finetune": self.epochs_finetune,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "decision_threshold": self.decision_threshold,
-            "loss_kind": self.loss_kind,
-            "d_hidden": self.d_hidden,
-            "d_proj": self.d_proj,
-            "grad_clip_norm": self.grad_clip_norm,
-            "mining": self.mining.to_json(),
-            "ofc": self.ofc.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrainConfig":
-        return cls(
-            lr_pretrain=float(obj.get("lr_pretrain", 0.05)),
-            lr_finetune=float(obj.get("lr_finetune", 0.2)),
-            momentum=float(obj.get("momentum", 0.9)),
-            epochs_pretrain=int(obj.get("epochs_pretrain", 30)),
-            epochs_finetune=int(obj.get("epochs_finetune", 50)),
-            batch_size=int(obj.get("batch_size", 32)),
-            seed=int(obj.get("seed", 0)),
-            decision_threshold=float(obj.get("decision_threshold", 0.5)),
-            loss_kind=obj.get("loss_kind", "ofc"),
-            d_hidden=int(obj.get("d_hidden", 128)),
-            d_proj=int(obj.get("d_proj", 128)),
-            grad_clip_norm=(
-                (float(obj["grad_clip_norm"]) if obj["grad_clip_norm"] is not None else None)
-                if "grad_clip_norm" in obj
-                else 1.0
-            ),
-            mining=MiningConfig.from_json(obj.get("mining", {})),
-            ofc=OFCConfig.from_json(obj.get("ofc", {})),
-        )
-
 
 @dataclass
 class ModelArtifact:
@@ -197,10 +153,6 @@ class ModelArtifact:
 # forward / backward primitives
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
-
 def _project_batch(x: np.ndarray, head: ProjectionHead):
     a1 = x @ head.w1 + head.b1
     h = np.tanh(a1)
@@ -210,6 +162,17 @@ def _project_batch(x: np.ndarray, head: ProjectionHead):
         raise DegenerateProjectionError("projection collapsed to a zero vector")
     z = a2 / norms[:, None]
     return z, (x, h, z, norms)
+
+
+def _classify_batch(z: np.ndarray, head: ClassifierHead) -> np.ndarray:
+    """Per-label probabilities sigmoid(z w + b) for each row of ``z``."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z @ head.w + head.b, -60.0, 60.0)))
+
+
+def _forward(x: np.ndarray, artifact: ModelArtifact) -> np.ndarray:
+    """Label probabilities (n x m) for a batch of embeddings (n x d)."""
+    z, _ = _project_batch(x, artifact.projection)
+    return _classify_batch(z, artifact.classifier)
 
 
 def _projection_backward(d_z: np.ndarray, cache, head: ProjectionHead) -> list[np.ndarray]:
@@ -224,23 +187,6 @@ def _projection_backward(d_z: np.ndarray, cache, head: ProjectionHead) -> list[n
     d_w1 = x.T @ d_a1
     d_b1 = d_a1.sum(axis=0)
     return [d_w1, d_b1, d_w2, d_b2]
-
-
-def project(x: np.ndarray, head: ProjectionHead) -> np.ndarray:
-    """Project a single embedding into the unit-norm contrastive space."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (head.d_in,):
-        raise ValidationError(f"expected embedding of dim {head.d_in}, got shape {x.shape}")
-    z, _ = _project_batch(x[None, :], head)
-    return z[0]
-
-
-def classify(z: np.ndarray, head: ClassifierHead) -> np.ndarray:
-    """Per-label probabilities sigmoid(w^T z + b)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (head.w.shape[0],):
-        raise ValidationError(f"expected projection of dim {head.w.shape[0]}, got {z.shape}")
-    return _sigmoid(z @ head.w + head.b)
 
 
 BCE_EPSILON = 1e-12
@@ -402,8 +348,7 @@ def finetune(
         batch_losses: list[float] = []
         for chunk in _batches(order, config.batch_size):
             z, cache = _project_batch(x[chunk], head)
-            logits = z @ classifier.w + classifier.b
-            probs = _sigmoid(logits)
+            probs = _classify_batch(z, classifier)
             value, d_probs = bce_loss(probs, y[chunk])
             d_logits = d_probs * probs * (1.0 - probs)
             d_w = z.T @ d_logits
@@ -437,16 +382,11 @@ def predict(embedding: np.ndarray, artifact: ModelArtifact) -> tuple[LabelSet, d
         raise ValidationError(
             f"expected embedding of dim {artifact.embed_dim}, got shape {x.shape}"
         )
-    z = project(x, artifact.projection)
-    probs = classify(z, artifact.classifier)
-    chosen = [i for i, p in enumerate(probs) if p > artifact.decision_threshold]
-    if not chosen:
-        chosen = [int(np.argmax(probs))]
-    labels = frozenset(artifact.vocabulary.labels[i] for i in chosen)
-    scores = {
-        label: float(probs[i]) for i, label in enumerate(artifact.vocabulary.labels)
-    }
-    return labels, scores
+    probs = _forward(x[None, :], artifact)
+    chosen = threshold_scores(probs, artifact.decision_threshold)[0]
+    vocab = artifact.vocabulary.labels
+    labels = frozenset(label for label, hit in zip(vocab, chosen) if hit)
+    return labels, {label: float(p) for label, p in zip(vocab, probs[0])}
 
 
 def score_samples(samples: Sequence[EmbeddedSample], artifact: ModelArtifact) -> np.ndarray:
@@ -458,8 +398,7 @@ def score_samples(samples: Sequence[EmbeddedSample], artifact: ModelArtifact) ->
         raise ValidationError(
             f"expected embeddings of dim {artifact.embed_dim}, got {x.shape[1]}"
         )
-    z, _ = _project_batch(x, artifact.projection)
-    return _sigmoid(z @ artifact.classifier.w + artifact.classifier.b)
+    return _forward(x, artifact)
 
 
 def projection_margin_gap(
@@ -585,192 +524,3 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         provider=provider,
         format_version=version,
     )
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    component: str
-    points: int
-    tolerance: float
-    max_rel_error: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error <= self.tolerance
-
-
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Elementwise |a-b| / max(|a|+|b|, 1e-3), maximized.
-
-    The floor makes the comparison quasi-absolute for near-zero gradients,
-    where finite differences are dominated by roundoff.
-    """
-    a = np.asarray(analytic, dtype=np.float64).ravel()
-    b = np.asarray(numeric, dtype=np.float64).ravel()
-    denom = np.maximum(np.abs(a) + np.abs(b), 1e-3)
-    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
-
-
-def _central_difference(f, params: list[np.ndarray], step_scale: float = 1e-5) -> list[np.ndarray]:
-    grads = []
-    for p in params:
-        g = np.zeros_like(p)
-        flat_p = p.ravel()
-        flat_g = g.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            h = step_scale * max(1.0, abs(orig))
-            flat_p[i] = orig + h
-            f_plus = f()
-            flat_p[i] = orig - h
-            f_minus = f()
-            flat_p[i] = orig
-            flat_g[i] = (f_plus - f_minus) / (2.0 * h)
-        grads.append(g)
-    return grads
-
-
-_GRAD_COMPONENTS = ("projection+ofc", "projection+oc", "projection+cs", "classifier+bce", "classifier")
-
-
-def _fixed_mined(pos, neg) -> MinedPairs:
-    return MinedPairs(
-        pos_final=tuple(pos),
-        neg_final=tuple(neg),
-        t_neg=None,
-        t_pos=None,
-        counts=MinedCounts(len(pos), len(neg), 0, 0, 0, 0),
-    )
-
-
-def _away_from_kinks(table_entries, loss_kind: str, margin: float, delta: float = 1e-3) -> bool:
-    pos, neg = table_entries
-    for _, s in pos:
-        if abs(s) < delta or abs(abs(s) - 1.0) < 1e-9:
-            return False
-    for _, s in neg:
-        if abs(s - margin) < delta or abs(s - (margin - 1.0)) < delta:
-            return False
-    return True
-
-
-def _grad_point_projection(loss_kind: str, rng: np.random.Generator):
-    """A random batch, head, and frozen mined pair sets away from kinks."""
-    d_in, d_hidden, d_proj, batch = 10, 7, 5, 6
-    base_config = TrainConfig(
-        loss_kind=loss_kind,
-        d_hidden=d_hidden,
-        d_proj=d_proj,
-        mining=MiningConfig(p=50.0, mode="literal"),
-    )
-    pool = [frozenset({"a"}), frozenset({"b"}), frozenset({"c"}), frozenset({"a", "b"})]
-    x = rng.normal(size=(batch, d_in))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    labels = [pool[int(k)] for k in rng.integers(0, len(pool), size=batch)]
-    head = ProjectionHead.init(d_in, d_hidden, d_proj, rng)
-    z, _ = _project_batch(x, head)
-    pair_set = build_pairs(labels, "exact")
-    table = batch_similarity_table(z, pair_set)
-    if not table.d_pos or not table.d_neg:
-        return None
-    if loss_kind == "cs":
-        pos_idx = [i for i, _ in table.d_pos]
-        neg_idx = [i for i, _ in table.d_neg]
-    else:
-        mined = mine(table, _mining_for_loss(base_config))
-        pos_idx = [i for i, _ in mined.pos_final]
-        neg_idx = [i for i, _ in mined.neg_final]
-        if not pos_idx and not neg_idx:
-            return None
-    frozen_pos = [e for e in table.d_pos if e[0] in set(pos_idx)]
-    frozen_neg = [e for e in table.d_neg if e[0] in set(neg_idx)]
-    if not _away_from_kinks((frozen_pos, frozen_neg), loss_kind, base_config.ofc.margin):
-        return None
-    return x, head, pair_set, [i for i, _ in frozen_pos], [i for i, _ in frozen_neg], base_config
-
-
-def _projection_loss_on_fixed(x, head, pair_set, pos_idx, neg_idx, config) -> tuple[float, LossOutput, np.ndarray, tuple]:
-    z, cache = _project_batch(x, head)
-    gram = z @ z.T
-    pos = [(i, float(gram[pair_set.pairs[i].a, pair_set.pairs[i].b])) for i in pos_idx]
-    neg = [(i, float(gram[pair_set.pairs[i].a, pair_set.pairs[i].b])) for i in neg_idx]
-    if config.loss_kind == "cs":
-        out = cs_loss(pos, neg)
-    elif config.loss_kind == "oc":
-        out = oc_loss(_fixed_mined(pos, neg), config.ofc.margin)
-    else:
-        out = ofc_loss(_fixed_mined(pos, neg), config.ofc)
-    return out.value, out, z, cache
-
-
-def _check_projection_point(loss_kind: str, rng: np.random.Generator) -> float | None:
-    point = _grad_point_projection(loss_kind, rng)
-    if point is None:
-        return None
-    x, head, pair_set, pos_idx, neg_idx, config = point
-    value, out, z, cache = _projection_loss_on_fixed(x, head, pair_set, pos_idx, neg_idx, config)
-    d_z = _sim_grads_to_z(out, pair_set, z)
-    analytic = _projection_backward(d_z, cache, head)
-
-    def f() -> float:
-        v, _, _, _ = _projection_loss_on_fixed(x, head, pair_set, pos_idx, neg_idx, config)
-        return v
-
-    numeric = _central_difference(f, head.params())
-    return max(
-        max_relative_error(a, n) for a, n in zip(analytic, numeric)
-    )
-
-
-def _check_classifier_point(rng: np.random.Generator) -> float:
-    batch, d_proj, n_labels = 6, 5, 4
-    z = rng.normal(size=(batch, d_proj))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    y = (rng.random(size=(batch, n_labels)) < 0.4).astype(np.float64)
-    head = ClassifierHead.init(d_proj, n_labels, rng)
-
-    def forward() -> tuple[float, np.ndarray, np.ndarray]:
-        probs = _sigmoid(z @ head.w + head.b)
-        value, d_probs = bce_loss(probs, y)
-        return value, probs, d_probs
-
-    value, probs, d_probs = forward()
-    d_logits = d_probs * probs * (1.0 - probs)
-    analytic = [z.T @ d_logits, d_logits.sum(axis=0)]
-    numeric = _central_difference(lambda: forward()[0], head.params())
-    return max(max_relative_error(a, n) for a, n in zip(analytic, numeric))
-
-
-def grad_check(
-    component: str, seed: int = 0, tolerance: float = 1e-4, points: int = 10
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    ``component`` is ``classifier`` (BCE head) or ``projection+<loss_kind>``
-    for the full contrastive chain. Random points that land too close to a
-    clamp or hinge are redrawn, since no gradient is defined there.
-    """
-    comp = component.lower()
-    if comp == "classifier+bce":
-        comp = "classifier"
-    if comp not in _GRAD_COMPONENTS:
-        raise ValidationError(f"component must be one of {_GRAD_COMPONENTS}, got {component!r}")
-    worst = 0.0
-    for point in range(points):
-        if comp == "classifier":
-            err = _check_classifier_point(np.random.default_rng([seed, point]))
-        else:
-            loss_kind = comp.split("+", 1)[1]
-            err = None
-            for attempt in range(200):
-                err = _check_projection_point(loss_kind, np.random.default_rng([seed, point, attempt]))
-                if err is not None:
-                    break
-            if err is None:
-                raise ValidationError("could not draw a valid gradient-check point")
-        worst = max(worst, err)
-    return GradCheckReport(component=comp, points=points, tolerance=tolerance, max_rel_error=worst)

@@ -49,7 +49,7 @@ from intentclf.metrics import (
 )
 from intentclf.service import make_server
 from intentclf import score_samples
-from intentclf.trainer import ProjectionHead
+from intentclf.trainer import ProjectionHead, predict
 from bf_oracles import (
     auc_bf,
     counts_bf,
@@ -319,3 +319,21 @@ def test_criterion_holdout_prediction_consistency(toy_run):
     assert report == load_report(toy_run["report"])
     pred = threshold_scores(scores, artifact.decision_threshold)
     assert pred.any(axis=1).all(), "fallback rule guarantees non-empty predictions"
+
+
+def test_criterion_predict_matches_batch_forward(toy_run):
+    # predict is the 1-row case of score_samples. numpy multiplies a 1-row
+    # operand through gemv and a taller one through gemm, so the two agree to
+    # a few ulps rather than bit for bit; the bound is fixed from float64 eps.
+    with criterion("one forward: predict == score_samples row, labels == threshold_scores"):
+        vocab, _, holdout = _holdout(toy_run)
+        artifact = load_artifact(toy_run["model"])
+        scores = score_samples(holdout, artifact)
+        pred = threshold_scores(scores, artifact.decision_threshold)
+        for row, sample in enumerate(holdout):
+            labels, by_label = predict(sample.vector, artifact)
+            assert list(by_label) == list(vocab.labels)
+            np.testing.assert_allclose(
+                list(by_label.values()), scores[row], rtol=256 * np.finfo(np.float64).eps, atol=0
+            )
+            assert labels == frozenset(l for l, hit in zip(vocab.labels, pred[row]) if hit)

@@ -306,3 +306,68 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{nope")
         assert main(["generate", "--config", str(cfg)]) == 3
+
+    def _train_argv(self, workspace, out, cfg, *flags):
+        return [
+            "train", "--taxonomy", str(workspace["taxonomy"]),
+            "--dataset", str(workspace["dataset"]),
+            "--embeddings", str(workspace["embeddings"]), "--out", str(out),
+            "--config", str(cfg), *flags,
+        ]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"train": {"lr_pretrain": "abc"}},
+            {"train": {"batch_size": None}},
+            {"mining": {"p": [1]}},
+            {"provider": {"seed": "x"}},
+            {"ofc": []},
+        ],
+    )
+    def test_wrong_typed_value_exits_2(self, workspace, tmp_path, capsys, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        capsys.readouterr()
+        argv = self._train_argv(workspace, tmp_path / "m.json", cfg, "--dim", "64")
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_sections_reach_the_artifact_and_flags_win(self, workspace, tmp_path):
+        out = tmp_path / "m.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "train": {"grad_clip_norm": 0.25, "epochs_pretrain": 1, "epochs_finetune": 1, "d_proj": 8},
+            "ofc": {"epsilon": 1e-9},
+            "mining": {"mode": "standard"},
+            "provider": {"timeout": 5.0},
+        }))
+        assert main(self._train_argv(
+            workspace, out, cfg, "--d-hidden", "16", "--d-proj", "32",
+            "--provider", "toy", "--dim", "64", "--embed-seed", "3",
+        )) == 0
+        snapshot = json.loads(out.read_text())["config"]
+        assert snapshot["train"]["grad_clip_norm"] == 0.25
+        assert snapshot["train"]["ofc"]["epsilon"] == 1e-9
+        assert snapshot["train"]["mining"]["mode"] == "standard"
+        assert snapshot["train"]["d_proj"] == 32
+        assert snapshot["provider"]["timeout"] == 5.0
+
+    def test_snapshot_config_reproduces_model(self, workspace, tmp_path):
+        snapshot = json.loads(workspace["model"].read_text())["config"]
+        out = tmp_path / "again.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "taxonomy": str(workspace["taxonomy"]),
+            "dataset": str(workspace["dataset"]),
+            "embeddings": str(workspace["embeddings"]),
+            "model": str(out),
+            "split": {"holdout_fraction": 0.2, "seed": 3},
+            "train": snapshot["train"],
+            "mining": snapshot["train"]["mining"],
+            "ofc": snapshot["train"]["ofc"],
+            "provider": snapshot["provider"],
+        }))
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert out.read_bytes() == workspace["model"].read_bytes()

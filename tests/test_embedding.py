@@ -14,7 +14,6 @@ from intentclf import (
     RemoteServiceError,
     TextSample,
     ValidationError,
-    cosine_similarity,
     embed_dataset,
     embed_remote,
     embed_texts,
@@ -76,7 +75,7 @@ class TestToyEmbed:
     def test_different_topics_are_dissimilar(self):
         a = toy_embed("berth waiting time", 256, seed=0)
         b = toy_embed("fuel consumed tanker", 256, seed=0)
-        assert cosine_similarity(a, b) < 0.5
+        assert float(a @ b) < 0.5
 
     def test_short_and_empty_text_never_fail(self):
         for text in ("", "a", "ab"):
@@ -108,7 +107,6 @@ class TestEmbeddingFile:
         loaded = load_embeddings(path, tiny_dataset)
         assert len(loaded) == 3
         for i, emb in enumerate(loaded):
-            assert emb.source_index == i
             assert emb.labels == tiny_dataset.samples[i].labels
             assert np.allclose(emb.vector, vectors[i])
 
@@ -207,7 +205,7 @@ class TestProviderConfig:
 
 def test_embed_dataset_toy_provider(tiny_dataset):
     embedded = embed_dataset(tiny_dataset, ProviderConfig(kind="toy", dim=32, seed=4))
-    assert [e.source_index for e in embedded] == [0, 1, 2]
+    assert len(embedded) == 3
     for emb, sample in zip(embedded, tiny_dataset.samples):
         assert emb.labels == sample.labels
         expected = toy_embed(sample.text, 32, 4)

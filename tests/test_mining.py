@@ -11,30 +11,10 @@ from intentclf import (
     ValidationError,
     batch_similarity_table,
     build_pairs,
-    cosine_similarity,
-    l2_normalize,
     mine,
     select_top,
 )
 from bf_oracles import mine_bruteforce, random_similarity_batch
-
-
-class TestCosineSimilarity:
-    def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_identical(self):
-        v = l2_normalize([2.0, -1.0, 0.5])
-        assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_analytic_value(self):
-        a = np.array([1.0, 0.0])
-        b = l2_normalize([1.0, 1.0])
-        assert cosine_similarity(a, b) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValidationError):
-            cosine_similarity(np.ones(3), np.ones(4))
 
 
 class TestBuildPairs:

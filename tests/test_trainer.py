@@ -15,7 +15,6 @@ from intentclf import (
     TrainConfig,
     ValidationError,
     bce_loss,
-    classify,
     embed_dataset,
     finetune,
     grad_check,
@@ -23,18 +22,19 @@ from intentclf import (
     offline_generate,
     predict,
     pretrain,
-    project,
     projection_margin_gap,
     save_artifact,
+    score_samples,
 )
 from intentclf.embedding import EmbeddedSample
+from intentclf.gradcheck import max_relative_error
 from intentclf.trainer import (
     ClassifierHead,
     ModelArtifact,
     ProjectionHead,
+    _classify_batch,
     _project_batch,
     _projection_backward,
-    max_relative_error,
 )
 from bf_oracles import central_diff
 
@@ -62,16 +62,16 @@ class TestProjection:
     def test_deterministic_and_unit_norm(self):
         rng = np.random.default_rng(0)
         head = ProjectionHead.init(12, 8, 6, rng)
-        x = rng.normal(size=12)
-        z1, z2 = project(x, head), project(x, head)
+        x = rng.normal(size=(1, 12))
+        (z1, _), (z2, _) = _project_batch(x, head), _project_batch(x, head)
         assert np.array_equal(z1, z2)
-        assert z1.shape == (6,)
-        assert abs(np.linalg.norm(z1) - 1.0) < 1e-6
+        assert z1.shape == (1, 6)
+        assert abs(np.linalg.norm(z1[0]) - 1.0) < 1e-6
 
-    def test_dim_check(self):
-        head = ProjectionHead.init(12, 8, 6, np.random.default_rng(0))
+    def test_dim_check(self, small_vocab):
+        artifact = _probs_artifact(small_vocab, [0.5, 0.5, 0.5])
         with pytest.raises(ValidationError):
-            project(np.ones(7), head)
+            score_samples([EmbeddedSample(np.ones(7), frozenset({"eta"}))], artifact)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -106,18 +106,18 @@ class TestProjection:
 class TestClassify:
     def test_zero_head_gives_half(self):
         head = ClassifierHead(w=np.zeros((4, 3)), b=np.zeros(3))
-        assert classify(np.ones(4) / 2.0, head).tolist() == [0.5, 0.5, 0.5]
+        assert _classify_batch(np.ones((1, 4)) / 2.0, head).tolist() == [[0.5, 0.5, 0.5]]
 
     def test_hand_logits(self):
         head = ClassifierHead(w=np.zeros((2, 2)), b=np.array([0.0, math.log(3)]))
-        probs = classify(np.array([1.0, 0.0]), head)
+        probs = _classify_batch(np.array([[1.0, 0.0]]), head)[0]
         assert probs == pytest.approx([0.5, 0.75], abs=1e-12)
 
     def test_monotone_in_logit(self):
         values = []
         for bias in (-4.0, -1.0, 0.0, 2.0, 6.0):
             head = ClassifierHead(w=np.zeros((2, 1)), b=np.array([bias]))
-            values.append(classify(np.ones(2), head)[0])
+            values.append(_classify_batch(np.ones((1, 2)), head)[0, 0])
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(0.0 < v < 1.0 for v in values)
 
@@ -329,8 +329,8 @@ class TestMarginGap:
             np.array([0.0, 1.0]),
         ]
         samples = [
-            EmbeddedSample(vector=v, labels=frozenset({l}), source_index=i)
-            for i, (v, l) in enumerate(zip(vectors, ["a", "a", "b"]))
+            EmbeddedSample(vector=v, labels=frozenset({l}))
+            for v, l in zip(vectors, ["a", "a", "b"])
         ]
         # identity-ish head: project still normalizes, gap sign must hold
         head = ProjectionHead.init(2, 8, 4, np.random.default_rng(0))
@@ -339,8 +339,8 @@ class TestMarginGap:
 
     def test_single_polarity_raises(self):
         samples = [
-            EmbeddedSample(np.array([1.0, 0.0]), frozenset({"a"}), 0),
-            EmbeddedSample(np.array([0.0, 1.0]), frozenset({"a"}), 1),
+            EmbeddedSample(np.array([1.0, 0.0]), frozenset({"a"})),
+            EmbeddedSample(np.array([0.0, 1.0]), frozenset({"a"})),
         ]
         head = ProjectionHead.init(2, 4, 4, np.random.default_rng(0))
         with pytest.raises(NoPairsError):
