@@ -79,8 +79,8 @@ from .mining import (
     MinedCounts,
     MinedPairs,
     MiningConfig,
-    Pair,
     PairSet,
+    PairSims,
     SimilarityTable,
     batch_similarity_table,
     build_pairs,

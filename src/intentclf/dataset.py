@@ -70,10 +70,15 @@ class LabelVocabulary:
     def from_json(cls, obj: dict) -> "LabelVocabulary":
         if not isinstance(obj, dict) or "labels" not in obj:
             raise FileFormatError("taxonomy must be an object with a 'labels' array")
+        labels = obj["labels"]
+        if not isinstance(labels, list) or not all(
+            isinstance(label, str) and label.strip() for label in labels
+        ):
+            raise FileFormatError("taxonomy 'labels' must be an array of non-empty strings")
         descriptions = obj.get("descriptions", {})
         if not isinstance(descriptions, dict):
             raise FileFormatError("taxonomy 'descriptions' must be an object")
-        return cls(labels=tuple(obj["labels"]), descriptions=dict(descriptions))
+        return cls(labels=tuple(labels), descriptions=dict(descriptions))
 
 
 def load_vocabulary(path: str | Path) -> LabelVocabulary:

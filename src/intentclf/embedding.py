@@ -213,7 +213,16 @@ def load_embeddings(path: str | Path, dataset: Dataset) -> list[EmbeddedSample]:
                     path=str(path),
                     line=lineno,
                 )
-            vec = np.asarray(record["vector"], dtype=np.float64)
+            try:
+                vec = np.asarray(record["vector"], dtype=np.float64)
+            except (TypeError, ValueError):
+                vec = None
+            if vec is None or vec.ndim != 1 or vec.size == 0:
+                raise FileFormatError(
+                    "'vector' must be a non-empty flat array of numbers",
+                    path=str(path),
+                    line=lineno,
+                )
             if dim is None:
                 dim = int(vec.shape[0])
             elif vec.shape[0] != dim:

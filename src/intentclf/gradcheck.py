@@ -16,6 +16,7 @@ from .mining import (
     MinedCounts,
     MinedPairs,
     MiningConfig,
+    PairSims,
     batch_similarity_table,
     build_pairs,
     mine,
@@ -79,25 +80,21 @@ def _central_difference(f, params: list[np.ndarray], step_scale: float = 1e-5) -
 _GRAD_COMPONENTS = ("projection+ofc", "projection+oc", "projection+cs", "classifier+bce", "classifier")
 
 
-def _fixed_mined(pos, neg) -> MinedPairs:
+def _fixed_mined(pos: PairSims, neg: PairSims) -> MinedPairs:
     return MinedPairs(
-        pos_final=tuple(pos),
-        neg_final=tuple(neg),
+        pos_final=pos,
+        neg_final=neg,
         t_neg=None,
         t_pos=None,
         counts=MinedCounts(len(pos), len(neg), 0, 0, 0, 0),
     )
 
 
-def _away_from_kinks(table_entries, loss_kind: str, margin: float, delta: float = 1e-3) -> bool:
-    pos, neg = table_entries
-    for _, s in pos:
-        if abs(s) < delta or abs(abs(s) - 1.0) < 1e-9:
-            return False
-    for _, s in neg:
-        if abs(s - margin) < delta or abs(s - (margin - 1.0)) < delta:
-            return False
-    return True
+def _away_from_kinks(pos: PairSims, neg: PairSims, margin: float, delta: float = 1e-3) -> bool:
+    s = np.abs(pos.sim)
+    if np.any((s < delta) | (np.abs(s - 1.0) < 1e-9)):
+        return False
+    return not np.any((np.abs(neg.sim - margin) < delta) | (np.abs(neg.sim - (margin - 1.0)) < delta))
 
 
 def _grad_point_projection(loss_kind: str, rng: np.random.Generator):
@@ -120,26 +117,26 @@ def _grad_point_projection(loss_kind: str, rng: np.random.Generator):
     if not table.d_pos or not table.d_neg:
         return None
     if loss_kind == "cs":
-        pos_idx = [i for i, _ in table.d_pos]
-        neg_idx = [i for i, _ in table.d_neg]
+        pos_idx, neg_idx = table.d_pos.index, table.d_neg.index
     else:
         mined = mine(table, _mining_for_loss(base_config))
-        pos_idx = [i for i, _ in mined.pos_final]
-        neg_idx = [i for i, _ in mined.neg_final]
-        if not pos_idx and not neg_idx:
+        if not mined.pos_final and not mined.neg_final:
             return None
-    frozen_pos = [e for e in table.d_pos if e[0] in set(pos_idx)]
-    frozen_neg = [e for e in table.d_neg if e[0] in set(neg_idx)]
-    if not _away_from_kinks((frozen_pos, frozen_neg), loss_kind, base_config.ofc.margin):
+        pos_idx, neg_idx = mined.pos_final.index, mined.neg_final.index
+    # freeze the retained pairs in table order
+    frozen_pos = table.d_pos.take(np.isin(table.d_pos.index, pos_idx))
+    frozen_neg = table.d_neg.take(np.isin(table.d_neg.index, neg_idx))
+    if not _away_from_kinks(frozen_pos, frozen_neg, base_config.ofc.margin):
         return None
-    return x, head, pair_set, [i for i, _ in frozen_pos], [i for i, _ in frozen_neg], base_config
+    return x, head, pair_set, frozen_pos.index, frozen_neg.index, base_config
 
 
 def _projection_loss_on_fixed(x, head, pair_set, pos_idx, neg_idx, config) -> tuple[float, LossOutput, np.ndarray, tuple]:
     z, cache = _project_batch(x, head)
     gram = z @ z.T
-    pos = [(i, float(gram[pair_set.pairs[i].a, pair_set.pairs[i].b])) for i in pos_idx]
-    neg = [(i, float(gram[pair_set.pairs[i].a, pair_set.pairs[i].b])) for i in neg_idx]
+    a, b = pair_set.pairs.T
+    pos = PairSims(pos_idx, gram[a[pos_idx], b[pos_idx]])
+    neg = PairSims(neg_idx, gram[a[neg_idx], b[neg_idx]])
     if config.loss_kind == "cs":
         out = cs_loss(pos, neg)
     elif config.loss_kind == "oc":

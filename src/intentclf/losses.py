@@ -13,18 +13,15 @@ hinge-style online-contrastive loss and a plain cosine-regression loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .config import JsonConfig
 from .errors import NoPairsError, ValidationError
-from .mining import MinedPairs
+from .mining import MinedPairs, PairSims
 
 _REDUCTIONS = ("mean", "sum")
 _SIM_SLACK = 1e-6
-
-PairSims = Sequence[tuple[int, float]]
 
 
 @dataclass(frozen=True)
@@ -57,10 +54,19 @@ class OFCConfig(JsonConfig):
 
 @dataclass(frozen=True)
 class LossOutput:
-    """A scalar loss plus dL/ds for every contributing pair."""
+    """A scalar loss plus dL/ds for every contributing pair.
+
+    ``grad[k]`` is the derivative with respect to the similarity of pair
+    ``index[k]``; entries follow the order of the pairs the loss was given.
+    """
 
     value: float
-    grad_wrt_sim: tuple[tuple[int, float], ...]
+    index: np.ndarray
+    grad: np.ndarray
+
+
+def _no_grads() -> LossOutput:
+    return LossOutput(value=0.0, index=np.zeros(0, dtype=np.intp), grad=np.zeros(0))
 
 
 def _check_sims(sims: np.ndarray) -> np.ndarray:
@@ -97,15 +103,14 @@ def _reduce(terms: np.ndarray, dterm_ds: np.ndarray, reduction: str) -> tuple[fl
 
 def positive_loss(pairs: PairSims, config: OFCConfig) -> LossOutput:
     """Focal loss over positive-pair similarities: q = max(s^2, epsilon)."""
-    indices = [i for i, _ in pairs]
-    s = _check_sims(np.asarray([v for _, v in pairs], dtype=np.float64))
+    s = _check_sims(pairs.sim)
     q_raw = s * s
     clamped = q_raw < config.epsilon
     q = np.maximum(q_raw, config.epsilon)
     term, dterm_dq = _focal(q, config.alpha, config.gamma)
     dq_ds = np.where(clamped, 0.0, 2.0 * s)
     value, grad = _reduce(term, dterm_dq * dq_ds, config.reduction)
-    return LossOutput(value=value, grad_wrt_sim=tuple(zip(indices, grad.tolist())))
+    return LossOutput(value=value, index=pairs.index, grad=grad)
 
 
 def negative_loss(pairs: PairSims, config: OFCConfig) -> LossOutput:
@@ -114,8 +119,7 @@ def negative_loss(pairs: PairSims, config: OFCConfig) -> LossOutput:
     The upper clip caps the incentive at s = margin - 1; without it the raw
     formula would reward pushing negatives apart without bound.
     """
-    indices = [i for i, _ in pairs]
-    s = _check_sims(np.asarray([v for _, v in pairs], dtype=np.float64))
+    s = _check_sims(pairs.sim)
     u_raw = config.margin - s
     u = np.clip(u_raw, 0.0, 1.0)
     du_ds = np.where((u_raw > 0.0) & (u_raw < 1.0), -1.0, 0.0)
@@ -125,7 +129,7 @@ def negative_loss(pairs: PairSims, config: OFCConfig) -> LossOutput:
     term, dterm_dq = _focal(q, config.alpha, config.gamma)
     dq_du = np.where(clamped, 0.0, 2.0 * u)
     value, grad = _reduce(term, dterm_dq * dq_du * du_ds, config.reduction)
-    return LossOutput(value=value, grad_wrt_sim=tuple(zip(indices, grad.tolist())))
+    return LossOutput(value=value, index=pairs.index, grad=grad)
 
 
 def _empty_mined(mined: MinedPairs) -> LossOutput | None:
@@ -141,7 +145,7 @@ def _empty_mined(mined: MinedPairs) -> LossOutput | None:
     )
     if table_sizes == 0:
         raise NoPairsError("no pairs of either polarity")
-    return LossOutput(value=0.0, grad_wrt_sim=())
+    return _no_grads()
 
 
 def ofc_loss(mined: MinedPairs, config: OFCConfig) -> LossOutput:
@@ -153,7 +157,8 @@ def ofc_loss(mined: MinedPairs, config: OFCConfig) -> LossOutput:
     neg = negative_loss(mined.neg_final, config)
     return LossOutput(
         value=pos.value + neg.value,
-        grad_wrt_sim=pos.grad_wrt_sim + neg.grad_wrt_sim,
+        index=np.concatenate((pos.index, neg.index)),
+        grad=np.concatenate((pos.grad, neg.grad)),
     )
 
 
@@ -168,20 +173,22 @@ def oc_loss(mined: MinedPairs, margin: float = 0.5) -> LossOutput:
     empty = _empty_mined(mined)
     if empty is not None:
         return empty
-    grads: list[tuple[int, float]] = []
     value = 0.0
+    pos_grad = neg_grad = np.zeros(0)
     if mined.pos_final:
-        s = _check_sims(np.asarray([v for _, v in mined.pos_final], dtype=np.float64))
+        s = _check_sims(mined.pos_final.sim)
         value += float(np.mean((1.0 - s) ** 2))
-        g = -2.0 * (1.0 - s) / s.size
-        grads += list(zip((i for i, _ in mined.pos_final), g.tolist()))
+        pos_grad = -2.0 * (1.0 - s) / s.size
     if mined.neg_final:
-        s = _check_sims(np.asarray([v for _, v in mined.neg_final], dtype=np.float64))
+        s = _check_sims(mined.neg_final.sim)
         hinge = np.maximum(0.0, s - margin)
         value += float(np.mean(hinge**2))
-        g = 2.0 * hinge / s.size
-        grads += list(zip((i for i, _ in mined.neg_final), g.tolist()))
-    return LossOutput(value=value, grad_wrt_sim=tuple(grads))
+        neg_grad = 2.0 * hinge / s.size
+    return LossOutput(
+        value=value,
+        index=np.concatenate((mined.pos_final.index, mined.neg_final.index)),
+        grad=np.concatenate((pos_grad, neg_grad)),
+    )
 
 
 def cs_loss(pos_pairs: PairSims, neg_pairs: PairSims) -> LossOutput:
@@ -189,14 +196,13 @@ def cs_loss(pos_pairs: PairSims, neg_pairs: PairSims) -> LossOutput:
 
     Targets are 1 for positive pairs, 0 for negative pairs. No mining.
     """
-    indices = [i for i, _ in pos_pairs] + [i for i, _ in neg_pairs]
-    if not indices:
-        return LossOutput(value=0.0, grad_wrt_sim=())
-    sims = _check_sims(
-        np.asarray([v for _, v in pos_pairs] + [v for _, v in neg_pairs], dtype=np.float64)
-    )
+    if not pos_pairs and not neg_pairs:
+        return _no_grads()
+    sims = _check_sims(np.concatenate((pos_pairs.sim, neg_pairs.sim)))
     targets = np.concatenate([np.ones(len(pos_pairs)), np.zeros(len(neg_pairs))])
     residual = sims - targets
     value = float(np.mean(residual**2))
     grad = 2.0 * residual / residual.size
-    return LossOutput(value=value, grad_wrt_sim=tuple(zip(indices, grad.tolist())))
+    return LossOutput(
+        value=value, index=np.concatenate((pos_pairs.index, neg_pairs.index)), grad=grad
+    )

@@ -1,4 +1,10 @@
-"""Within-batch pair construction and hard-pair mining.
+"""Within-batch pair construction and hard-pair mining, as per-batch arrays.
+
+A batch of n samples has P = C(n,2) unordered pairs. A :class:`PairSet`
+holds their endpoints in ``np.triu_indices(n, 1)`` order, so a pair's index
+is its row in that order: (0,1), (0,2), ..., (1,2), ... Every later table
+(similarities, mined sets, loss gradients) names pairs by that index, as
+parallel index and value arrays.
 
 Mining runs in five steps over the positive/negative similarity tables of a
 batch:
@@ -35,32 +41,55 @@ _POSITIVE_RULES = ("exact", "overlap")
 
 
 @dataclass(frozen=True)
-class Pair:
-    """An unordered sample pair (a < b) with its polarity."""
-
-    a: int
-    b: int
-    positive: bool
-
-
-@dataclass(frozen=True)
 class PairSet:
-    """All unordered pairs of a batch, in (a, b) lexicographic order."""
+    """All unordered pairs of a batch, in ``np.triu_indices(n, 1)`` order.
 
-    pairs: tuple[Pair, ...]
+    ``pairs`` is the P x 2 array of endpoints (a < b, lexicographic) and
+    ``positive`` the length-P polarity mask; a pair's index is its row.
+    """
+
+    pairs: np.ndarray
+    positive: np.ndarray
     batch_size: int
 
 
 @dataclass(frozen=True)
-class SimilarityTable:
-    """Pairwise similarities split by polarity.
+class PairSims:
+    """Similarities of some pairs of one batch, as parallel arrays.
 
-    Entries are ``(pair_index, similarity)`` where ``pair_index`` addresses
-    the originating :class:`PairSet`.
+    ``sim[k]`` is the similarity of the pair whose index into the
+    originating :class:`PairSet` is ``index[k]``. ``len()`` is the number of
+    entries.
     """
 
-    d_pos: tuple[tuple[int, float], ...]
-    d_neg: tuple[tuple[int, float], ...]
+    index: np.ndarray
+    sim: np.ndarray
+
+    def __post_init__(self):
+        index = np.asarray(self.index, dtype=np.intp)
+        sim = np.asarray(self.sim, dtype=np.float64)
+        if index.ndim != 1 or index.shape != sim.shape:
+            raise ValidationError(
+                f"pair indices and similarities must be equal-length 1-D arrays, "
+                f"got shapes {index.shape} and {sim.shape}"
+            )
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "sim", sim)
+
+    def __len__(self) -> int:
+        return self.index.size
+
+    def take(self, rows: np.ndarray) -> "PairSims":
+        """The entries at ``rows`` (positions or a boolean mask), in that order."""
+        return PairSims(self.index[rows], self.sim[rows])
+
+
+@dataclass(frozen=True)
+class SimilarityTable:
+    """Pairwise similarities split by polarity, each in pair-index order."""
+
+    d_pos: PairSims
+    d_neg: PairSims
 
 
 @dataclass(frozen=True)
@@ -100,8 +129,8 @@ class MinedPairs:
     ``t_pos`` the converse; either is None when its source table was empty.
     """
 
-    pos_final: tuple[tuple[int, float], ...]
-    neg_final: tuple[tuple[int, float], ...]
+    pos_final: PairSims
+    neg_final: PairSims
     t_neg: float | None
     t_pos: float | None
     counts: MinedCounts
@@ -118,15 +147,18 @@ def build_pairs(labels: Sequence[LabelSet], rule: str = "exact") -> PairSet:
     n = len(labels)
     if n < 2:
         raise ValidationError(f"need a batch of >= 2 samples, got {n}")
-    pairs: list[Pair] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rule == "exact":
-                positive = labels[i] == labels[j]
-            else:
-                positive = bool(labels[i] & labels[j])
-            pairs.append(Pair(a=i, b=j, positive=positive))
-    return PairSet(pairs=tuple(pairs), batch_size=n)
+    a, b = np.triu_indices(n, 1)
+    if rule == "exact":
+        set_ids: dict[LabelSet, int] = {}
+        ids = np.array([set_ids.setdefault(s, len(set_ids)) for s in labels])
+        positive = ids[a] == ids[b]
+    else:
+        columns = {label: col for col, label in enumerate(set().union(*labels))}
+        multi_hot = np.zeros((n, len(columns)), dtype=bool)
+        for row, label_set in enumerate(labels):
+            multi_hot[row, [columns[label] for label in label_set]] = True
+        positive = (multi_hot[a] & multi_hot[b]).any(axis=1)
+    return PairSet(pairs=np.stack((a, b), axis=1), positive=positive, batch_size=n)
 
 
 def batch_similarity_table(z: np.ndarray, pair_set: PairSet) -> SimilarityTable:
@@ -137,12 +169,10 @@ def batch_similarity_table(z: np.ndarray, pair_set: PairSet) -> SimilarityTable:
             f"expected {pair_set.batch_size} projection rows, got shape {z.shape}"
         )
     gram = np.clip(z @ z.T, -1.0, 1.0)
-    d_pos: list[tuple[int, float]] = []
-    d_neg: list[tuple[int, float]] = []
-    for index, pair in enumerate(pair_set.pairs):
-        entry = (index, float(gram[pair.a, pair.b]))
-        (d_pos if pair.positive else d_neg).append(entry)
-    return SimilarityTable(d_pos=tuple(d_pos), d_neg=tuple(d_neg))
+    sims = gram[pair_set.pairs[:, 0], pair_set.pairs[:, 1]]
+    pos = np.flatnonzero(pair_set.positive)
+    neg = np.flatnonzero(~pair_set.positive)
+    return SimilarityTable(d_pos=PairSims(pos, sims[pos]), d_neg=PairSims(neg, sims[neg]))
 
 
 def _top_count(p: float, size: int) -> int:
@@ -153,11 +183,24 @@ def _top_count(p: float, size: int) -> int:
     return int(math.ceil(Fraction(p) * size / 100))
 
 
-def select_top(ordered: Sequence[tuple[int, float]], p: float) -> list[tuple[int, float]]:
+def select_top(ordered: Sequence, p: float) -> Sequence:
     """First ceil(p/100 * len) elements of an already-sorted sequence."""
     if not 0.0 <= p <= 100.0:
         raise ValidationError(f"p must be in [0,100], got {p}")
-    return list(ordered[: _top_count(p, len(ordered))])
+    return ordered[: _top_count(p, len(ordered))]
+
+
+def _hard_mask(side: PairSims, threshold: float | None, above: bool) -> np.ndarray:
+    if threshold is None:
+        return np.zeros(len(side), dtype=bool)
+    return side.sim > threshold if above else side.sim < threshold
+
+
+def _refined_order(side: PairSims, hard: np.ndarray, descending: bool) -> np.ndarray:
+    """Positions of the non-hard entries, sorted by similarity then pair index."""
+    rest = np.flatnonzero(~hard)
+    sims = side.sim[rest]
+    return rest[np.lexsort((side.index[rest], -sims if descending else sims))]
 
 
 def mine(table: SimilarityTable, config: MiningConfig) -> MinedPairs:
@@ -166,43 +209,26 @@ def mine(table: SimilarityTable, config: MiningConfig) -> MinedPairs:
     Degenerate rule: an empty negative table leaves ``t_neg`` unset and the
     hard-positive set empty (and symmetrically for positives).
     """
-    d_pos = list(table.d_pos)
-    d_neg = list(table.d_neg)
+    d_pos, d_neg = table.d_pos, table.d_neg
+    literal = config.mode == "literal"
+    t_neg = float((np.min if literal else np.max)(d_neg.sim)) if len(d_neg) else None
+    t_pos = float((np.max if literal else np.min)(d_pos.sim)) if len(d_pos) else None
+    hard_pos = _hard_mask(d_pos, t_neg, above=literal)
+    hard_neg = _hard_mask(d_neg, t_pos, above=not literal)
 
-    pos_sims = [s for _, s in d_pos]
-    neg_sims = [s for _, s in d_neg]
-
-    if config.mode == "literal":
-        t_neg = min(neg_sims) if neg_sims else None
-        t_pos = max(pos_sims) if pos_sims else None
-        hard_pos = [e for e in d_pos if t_neg is not None and e[1] > t_neg]
-        hard_neg = [e for e in d_neg if t_pos is not None and e[1] < t_pos]
-    else:
-        t_neg = max(neg_sims) if neg_sims else None
-        t_pos = min(pos_sims) if pos_sims else None
-        hard_pos = [e for e in d_pos if t_neg is not None and e[1] < t_neg]
-        hard_neg = [e for e in d_neg if t_pos is not None and e[1] > t_pos]
-
-    hard_pos_idx = {i for i, _ in hard_pos}
-    hard_neg_idx = {i for i, _ in hard_neg}
-    refined_pos = sorted(
-        (e for e in d_pos if e[0] not in hard_pos_idx), key=lambda e: (-e[1], e[0])
-    )
-    refined_neg = sorted(
-        (e for e in d_neg if e[0] not in hard_neg_idx), key=lambda e: (e[1], e[0])
-    )
-
+    refined_pos = _refined_order(d_pos, hard_pos, descending=True)
+    refined_neg = _refined_order(d_neg, hard_neg, descending=False)
     selected_pos = select_top(refined_pos, config.p)
     selected_neg = select_top(refined_neg, config.p)
 
     return MinedPairs(
-        pos_final=tuple(selected_pos + hard_pos),
-        neg_final=tuple(selected_neg + hard_neg),
+        pos_final=d_pos.take(np.concatenate((selected_pos, np.flatnonzero(hard_pos)))),
+        neg_final=d_neg.take(np.concatenate((selected_neg, np.flatnonzero(hard_neg)))),
         t_neg=t_neg,
         t_pos=t_pos,
         counts=MinedCounts(
-            h_pos=len(hard_pos),
-            h_neg=len(hard_neg),
+            h_pos=int(np.count_nonzero(hard_pos)),
+            h_neg=int(np.count_nonzero(hard_neg)),
             o_pos=len(refined_pos),
             o_neg=len(refined_neg),
             selected_pos=len(selected_pos),

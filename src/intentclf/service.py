@@ -6,10 +6,11 @@ Endpoints:
   [..], "scores": {label: probability, ..}, "model_version": <int>}``.
 * ``GET /health`` returns 200 with the model version.
 
-Status codes: 400 for a malformed body, 422 for empty text, 500 for internal
-failures, 404 for unknown paths. The classify body is rendered by the same
-function the ``predict`` CLI uses, so the two are byte-identical for the same
-text and model.
+Status codes: 400 for a malformed body or for a Content-Length that is not a
+non-negative integer (the body is then not read), 422 for empty text, 500 for
+internal failures, 404 for unknown paths. The classify body is rendered by
+the same function the ``predict`` CLI uses, so the two are byte-identical for
+the same text and model.
 """
 
 from __future__ import annotations
@@ -75,9 +76,13 @@ class _ClassifyHandler(BaseHTTPRequestHandler):
         if self.path != "/classify":
             self._send_error(404, f"unknown path {self.path}")
             return
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            # never read a body of unknown size: rfile.read(-1) waits for EOF
+            self._send_error(400, "Content-Length must be a non-negative integer")
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(length)
+            raw = self.rfile.read(int(length))
             try:
                 body = json.loads(raw)
             except (UnicodeDecodeError, json.JSONDecodeError):

@@ -254,12 +254,32 @@ def _pair_loss(table, config: TrainConfig) -> LossOutput:
 
 
 def _sim_grads_to_z(out: LossOutput, pair_set: PairSet, z: np.ndarray) -> np.ndarray:
-    """Chain dL/ds through s = z_a . z_b to the pair endpoints."""
+    """Chain dL/ds through s = z_a . z_b to the pair endpoints.
+
+    Row r of the result adds g * z[other end] for each loss entry whose pair
+    touches r, one term at a time in entry order: the float additions of a
+    plain loop over the entries, so the trained weights do not depend on how
+    the scatter is vectorised. Each row's terms are laid out in that order
+    along a padded axis, and step k adds every row's k-th term at once.
+    Padding adds g = 0, which leaves the sums unchanged bit for bit: they
+    start at +0.0 and so never become -0.0.
+    """
+    ends = pair_set.pairs[out.index]
+    rows = ends.ravel()
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    others = ends[:, ::-1].ravel()[order]
+    grads = np.repeat(out.grad, 2)[order]
+    counts = np.bincount(rows, minlength=len(z))
+    step = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    width = int(counts.max(initial=0))
+    g = np.zeros((width, len(z)))
+    src = np.zeros((width, len(z)), dtype=np.intp)
+    g[step, rows] = grads
+    src[step, rows] = others
     d_z = np.zeros_like(z)
-    for pair_index, g in out.grad_wrt_sim:
-        pair = pair_set.pairs[pair_index]
-        d_z[pair.a] += g * z[pair.b]
-        d_z[pair.b] += g * z[pair.a]
+    for k in range(width):
+        d_z += g[k][:, None] * z[src[k]]
     return d_z
 
 
@@ -416,8 +436,8 @@ def projection_margin_gap(
     table = batch_similarity_table(z, pair_set)
     if not table.d_pos or not table.d_neg:
         raise NoPairsError("margin gap needs both pair polarities")
-    pos = np.mean([s for _, s in table.d_pos])
-    neg = np.mean([s for _, s in table.d_neg])
+    pos = np.mean(table.d_pos.sim)
+    neg = np.mean(table.d_neg.sim)
     return float(pos - neg)
 
 

@@ -2,7 +2,8 @@
 
 Everything here is written against the documented behavior, in a different
 style from the package (pure-python sets/loops, integer-search ceilings), so
-the two sides do not share arithmetic shortcuts.
+the two sides do not share arithmetic shortcuts. The oracles speak tuple
+lists; ``pair_sims`` and ``entries`` convert at the package's array boundary.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from intentclf import PairSims
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +97,44 @@ def random_similarity_batch(rng: np.random.Generator):
             (d_pos if positive else d_neg).append((index, sim))
             index += 1
     return labels, rule, d_pos, d_neg
+
+
+def pair_sims(entries):
+    """Tuple list [(pair_index, sim), ...] -> the package's parallel arrays."""
+    entries = list(entries)
+    return PairSims([i for i, _ in entries], [s for _, s in entries])
+
+
+def entries(pairs) -> list:
+    """The package's PairSims -> tuple list [(pair_index, sim), ...]."""
+    return list(zip(pairs.index.tolist(), pairs.sim.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# pair building and the gradient scatter, as the original per-pair loops
+
+
+def build_pairs_loop(labels, rule: str) -> list:
+    """All unordered pairs (a, b, positive) with a < b, in lexicographic order."""
+    pairs = []
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            if rule == "exact":
+                positive = labels[i] == labels[j]
+            else:
+                positive = bool(labels[i] & labels[j])
+            pairs.append((i, j, positive))
+    return pairs
+
+
+def sim_grads_to_z_loop(grads, pairs, z: np.ndarray) -> np.ndarray:
+    """Chain [(pair_index, dL/ds), ...] through s = z_a . z_b, one pair at a time."""
+    d_z = np.zeros_like(z)
+    for pair_index, g in grads:
+        a, b = pairs[pair_index][:2]
+        d_z[a] += g * z[b]
+        d_z[b] += g * z[a]
+    return d_z
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,12 @@ from intentclf.trainer import ProjectionHead, predict
 from bf_oracles import (
     auc_bf,
     counts_bf,
+    entries,
     hamming_bf,
     jaccard_bf,
     mcc_bf,
     mine_bruteforce,
+    pair_sims,
     prf_bf,
     random_similarity_batch,
     subset_accuracy_bf,
@@ -187,12 +189,12 @@ def test_criterion_mining_oracle():
             p = p_grid[(case // 2) % len(p_grid)]
             mode = "literal" if case % 2 == 0 else "standard"
             mined = mine(
-                SimilarityTable(d_pos=tuple(d_pos), d_neg=tuple(d_neg)),
+                SimilarityTable(d_pos=pair_sims(d_pos), d_neg=pair_sims(d_neg)),
                 MiningConfig(p=p, mode=mode),
             )
             expected = mine_bruteforce(d_pos, d_neg, p, mode)
-            assert list(mined.pos_final) == expected["pos_final"], (case, p, mode)
-            assert list(mined.neg_final) == expected["neg_final"], (case, p, mode)
+            assert entries(mined.pos_final) == expected["pos_final"], (case, p, mode)
+            assert entries(mined.neg_final) == expected["neg_final"], (case, p, mode)
             assert mined.t_neg == expected["t_neg"] and mined.t_pos == expected["t_pos"]
             assert (
                 mined.counts.h_pos, mined.counts.h_neg,

@@ -98,6 +98,16 @@ class TestGenerate:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("labels", ["abc", ["eta", ""], ["eta", 7], {"eta": 1}])
+    def test_malformed_taxonomy_labels_exit_3(self, tmp_path, labels):
+        taxonomy = tmp_path / "taxonomy.json"
+        taxonomy.write_text(json.dumps({"labels": labels}), encoding="utf-8")
+        code = main([
+            "generate", "--taxonomy", str(taxonomy), "--offline",
+            "--per-class", "1", "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert code == 3
+
     def test_missing_taxonomy_exits_3(self, tmp_path):
         code = main([
             "generate", "--taxonomy", str(tmp_path / "nope.json"), "--offline",
@@ -167,6 +177,23 @@ class TestTrain:
             "--out", str(tmp_path / "m.json"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "vector", [["q", 1], 3, [[0.5, 0.5]], [0.5, [0.5]], []],
+        ids=["non-numeric", "scalar", "nested", "ragged", "empty"],
+    )
+    def test_malformed_embedding_vector_exits_3(self, workspace, tmp_path, capsys, vector):
+        lines = workspace["embeddings"].read_text().splitlines()
+        lines[1] = json.dumps({"index": 1, "vector": vector})
+        embeddings = tmp_path / "bad.jsonl"
+        embeddings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main([
+            "train", "--taxonomy", str(workspace["taxonomy"]),
+            "--dataset", str(workspace["dataset"]),
+            "--embeddings", str(embeddings), "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 3
+        assert f"{embeddings}:2]" in capsys.readouterr().err
 
     def test_bad_fraction_exits_2(self, workspace, tmp_path):
         code = main([

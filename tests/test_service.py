@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -89,6 +90,17 @@ class TestClassify:
 
     def test_non_string_text_400(self, server):
         assert requests.post(f"{server}/classify", json={"text": 7}, timeout=5).status_code == 400
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5", "+3"])
+    def test_bad_content_length_400_without_reading_body(self, server, length):
+        host, port = server.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=3) as sock:
+            sock.sendall(
+                f"POST /classify HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("ascii")
+            )
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"400", status_line
 
     def test_unknown_post_path_404(self, server):
         assert requests.post(f"{server}/other", json={"text": "x"}, timeout=5).status_code == 404
