@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import coerce
 from .dataset import (
     encode_labels,
     load_dataset,
@@ -31,6 +32,7 @@ from .datagen import (
 )
 from .embedding import (
     ProviderConfig,
+    check_embeds_text,
     embed_dataset,
     load_embeddings,
     save_embeddings,
@@ -90,16 +92,21 @@ class _Cfg:
     def section(self, name: str) -> dict:
         return _as_section(self.data.get(name, {}), name)
 
-    def pick(self, cli_value, *keys, default=None):
-        """The flag if given, else the config value at ``keys``, else ``default``."""
-        if cli_value is not None:
-            return cli_value
-        node = self.data
-        for key in keys:
-            if not isinstance(node, dict) or key not in node:
-                return default
-            node = node[key]
-        return node
+    def pick(self, cli_value, *keys, default=None, kind=None):
+        """The flag if given, else the config value at ``keys``, else ``default``.
+
+        With ``kind`` the value is coerced to it; a value that cannot be is a
+        :class:`ValidationError` naming ``keys``.
+        """
+        value = cli_value
+        if value is None:
+            value = self.data
+            for key in keys:
+                if not isinstance(value, dict) or key not in value:
+                    value = default
+                    break
+                value = value[key]
+        return value if kind is None else coerce(value, kind, ".".join(keys))
 
 
 def _require(value, what: str):
@@ -154,8 +161,8 @@ def run_generate(args) -> int:
     cfg = _Cfg(args.config)
     taxonomy_path = _require(cfg.pick(args.taxonomy, "taxonomy"), "--taxonomy")
     out_path = _require(cfg.pick(args.out, "dataset"), "--out")
-    per_class = int(cfg.pick(args.per_class, "generate", "per_class", default=40))
-    seed = int(cfg.pick(args.seed, "generate", "seed", default=0))
+    per_class = cfg.pick(args.per_class, "generate", "per_class", default=40, kind=int)
+    seed = cfg.pick(args.seed, "generate", "seed", default=0, kind=int)
     offline = bool(cfg.pick(args.offline or None, "generate", "offline"))
     vocabulary = load_vocabulary(taxonomy_path)
     combos = _load_combos(cfg.pick(args.combos, "generate", "combos"))
@@ -201,8 +208,8 @@ def _load_embedded(cfg: _Cfg, args):
 
 
 def _split(args, cfg: _Cfg, n: int) -> tuple[list[int], list[int]]:
-    fraction = float(cfg.pick(args.holdout_fraction, "split", "holdout_fraction", default=0.2))
-    seed = int(cfg.pick(args.split_seed, "split", "seed", default=0))
+    fraction = cfg.pick(args.holdout_fraction, "split", "holdout_fraction", default=0.2, kind=float)
+    seed = cfg.pick(args.split_seed, "split", "seed", default=0, kind=int)
     return split_indices(n, fraction, seed)
 
 
@@ -271,6 +278,8 @@ def run_predict(args) -> int:
 
 def run_serve(args) -> int:
     artifact = load_artifact(args.model)
+    # refuse before binding: such a model would answer 500 to every request
+    check_embeds_text(artifact.provider)
     serve_forever(artifact, args.host, args.port)
     return _EXIT_OK
 

@@ -24,6 +24,19 @@ def _field_type(hint) -> tuple[type, bool]:
     return hint, False
 
 
+def coerce(value, kind: type, what: str):
+    """``kind(value)``, or a :class:`ValidationError` naming ``what``.
+
+    A JSON boolean coerces only to ``bool``: ``true`` is no count or seed.
+    """
+    try:
+        if isinstance(value, bool) and kind is not bool:
+            raise TypeError(f"{value!r} is a boolean")
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+
+
 class JsonConfig:
     """Mixin giving a config dataclass its JSON form."""
 
@@ -46,10 +59,5 @@ class JsonConfig:
             elif issubclass(kind, JsonConfig):
                 values[f.name] = kind.from_json(value)
             else:
-                try:
-                    values[f.name] = kind(value)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ValidationError(
-                        f"{cls.__name__}.{f.name} must be {kind.__name__}, got {value!r}"
-                    ) from exc
+                values[f.name] = coerce(value, kind, f"{cls.__name__}.{f.name}")
         return cls(**values)

@@ -214,6 +214,8 @@ def llm_generate(
     """
     if per_class < 1:
         raise ValidationError(f"per_class must be >= 1, got {per_class}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     pools: dict[str, tuple[str, ...]] = {}
     samples: list[TextSample] = []
     for label in vocabulary.labels:
@@ -395,6 +397,8 @@ def offline_generate(
     """
     if per_class < 1:
         raise ValidationError(f"per_class must be >= 1, got {per_class}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     samples: list[TextSample] = []
     for class_index, label in enumerate(vocabulary.labels):
         description = vocabulary.descriptions.get(label, label)
@@ -422,6 +426,8 @@ def two_label_combos(vocabulary: LabelVocabulary, count: int, seed: int = 0) -> 
     """A seeded list of two-label combos (repeats allowed once pairs run out)."""
     if len(vocabulary) < 2:
         raise ValidationError("need at least 2 labels to build combos")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     labels = vocabulary.labels
     all_pairs = [
         frozenset({labels[i], labels[j]})

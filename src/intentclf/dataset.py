@@ -88,7 +88,10 @@ def load_vocabulary(path: str | Path) -> LabelVocabulary:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"taxonomy is not valid JSON: {exc}", path=str(path)) from exc
-    return LabelVocabulary.from_json(obj)
+    try:
+        return LabelVocabulary.from_json(obj)
+    except FileFormatError as exc:
+        raise FileFormatError(str(exc), path=str(path)) from exc
 
 
 def save_vocabulary(vocabulary: LabelVocabulary, path: str | Path) -> None:
@@ -215,6 +218,8 @@ def split_indices(n: int, holdout_fraction: float, seed: int) -> tuple[list[int]
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise ValidationError(f"holdout_fraction must be in (0,1), got {holdout_fraction}")
+    if seed < 0:
+        raise ValidationError(f"split seed must be >= 0, got {seed}")
     if n < 2:
         raise ValidationError("need at least 2 samples to split")
     perm = np.random.default_rng(seed).permutation(n)

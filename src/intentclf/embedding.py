@@ -16,6 +16,7 @@ a plain dot product.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .httpclient import post_json
 EmbeddingVector = np.ndarray
 
 _PROVIDER_KINDS = ("file", "http", "toy")
+_TEXT_PROVIDER_KINDS = ("http", "toy")
 _TEXT_START = "\x02"
 _TEXT_END = "\x03"
 
@@ -96,7 +98,14 @@ def _trigrams(text: str) -> list[str]:
     return [padded[i : i + 3] for i in range(len(padded) - 2)]
 
 
+# Entries of the trigram memo: about 240 B each, so at most about 2 MB.
+_TRIGRAM_MEMO_SIZE = 8192
+
+
+@functools.lru_cache(maxsize=_TRIGRAM_MEMO_SIZE)
 def _hash_trigram(trigram: str, seed: int) -> tuple[int, float]:
+    # A pure function of its arguments, so one process-wide memo serves every
+    # caller; real text reuses a few thousand trigrams over and over.
     key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     digest = hashlib.blake2b(trigram.encode("utf-8"), key=key, digest_size=9).digest()
     bucket = int.from_bytes(digest[:8], "little")
@@ -113,14 +122,15 @@ def toy_embed(text: str, dim: int, seed: int = 0) -> EmbeddingVector:
     """
     if dim < 2:
         raise ValidationError(f"embedding dim must be >= 2, got {dim}")
-    acc = np.zeros(dim, dtype=np.float64)
-    for trigram in _trigrams(text):
-        bucket, sign = _hash_trigram(trigram, seed)
-        acc[bucket % dim] += sign
+    buckets, signs = zip(*[_hash_trigram(t, seed) for t in _trigrams(text)])
+    # sums of +-1.0 are exact integers, so the order of addition is immaterial
+    index = (np.array(buckets, dtype=np.uint64) % np.uint64(dim)).astype(np.intp)
+    acc = np.bincount(index, weights=signs, minlength=dim)
     if not acc.any():
         # All buckets cancelled (vanishingly rare); fall back to a one-hot
-        # bucket derived from the whole text so the map stays total.
-        bucket, sign = _hash_trigram(_TEXT_START + text + _TEXT_END, seed)
+        # bucket derived from the whole text so the map stays total. The
+        # whole text is no trigram, so it bypasses the memo.
+        bucket, sign = _hash_trigram.__wrapped__(_TEXT_START + text + _TEXT_END, seed)
         acc[bucket % dim] = sign
     return l2_normalize(acc)
 
@@ -154,13 +164,24 @@ def embed_remote(texts: Sequence[str], config: ProviderConfig) -> list[Embedding
     return out
 
 
+def check_embeds_text(config: ProviderConfig | None) -> None:
+    """Raise :class:`ValidationError` unless ``config`` can embed new text.
+
+    Only toy and http providers can; a file provider holds precomputed rows.
+    """
+    kind = "none" if config is None else config.kind
+    if kind not in _TEXT_PROVIDER_KINDS:
+        raise ValidationError(
+            f"provider {kind!r} cannot embed new text; it must be one of {_TEXT_PROVIDER_KINDS}"
+        )
+
+
 def embed_texts(texts: Sequence[str], config: ProviderConfig) -> list[EmbeddingVector]:
     """Embed arbitrary texts with a provider able to do so (toy or http)."""
+    check_embeds_text(config)
     if config.kind == "toy":
         return [toy_embed(t, config.dim, config.seed) for t in texts]
-    if config.kind == "http":
-        return embed_remote(texts, config)
-    raise ValidationError("the file provider holds precomputed rows and cannot embed new text")
+    return embed_remote(texts, config)
 
 
 def embed_dataset(dataset: Dataset, config: ProviderConfig) -> list[EmbeddedSample]:
@@ -174,12 +195,35 @@ def embed_dataset(dataset: Dataset, config: ProviderConfig) -> list[EmbeddedSamp
     ]
 
 
+def _vector_json(row: np.ndarray) -> str:
+    """``json.dumps(row.tolist())`` for a 1-D float64 ``row``.
+
+    Rendering floats is most of the cost. When at most half of a row's values
+    are distinct, as in toy vectors (a handful of counts over one norm), each
+    distinct value is rendered once and the list is gathered from those
+    renderings. Values are told apart by bit pattern, so ``-0.0`` stays
+    ``-0.0``. Other rows, such as an encoder's, are rendered whole; telling
+    the two kinds apart costs one sort of the row.
+    """
+    bits = row.view(np.int64)
+    ordered = np.sort(bits)
+    if 2 * np.count_nonzero(ordered[1:] != ordered[:-1]) >= row.size:
+        return json.dumps(row.tolist())
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    words = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    return "[" + ", ".join(np.array(words, dtype=object)[inverse].tolist()) + "]"
+
+
 def save_embeddings(vectors: Sequence[np.ndarray], path: str | Path) -> None:
-    """Write vectors as JSON Lines with ascending ``index`` starting at 0."""
+    """Write vectors as JSON Lines with ascending ``index`` starting at 0.
+
+    Each line is byte for byte what ``json.dumps({"index": i, "vector": [floats]})``
+    gives, ``NaN`` and ``Infinity`` included.
+    """
     with Path(path).open("w", encoding="utf-8") as fh:
         for index, vec in enumerate(vectors):
-            record = {"index": index, "vector": [float(x) for x in np.asarray(vec)]}
-            fh.write(json.dumps(record) + "\n")
+            vector = _vector_json(np.asarray(vec, dtype=np.float64))
+            fh.write('{"index": %d, "vector": %s}\n' % (index, vector))
 
 
 def load_embeddings(path: str | Path, dataset: Dataset) -> list[EmbeddedSample]:

@@ -131,6 +131,8 @@ class TrainConfig(JsonConfig):
             raise ValidationError(f"loss_kind must be one of {_LOSS_KINDS}")
         if self.d_hidden < 1 or self.d_proj < 1:
             raise ValidationError("head dims must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
             raise ValidationError("grad_clip_norm must be > 0 or None")
 

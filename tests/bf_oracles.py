@@ -8,6 +8,8 @@ lists; ``pair_sims`` and ``entries`` convert at the package's array boundary.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -135,6 +137,42 @@ def sim_grads_to_z_loop(grads, pairs, z: np.ndarray) -> np.ndarray:
         d_z[a] += g * z[b]
         d_z[b] += g * z[a]
     return d_z
+
+
+# ---------------------------------------------------------------------------
+# the toy embedder and the embeddings writer, as the original per-item loops
+
+
+def toy_acc_loop(text: str, dim: int, seed: int) -> np.ndarray:
+    """Signed-hash trigram counts, one keyed BLAKE2b call and one add per trigram."""
+    padded = "\x02" + text + "\x03"
+    while len(padded) < 3:
+        padded += "\x03"
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    acc = np.zeros(dim, dtype=np.float64)
+    for i in range(len(padded) - 2):
+        digest = hashlib.blake2b(padded[i : i + 3].encode("utf-8"), key=key, digest_size=9).digest()
+        acc[int.from_bytes(digest[:8], "little") % dim] += 1.0 if digest[8] & 1 else -1.0
+    return acc
+
+
+def toy_embed_loop(text: str, dim: int, seed: int) -> np.ndarray:
+    """``toy_embed`` with the all-cancelled fallback hashed from the whole text."""
+    acc = toy_acc_loop(text, dim, seed)
+    if not acc.any():
+        key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+        whole = ("\x02" + text + "\x03").encode("utf-8")
+        digest = hashlib.blake2b(whole, key=key, digest_size=9).digest()
+        acc[int.from_bytes(digest[:8], "little") % dim] = 1.0 if digest[8] & 1 else -1.0
+    return acc / float(np.linalg.norm(acc))
+
+
+def save_embeddings_loop(vectors, path) -> None:
+    """One ``json.dumps`` of a whole record per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for index, vec in enumerate(vectors):
+            record = {"index": index, "vector": [float(x) for x in np.asarray(vec)]}
+            fh.write(json.dumps(record) + "\n")
 
 
 # ---------------------------------------------------------------------------

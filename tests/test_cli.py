@@ -14,6 +14,7 @@ from intentclf import (
     split_indices,
     two_label_combos,
 )
+import intentclf.service as service
 from intentclf.cli import main
 from intentclf.metrics import load_report
 from intentclf import encode_labels, evaluate, score_samples
@@ -99,7 +100,7 @@ class TestGenerate:
         assert code == 4
 
     @pytest.mark.parametrize("labels", ["abc", ["eta", ""], ["eta", 7], {"eta": 1}])
-    def test_malformed_taxonomy_labels_exit_3(self, tmp_path, labels):
+    def test_malformed_taxonomy_labels_exit_3(self, tmp_path, capsys, labels):
         taxonomy = tmp_path / "taxonomy.json"
         taxonomy.write_text(json.dumps({"labels": labels}), encoding="utf-8")
         code = main([
@@ -107,6 +108,17 @@ class TestGenerate:
             "--per-class", "1", "--out", str(tmp_path / "x.jsonl"),
         ])
         assert code == 3
+        assert f"[{taxonomy}]" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, workspace, tmp_path, capsys):
+        capsys.readouterr()
+        code = main([
+            "generate", "--taxonomy", str(workspace["taxonomy"]), "--offline",
+            "--per-class", "1", "--seed", "-1", "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: seed must be >= 0"), err
 
     def test_missing_taxonomy_exits_3(self, tmp_path):
         code = main([
@@ -306,6 +318,24 @@ class TestPredict:
         assert main(["predict", "--model", str(tmp_path / "nope.json"), "--text", "x"]) == 3
 
 
+class TestServe:
+    @pytest.mark.parametrize("provider", [{"kind": "file", "dim": 64, "path": "e.jsonl"}, None])
+    def test_model_that_cannot_embed_text_exits_2_before_binding(
+        self, workspace, tmp_path, monkeypatch, capsys, provider
+    ):
+        model = json.loads(workspace["model"].read_text())
+        model["config"]["provider"] = provider
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        bound = []
+        monkeypatch.setattr(service, "ThreadingHTTPServer", lambda *a, **k: bound.append(a))
+        capsys.readouterr()
+        assert main(["serve", "--model", str(path), "--port", "0"]) == 2
+        assert bound == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "cannot embed new text" in err[0], err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, workspace, tmp_path):
         out = tmp_path / "from_config.jsonl"
@@ -350,6 +380,11 @@ class TestConfigFile:
             {"mining": {"p": [1]}},
             {"provider": {"seed": "x"}},
             {"ofc": []},
+            {"split": {"holdout_fraction": "x"}},
+            {"split": {"seed": [3]}},
+            {"split": {"seed": -1}},
+            {"train": {"seed": -1}},
+            {"train": {"epochs_pretrain": True}},
         ],
     )
     def test_wrong_typed_value_exits_2(self, workspace, tmp_path, capsys, bad):
@@ -360,6 +395,22 @@ class TestConfigFile:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"per_class": "abc"}, {"per_class": None}, {"seed": [1]}, {"seed": "1.5"}, {"per_class": True}],
+    )
+    def test_wrong_typed_generate_value_exits_2(self, workspace, tmp_path, capsys, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generate": {"offline": True, **bad}}))
+        capsys.readouterr()
+        argv = [
+            "generate", "--config", str(cfg), "--taxonomy", str(workspace["taxonomy"]),
+            "--out", str(tmp_path / "x.jsonl"),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: generate."), err
 
     def test_sections_reach_the_artifact_and_flags_win(self, workspace, tmp_path):
         out = tmp_path / "m.json"

@@ -165,6 +165,12 @@ class TestOfflineGenerate:
         with pytest.raises(ValidationError):
             offline_generate(small_vocab, 0, [], seed=0)
 
+    def test_negative_seed_rejected(self, small_vocab):
+        with pytest.raises(ValidationError):
+            offline_generate(small_vocab, 1, [], seed=-1)
+        with pytest.raises(ValidationError):
+            two_label_combos(small_vocab, 1, seed=-1)
+
     def test_combo_validation(self, small_vocab):
         with pytest.raises(ValidationError):
             offline_generate(small_vocab, 1, [frozenset({"bogus"})], seed=0)

@@ -169,6 +169,10 @@ class TestSplit:
             with pytest.raises(ValidationError):
                 split(ds, bad, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError):
+            split_indices(10, 0.3, seed=-1)
+
     def test_holdout_never_swallows_everything(self):
         train, hold = split_indices(2, 0.9, seed=3)
         assert len(train) == 1 and len(hold) == 1

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+import intentclf.embedding as embedding
 import intentclf.httpclient as httpclient
 from intentclf import (
     Dataset,
@@ -22,6 +24,7 @@ from intentclf import (
     save_embeddings,
     toy_embed,
 )
+from bf_oracles import save_embeddings_loop, toy_acc_loop, toy_embed_loop
 from stubs import stub_server
 
 
@@ -97,6 +100,77 @@ class TestToyEmbed:
         assert np.allclose(
             v, [0.2, 0.2, -0.4, -0.2, -0.4, 0.4, -0.2, 0.6], atol=1e-12
         )
+
+
+_CHARS = "ab cdeé ß漢字🚢\t\x00\x02\x03,?"
+
+
+def _random_text(rng: np.random.Generator) -> str:
+    kind = int(rng.integers(0, 4))
+    if kind == 0:  # empty-ish
+        return str(rng.choice(["", " ", "  ", "\t", "\n", "\x02", "\x03"]))
+    pick = lambda n: "".join(rng.choice(list(_CHARS), size=n))  # noqa: E731
+    if kind == 1:
+        return pick(int(rng.integers(1, 3)))
+    if kind == 2:
+        return pick(int(rng.integers(3, 80)))
+    # long repeated substrings
+    return pick(int(rng.integers(1, 6))) * int(rng.integers(20, 300)) + pick(2)
+
+
+class TestToyEmbedOracle:
+    """The memoised, bincount-accumulated embedder against the per-trigram loop."""
+
+    def test_matches_loop_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        cancelled = 0
+        for _ in range(1200):
+            text = _random_text(rng)
+            dim = int(rng.choice([2, 3, 7, 256]))
+            seed = int(rng.choice([0, 1, 42, -1, 2**64 - 1]))
+            got = toy_embed(text, dim, seed)
+            assert got.tobytes() == toy_embed_loop(text, dim, seed).tobytes(), (text, dim, seed)
+            cancelled += not toy_acc_loop(text, dim, seed).any()
+        assert cancelled > 0, "no text reached the all-cancelled fallback"
+
+    def test_memo_stays_within_its_bound(self):
+        bound = embedding._TRIGRAM_MEMO_SIZE
+        assert embedding._hash_trigram.cache_info().maxsize == bound
+        misses = embedding._hash_trigram.cache_info().misses
+        # every 3-letter text brings a new inner trigram: more than the bound
+        for letters in itertools.product("abcdefghijklmnopqrstuvwxy", repeat=3):
+            toy_embed("".join(letters), 8, seed=11)
+            assert embedding._hash_trigram.cache_info().currsize <= bound
+        assert embedding._hash_trigram.cache_info().misses - misses > bound
+
+
+class TestSaveEmbeddingsOracle:
+    def test_file_bytes_match_one_dumps_per_record(self, tmp_path):
+        rng = np.random.default_rng(7)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-320,
+                   1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5,
+                   float("nan"), float("inf"), float("-inf")]
+        rows = [
+            np.array([0.0, -0.0, 0.0, -0.0, 1.0]),
+            np.array([5e-324, -5e-324, 2.2250738585072014e-308, 1e-320, 5e-324]),
+            np.array([1e308, -1e308, 1.7976931348623157e308, -0.0, 1e308]),
+            np.full(256, 0.0625),
+            toy_embed("estimated time of arrival", 256, 42),
+            rng.normal(size=256),
+            np.where(rng.random(256) < 0.5, -0.0, rng.normal(size=256)),
+            np.array([0.25, 0.25, -0.0, 0.25]),  # 2 of 4 distinct: gathered
+            np.array([0.25, 0.5, -0.0, 0.25]),  # 3 of 4 distinct: rendered whole
+            np.array([float("nan"), float("inf"), float("-inf"), float("nan")]),
+            rng.normal(size=16).astype(np.float32),
+            np.arange(-3, 4),
+            [0.5, -0.0, 0.5],
+            np.array([]),
+        ]
+        rows += [rng.choice(special, size=int(rng.integers(1, 40))) for _ in range(200)]
+        got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+        save_embeddings(rows, got)
+        save_embeddings_loop(rows, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestEmbeddingFile:
