@@ -96,16 +96,13 @@ class _Cfg:
         """The flag if given, else the config value at ``keys``, else ``default``.
 
         With ``kind`` the value is coerced to it; a value that cannot be is a
-        :class:`ValidationError` naming ``keys``.
+        :class:`ValidationError` naming ``keys``, and so is a section on the
+        way to it that is not an object, even when the flag is given.
         """
-        value = cli_value
-        if value is None:
-            value = self.data
-            for key in keys:
-                if not isinstance(value, dict) or key not in value:
-                    value = default
-                    break
-                value = value[key]
+        node = self.data
+        for depth in range(1, len(keys)):
+            node = _as_section(node.get(keys[depth - 1], {}), ".".join(keys[:depth]))
+        value = node.get(keys[-1], default) if cli_value is None else cli_value
         return value if kind is None else coerce(value, kind, ".".join(keys))
 
 

@@ -90,7 +90,7 @@ def load_vocabulary(path: str | Path) -> LabelVocabulary:
         raise FileFormatError(f"taxonomy is not valid JSON: {exc}", path=str(path)) from exc
     try:
         return LabelVocabulary.from_json(obj)
-    except FileFormatError as exc:
+    except (FileFormatError, ValidationError) as exc:  # e.g. a duplicate label
         raise FileFormatError(str(exc), path=str(path)) from exc
 
 

@@ -99,7 +99,7 @@ class TestGenerate:
         ])
         assert code == 4
 
-    @pytest.mark.parametrize("labels", ["abc", ["eta", ""], ["eta", 7], {"eta": 1}])
+    @pytest.mark.parametrize("labels", ["abc", ["eta", ""], ["eta", 7], {"eta": 1}, ["a", "a"]])
     def test_malformed_taxonomy_labels_exit_3(self, tmp_path, capsys, labels):
         taxonomy = tmp_path / "taxonomy.json"
         taxonomy.write_text(json.dumps({"labels": labels}), encoding="utf-8")
@@ -328,7 +328,7 @@ class TestServe:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model), encoding="utf-8")
         bound = []
-        monkeypatch.setattr(service, "ThreadingHTTPServer", lambda *a, **k: bound.append(a))
+        monkeypatch.setattr(service, "PooledHTTPServer", lambda *a, **k: bound.append(a))
         capsys.readouterr()
         assert main(["serve", "--model", str(path), "--port", "0"]) == 2
         assert bound == []
@@ -385,6 +385,7 @@ class TestConfigFile:
             {"split": {"seed": -1}},
             {"train": {"seed": -1}},
             {"train": {"epochs_pretrain": True}},
+            {"split": 7},
         ],
     )
     def test_wrong_typed_value_exits_2(self, workspace, tmp_path, capsys, bad):
@@ -411,6 +412,20 @@ class TestConfigFile:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: generate."), err
+
+    @pytest.mark.parametrize("cfg_obj", [{"generate": 5, "split": 7}, {"generate": []}])
+    def test_non_object_generate_section_exits_2(self, workspace, tmp_path, capsys, cfg_obj):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_obj))
+        capsys.readouterr()
+        argv = [
+            "generate", "--config", str(cfg), "--taxonomy", str(workspace["taxonomy"]),
+            "--offline", "--per-class", "1", "--out", str(tmp_path / "x.jsonl"),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: config section 'generate' must be a JSON object"], err
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_sections_reach_the_artifact_and_flags_win(self, workspace, tmp_path):
         out = tmp_path / "m.json"

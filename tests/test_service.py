@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 import requests
@@ -17,8 +20,15 @@ from intentclf import (
     pretrain,
     TrainConfig,
 )
+from intentclf import service
 from intentclf.cli import main
-from intentclf.service import classification_body, health_body, make_server
+from intentclf.service import (
+    MAX_BODY_BYTES,
+    WORKER_THREADS,
+    classification_body,
+    health_body,
+    make_server,
+)
 
 
 @pytest.fixture(scope="module")
@@ -35,15 +45,29 @@ def artifact(small_vocab):
     return art
 
 
-@pytest.fixture(scope="module")
-def server(artifact):
+@contextmanager
+def _running(artifact):
+    """A fresh server on a free port, serving in a background thread."""
     srv = make_server(artifact, host="127.0.0.1", port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{srv.server_address[1]}"
-    srv.shutdown()
-    srv.server_close()
-    thread.join(timeout=5)
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def _post(port: int, text: str) -> requests.Response:
+    return requests.post(f"http://127.0.0.1:{port}/classify", json={"text": text}, timeout=5)
+
+
+@pytest.fixture(scope="module")
+def server(artifact):
+    with _running(artifact) as srv:
+        yield f"http://127.0.0.1:{srv.server_address[1]}"
 
 
 class TestHealth:
@@ -91,8 +115,9 @@ class TestClassify:
     def test_non_string_text_400(self, server):
         assert requests.post(f"{server}/classify", json={"text": 7}, timeout=5).status_code == 400
 
-    @pytest.mark.parametrize("length", ["-1", "abc", "1.5", "+3"])
-    def test_bad_content_length_400_without_reading_body(self, server, length):
+    @staticmethod
+    def _status_without_body(server, length) -> bytes:
+        """Status code of a POST that announces ``length`` and sends no body."""
         host, port = server.removeprefix("http://").split(":")
         with socket.create_connection((host, int(port)), timeout=3) as sock:
             sock.sendall(
@@ -100,7 +125,22 @@ class TestClassify:
                 f"Content-Length: {length}\r\n\r\n".encode("ascii")
             )
             status_line = sock.makefile("rb").readline()
-        assert status_line.split()[1] == b"400", status_line
+        return status_line.split()[1]
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5", "+3"])
+    def test_bad_content_length_400_without_reading_body(self, server, length):
+        assert self._status_without_body(server, length) == b"400"
+
+    def test_oversized_body_413_without_reading_body(self, server):
+        assert self._status_without_body(server, MAX_BODY_BYTES + 1) == b"413"
+
+    def test_body_of_exactly_the_cap_is_read(self, server):
+        body = json.dumps({"text": "fuel burned"}).encode("ascii")
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        response = requests.post(
+            f"{server}/classify", data=body, headers={"Content-Type": "application/json"}, timeout=5
+        )
+        assert response.status_code == 200
 
     def test_unknown_post_path_404(self, server):
         assert requests.post(f"{server}/other", json={"text": "x"}, timeout=5).status_code == 404
@@ -108,20 +148,8 @@ class TestClassify:
     def test_internal_failure_returns_500(self, artifact):
         from dataclasses import replace
 
-        broken = make_server(replace(artifact, provider=None), host="127.0.0.1", port=0)
-        thread = threading.Thread(target=broken.serve_forever, daemon=True)
-        thread.start()
-        try:
-            response = requests.post(
-                f"http://127.0.0.1:{broken.server_address[1]}/classify",
-                json={"text": "anything"},
-                timeout=5,
-            )
-            assert response.status_code == 500
-        finally:
-            broken.shutdown()
-            broken.server_close()
-            thread.join(timeout=5)
+        with _running(replace(artifact, provider=None)) as broken:
+            assert _post(broken.server_address[1], "anything").status_code == 500
 
     def test_concurrent_requests_agree(self, server):
         def call(_):
@@ -133,6 +161,79 @@ class TestClassify:
             responses = list(pool.map(call, range(16)))
         assert all(r.status_code == 200 for r in responses)
         assert len({r.content for r in responses}) == 1
+
+
+class TestWorkerPool:
+    def test_thread_count_stays_bounded(self, artifact):
+        baseline = threading.active_count()
+        with _running(artifact) as srv:
+            port = srv.server_address[1]
+            for i in range(200):
+                assert _post(port, f"eta for ship {i}").status_code == 200
+            body = json.dumps({"text": "fuel burned at the berth"}).encode("ascii")
+            head = f"POST /classify HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n".encode("ascii")
+            socks = [socket.create_connection(("127.0.0.1", port), timeout=5) for _ in range(16)]
+            try:
+                # 16 requests in flight at once, each waiting for its body
+                for sock in socks:
+                    sock.sendall(head)
+                time.sleep(0.2)
+                # +1: the thread running serve_forever
+                assert threading.active_count() <= baseline + 1 + WORKER_THREADS
+                for sock in socks:
+                    sock.sendall(body)
+                statuses = [sock.makefile("rb").readline().split()[1] for sock in socks]
+            finally:
+                for sock in socks:
+                    sock.close()
+        assert statuses == [b"200"] * 16
+
+    def test_shutdown_is_prompt_and_leaves_no_worker(self, artifact):
+        before = set(threading.enumerate())
+        srv = make_server(artifact, host="127.0.0.1", port=0)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            assert _post(srv.server_address[1], "eta please").status_code == 200
+            stopper = threading.Thread(target=srv.shutdown, daemon=True)
+            stopper.start()
+            stopper.join(timeout=2)
+            assert not stopper.is_alive(), "shutdown() did not return within 2 s"
+            thread.join(timeout=2)
+            assert not thread.is_alive()
+            assert set(threading.enumerate()) <= before
+        finally:
+            srv.server_close()
+
+    def test_idle_connections_time_out_and_free_the_workers(self, artifact, monkeypatch):
+        monkeypatch.setattr(service._ClassifyHandler, "timeout", 0.2)
+        with _running(artifact) as srv:
+            port = srv.server_address[1]
+            # one idle connection per worker: the request below waits for their timeouts
+            idle = [socket.create_connection(("127.0.0.1", port), timeout=5) for _ in range(WORKER_THREADS)]
+            try:
+                assert _post(port, "berth waiting time").status_code == 200
+                for sock in idle:
+                    assert sock.recv(1) == b"", "an idle connection must be closed unanswered"
+            finally:
+                for sock in idle:
+                    sock.close()
+
+    @pytest.mark.parametrize(
+        "sent",
+        [b"POST /classify HTTP/1.0\r\nContent-Le", b'POST /classify HTTP/1.0\r\nContent-Length: 40\r\n\r\n{"te'],
+        ids=["headers", "body"],
+    )
+    def test_read_timeout_drops_the_connection_without_500(self, artifact, monkeypatch, caplog, capsys, sent):
+        monkeypatch.setattr(service._ClassifyHandler, "timeout", 0.2)
+        with caplog.at_level(logging.DEBUG, logger="intentclf.service"), _running(artifact) as srv:
+            with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=5) as sock:
+                sock.sendall(sent)
+                assert sock.makefile("rb").read() == b""
+            assert _post(srv.server_address[1], "eta please").status_code == 200
+        assert any("timed out" in r.getMessage() for r in caplog.records)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestRendererContract:
