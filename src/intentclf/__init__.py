@@ -12,6 +12,7 @@ from .dataset import (
     LabelVocabulary,
     TextSample,
     encode_labels,
+    label_matrix,
     load_dataset,
     load_vocabulary,
     save_dataset,
@@ -32,7 +33,6 @@ from .datagen import (
     two_label_combos,
 )
 from .embedding import (
-    EmbeddedSample,
     ProviderConfig,
     embed_dataset,
     embed_remote,

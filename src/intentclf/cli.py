@@ -5,7 +5,8 @@ Subcommands: ``generate``, ``embed``, ``train``, ``eval``, ``predict``,
 for its flags (explicit flags win). The ``train``, ``mining``, ``ofc`` and
 ``provider`` sections hold fields of the matching config dataclass; a flag
 whose ``dest`` is ``<section>.<field>`` overrides that field. Exit codes:
-0 success, 2 validation, 3 file/I-O, 4 remote service.
+0 success, 2 validation, 3 file/I-O, 4 remote service, 130 interrupted
+(Ctrl-C).
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import coerce
 from .dataset import (
-    encode_labels,
+    label_matrix,
     load_dataset,
     load_vocabulary,
     save_dataset,
@@ -56,6 +55,7 @@ from .trainer import (
 )
 
 _EXIT_OK = 0
+_EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 # first match wins: FileFormatError is a PipelineError but a file problem
 _EXIT_CODES = (
     ((RemoteServiceError, GenerationError), 4),
@@ -184,9 +184,9 @@ def run_embed(args) -> int:
     out_path = _require(cfg.pick(args.out, "embeddings"), "--out")
     _, dataset = _load_dataset(cfg, args)
     provider = ProviderConfig.from_json(_layered(args, cfg, "provider"))
-    embedded = embed_dataset(dataset, provider)
-    save_embeddings([e.vector for e in embedded], out_path)
-    print(f"embedded {len(embedded)} samples at dim {provider.dim} -> {out_path}")
+    x = embed_dataset(dataset, provider)
+    save_embeddings(x, out_path)
+    print(f"embedded {len(x)} samples at dim {provider.dim} -> {out_path}")
     return _EXIT_OK
 
 
@@ -200,8 +200,7 @@ def _load_dataset(cfg: _Cfg, args):
 def _load_embedded(cfg: _Cfg, args):
     embeddings_path = _require(cfg.pick(args.embeddings, "embeddings"), "--embeddings")
     vocabulary, dataset = _load_dataset(cfg, args)
-    embedded = load_embeddings(embeddings_path, dataset)
-    return vocabulary, dataset, embedded
+    return vocabulary, load_embeddings(embeddings_path, dataset), label_matrix(dataset)
 
 
 def _split(args, cfg: _Cfg, n: int) -> tuple[list[int], list[int]]:
@@ -212,23 +211,22 @@ def _split(args, cfg: _Cfg, n: int) -> tuple[list[int], list[int]]:
 
 def run_train(args) -> int:
     cfg = _Cfg(args.config)
-    vocabulary, dataset, embedded = _load_embedded(cfg, args)
+    vocabulary, x, y = _load_embedded(cfg, args)
     out_path = _require(cfg.pick(args.out, "model"), "--out")
-    train_idx, _ = _split(args, cfg, len(dataset))
-    train_part = [embedded[i] for i in train_idx]
+    train_idx, _ = _split(args, cfg, len(x))
+    x, y = x[train_idx], y[train_idx]
 
     config = _train_config(args, cfg)
     provider = ProviderConfig.from_json(_layered(args, cfg, "provider"))
-    embed_dim = train_part[0].vector.shape[0] if train_part else 0
-    if provider.kind != "file" and provider.dim != embed_dim:
+    if provider.kind != "file" and provider.dim != x.shape[1]:
         raise ValidationError(
-            f"provider dim {provider.dim} does not match embedding file dim {embed_dim}"
+            f"provider dim {provider.dim} does not match embedding file dim {x.shape[1]}"
         )
 
-    head, pretrain_losses = pretrain(train_part, config)
+    head, pretrain_losses = pretrain(x, y, config)
     for epoch, value in enumerate(pretrain_losses):
         print(f"pretrain epoch {epoch}: loss {value:.6f}")
-    artifact, finetune_losses = finetune(train_part, vocabulary, head, config, provider)
+    artifact, finetune_losses = finetune(x, y, vocabulary, head, config, provider)
     for epoch, value in enumerate(finetune_losses):
         print(f"finetune epoch {epoch}: loss {value:.6f}")
     save_artifact(artifact, out_path)
@@ -245,17 +243,15 @@ def run_train(args) -> int:
 
 def run_eval(args) -> int:
     cfg = _Cfg(args.config)
-    vocabulary, dataset, embedded = _load_embedded(cfg, args)
+    vocabulary, x, y = _load_embedded(cfg, args)
     model_path = _require(cfg.pick(args.model, "model"), "--model")
     out_path = _require(cfg.pick(args.out, "report"), "--out")
     artifact = load_artifact(model_path)
     if artifact.vocabulary.labels != vocabulary.labels:
         raise ValidationError("model vocabulary does not match the taxonomy file")
-    _, holdout_idx = _split(args, cfg, len(dataset))
-    holdout = [embedded[i] for i in holdout_idx]
-    truth = np.stack([encode_labels(e.labels, vocabulary) for e in holdout])
-    scores = score_samples(holdout, artifact)
-    report = evaluate(scores, artifact.decision_threshold, truth)
+    _, holdout_idx = _split(args, cfg, len(x))
+    scores = score_samples(x[holdout_idx], artifact)
+    report = evaluate(scores, artifact.decision_threshold, y[holdout_idx])
     save_report(report, out_path)
     _print_report_table(report)
     print(f"report -> {out_path}")
@@ -386,6 +382,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except KeyboardInterrupt:  # serve has joined its workers by now
+        return _EXIT_INTERRUPTED
     except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

@@ -155,6 +155,15 @@ def encode_labels(labels: Iterable[str], vocabulary: LabelVocabulary) -> np.ndar
     return vec
 
 
+def label_matrix(dataset: Dataset) -> np.ndarray:
+    """Multi-hot label rows (n x m) of ``dataset``, columns in vocabulary order.
+
+    Row ``i`` is ``encode_labels`` of sample ``i``.
+    """
+    rows = [encode_labels(s.labels, dataset.vocabulary) for s in dataset.samples]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(dataset.vocabulary))
+
+
 def _sample_to_record(sample: TextSample, vocabulary: LabelVocabulary) -> dict:
     return {"text": sample.text, "labels": vocabulary.sorted_members(sample.labels)}
 

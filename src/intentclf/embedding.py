@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import JsonConfig
-from .dataset import Dataset, LabelSet
+from .dataset import Dataset
 from .errors import (
     DegenerateEmbeddingError,
     FileFormatError,
@@ -41,14 +41,6 @@ _PROVIDER_KINDS = ("file", "http", "toy")
 _TEXT_PROVIDER_KINDS = ("http", "toy")
 _TEXT_START = "\x02"
 _TEXT_END = "\x03"
-
-
-@dataclass(frozen=True)
-class EmbeddedSample:
-    """A unit-norm embedding plus the labels of the sample it came from."""
-
-    vector: EmbeddingVector
-    labels: LabelSet
 
 
 @dataclass(frozen=True)
@@ -184,15 +176,12 @@ def embed_texts(texts: Sequence[str], config: ProviderConfig) -> list[EmbeddingV
     return embed_remote(texts, config)
 
 
-def embed_dataset(dataset: Dataset, config: ProviderConfig) -> list[EmbeddedSample]:
-    """Embed every sample of a dataset (toy/http) or load the aligned file."""
+def embed_dataset(dataset: Dataset, config: ProviderConfig) -> np.ndarray:
+    """Embed every sample of a dataset (toy/http) or load the aligned file, one row each."""
     if config.kind == "file":
         return load_embeddings(config.path, dataset)
     vectors = embed_texts([s.text for s in dataset.samples], config)
-    return [
-        EmbeddedSample(vector=vec, labels=sample.labels)
-        for vec, sample in zip(vectors, dataset.samples)
-    ]
+    return np.array(vectors, dtype=np.float64).reshape(len(vectors), config.dim)
 
 
 def _vector_json(row: np.ndarray) -> str:
@@ -226,8 +215,8 @@ def save_embeddings(vectors: Sequence[np.ndarray], path: str | Path) -> None:
             fh.write('{"index": %d, "vector": %s}\n' % (index, vector))
 
 
-def load_embeddings(path: str | Path, dataset: Dataset) -> list[EmbeddedSample]:
-    """Read an embedding file aligned row-for-row with ``dataset``.
+def load_embeddings(path: str | Path, dataset: Dataset) -> np.ndarray:
+    """Read an embedding file aligned row-for-row with ``dataset`` as an n x d matrix.
 
     Vectors are normalized on load. Rows must carry ``index`` equal to their
     0-based position, share one dimension, and match the dataset row count.
@@ -279,7 +268,8 @@ def load_embeddings(path: str | Path, dataset: Dataset) -> list[EmbeddedSample]:
         raise ValidationError(
             f"embedding file has {len(rows)} rows but dataset has {len(dataset)} samples"
         )
-    return [
-        EmbeddedSample(vector=l2_normalize(vec), labels=sample.labels)
-        for vec, sample in zip(rows, dataset.samples)
-    ]
+    # per row: a batched norm over axis 1 rounds differently on some rows
+    x = np.empty((len(rows), dim or 0))
+    for row, vec in enumerate(rows):
+        x[row] = l2_normalize(vec)
+    return x

@@ -106,10 +106,10 @@ def _grad_point_projection(loss_kind: str, rng: np.random.Generator):
         d_proj=d_proj,
         mining=MiningConfig(p=50.0, mode="literal"),
     )
-    pool = [frozenset({"a"}), frozenset({"b"}), frozenset({"c"}), frozenset({"a", "b"})]
+    pool = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=np.float64)
     x = rng.normal(size=(batch, d_in))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    labels = [pool[int(k)] for k in rng.integers(0, len(pool), size=batch)]
+    labels = pool[rng.integers(0, len(pool), size=batch)]
     head = ProjectionHead.init(d_in, d_hidden, d_proj, rng)
     z, _ = _project_batch(x, head)
     pair_set = build_pairs(labels, "exact")

@@ -33,7 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from .config import JsonConfig
-from .dataset import LabelSet
 from .errors import ValidationError
 
 _MODES = ("literal", "standard")
@@ -136,28 +135,30 @@ class MinedPairs:
     counts: MinedCounts
 
 
-def build_pairs(labels: Sequence[LabelSet], rule: str = "exact") -> PairSet:
+def build_pairs(labels: np.ndarray, rule: str = "exact") -> PairSet:
     """Enumerate all C(n,2) unordered pairs and assign polarities.
 
-    ``exact``: positive iff the two label sets are equal. ``overlap``:
-    positive iff they share at least one label.
+    ``labels`` holds the batch's multi-hot label rows (n x m). ``exact``:
+    positive iff the two rows are equal (they set the same columns).
+    ``overlap``: positive iff they share a set column.
     """
     if rule not in _POSITIVE_RULES:
         raise ValidationError(f"positive_rule must be one of {_POSITIVE_RULES}, got {rule!r}")
-    n = len(labels)
+    hot = np.asarray(labels) != 0
+    if hot.ndim != 2:
+        raise ValidationError(f"expected multi-hot label rows, got shape {hot.shape}")
+    n = len(hot)
     if n < 2:
         raise ValidationError(f"need a batch of >= 2 samples, got {n}")
     a, b = np.triu_indices(n, 1)
+    # shared[i, j] counts the columns rows i and j both set; exact in float64
+    h = hot.astype(np.float64)
+    shared = h @ h.T
     if rule == "exact":
-        set_ids: dict[LabelSet, int] = {}
-        ids = np.array([set_ids.setdefault(s, len(set_ids)) for s in labels])
-        positive = ids[a] == ids[b]
+        size = np.diag(shared)
+        positive = ((shared == size) & (shared == size[:, None]))[a, b]
     else:
-        columns = {label: col for col, label in enumerate(set().union(*labels))}
-        multi_hot = np.zeros((n, len(columns)), dtype=bool)
-        for row, label_set in enumerate(labels):
-            multi_hot[row, [columns[label] for label in label_set]] = True
-        positive = (multi_hot[a] & multi_hot[b]).any(axis=1)
+        positive = (shared > 0)[a, b]
     return PairSet(pairs=np.stack((a, b), axis=1), positive=positive, batch_size=n)
 
 

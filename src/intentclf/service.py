@@ -15,7 +15,7 @@ text and model.
 
 A fixed pool of ``WORKER_THREADS`` threads answers the connections, one at a
 time each; a read or write that blocks for ``CONNECTION_TIMEOUT_S`` drops its
-connection without a response.
+connection without a response, and so does a client that disconnects first.
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ def classification_body(artifact: ModelArtifact, text: str) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _error_body(message: str) -> str:
+    return json.dumps({"error": message}, separators=(",", ":"))
+
+
 def health_body(artifact: ModelArtifact) -> str:
     return json.dumps(
         {"status": "ok", "model_version": artifact.format_version},
@@ -78,8 +82,11 @@ class _ClassifyHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def _send_error(self, status: int, message: str) -> None:
-        self._send(status, json.dumps({"error": message}, separators=(",", ":")))
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError as exc:  # the client reset or closed before its response
+            logger.debug("%s - connection dropped: %s", self.address_string(), exc)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
         logger.debug("%s - %s", self.address_string(), format % args)
@@ -88,42 +95,44 @@ class _ClassifyHandler(BaseHTTPRequestHandler):
         if self.path == "/health":
             self._send(200, health_body(self.artifact))
         else:
-            self._send_error(404, f"unknown path {self.path}")
+            self._send(404, _error_body(f"unknown path {self.path}"))
 
     def do_POST(self) -> None:
         if self.path != "/classify":
-            self._send_error(404, f"unknown path {self.path}")
+            self._send(404, _error_body(f"unknown path {self.path}"))
             return
         length = self.headers.get("Content-Length", "0").strip()
         if not (length.isascii() and length.isdigit()):
             # never read a body of unknown size: rfile.read(-1) waits for EOF
-            self._send_error(400, "Content-Length must be a non-negative integer")
+            self._send(400, _error_body("Content-Length must be a non-negative integer"))
             return
         if int(length) > MAX_BODY_BYTES:
-            self._send_error(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+            self._send(413, _error_body(f"body exceeds {MAX_BODY_BYTES} bytes"))
             return
-        # outside the try below: a timeout must reach handle_one_request,
-        # which drops the connection instead of answering 500
+        # Reading and writing stay outside the try below: a timeout must reach
+        # handle_one_request and a dropped client handle, which close the
+        # connection instead of answering 500.
         raw = self.rfile.read(int(length))
         try:
-            try:
-                body = json.loads(raw)
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                self._send_error(400, "body is not valid JSON")
-                return
-            if not isinstance(body, dict) or not isinstance(body.get("text"), str):
-                self._send_error(400, "body must be an object with a string 'text'")
-                return
-            text = body["text"]
-            if not text.strip():
-                self._send_error(422, "text is empty")
-                return
-            self._send(200, classification_body(self.artifact, text))
+            status, body = self._classify(raw)
         except PipelineError as exc:
-            self._send_error(500, str(exc))
+            status, body = 500, _error_body(str(exc))
         except Exception:  # pragma: no cover - defensive
             logger.exception("classify failed")
-            self._send_error(500, "internal error")
+            status, body = 500, _error_body("internal error")
+        self._send(status, body)
+
+    def _classify(self, raw: bytes) -> tuple[int, str]:
+        """Status and body answering the request body ``raw``."""
+        try:
+            request = json.loads(raw)
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return 400, _error_body("body is not valid JSON")
+        if not isinstance(request, dict) or not isinstance(request.get("text"), str):
+            return 400, _error_body("body must be an object with a string 'text'")
+        if not request["text"].strip():
+            return 422, _error_body("text is empty")
+        return 200, classification_body(self.artifact, request["text"])
 
 
 class PooledHTTPServer(HTTPServer):

@@ -13,13 +13,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .config import JsonConfig
-from .dataset import LabelSet, LabelVocabulary, encode_labels
-from .embedding import EmbeddedSample, ProviderConfig
+from .dataset import LabelSet, LabelVocabulary
+from .embedding import ProviderConfig
 from .errors import (
     DegenerateProjectionError,
     FileFormatError,
@@ -285,6 +284,14 @@ def _sim_grads_to_z(out: LossOutput, pair_set: PairSet, z: np.ndarray) -> np.nda
     return d_z
 
 
+def _aligned(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` (n x d embeddings) and ``y`` (n x m label rows) as float64 matrices."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2 or len(x) != len(y):
+        raise ValidationError(f"expected n x d embeddings and n x m label rows, got {x.shape} and {y.shape}")
+    return x, y
+
+
 def _batches(order: np.ndarray, batch_size: int):
     for start in range(0, len(order), batch_size):
         yield order[start : start + batch_size]
@@ -294,35 +301,31 @@ def _batches(order: np.ndarray, batch_size: int):
 # training stages
 
 
-def pretrain(
-    samples: Sequence[EmbeddedSample], config: TrainConfig
-) -> tuple[ProjectionHead, list[float]]:
+def pretrain(x: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple[ProjectionHead, list[float]]:
     """Contrastive pretraining of the projection head.
 
+    ``x`` holds one embedding per row and ``y`` its multi-hot label row.
     Each epoch reshuffles with the seeded generator, mines pairs per batch
     and steps SGD on the configured pair loss. Returns the head and the
     per-epoch mean batch loss. Batches without usable pairs are skipped; an
     epoch in which every batch was skipped raises :class:`NoPairsError`.
     """
-    if len(samples) < 2:
-        raise ValidationError("pretraining needs at least 2 samples")
-    if len({s.labels for s in samples}) < 2:
+    x, y = _aligned(x, y)
+    if not (y != y[:1]).any():  # also rejects fewer than 2 rows
         raise ValidationError("pretraining needs at least 2 distinct label sets")
-    x = np.stack([s.vector for s in samples])
-    labels = [s.labels for s in samples]
     init_rng = np.random.default_rng([config.seed, 101])
     shuffle_rng = np.random.default_rng([config.seed, 102])
     head = ProjectionHead.init(x.shape[1], config.d_hidden, config.d_proj, init_rng)
     velocity = [np.zeros_like(p) for p in head.params()]
     history: list[float] = []
     for epoch in range(config.epochs_pretrain):
-        order = shuffle_rng.permutation(len(samples))
+        order = shuffle_rng.permutation(len(x))
         batch_losses: list[float] = []
         for chunk in _batches(order, config.batch_size):
             if len(chunk) < 2:
                 continue
             z, cache = _project_batch(x[chunk], head)
-            pair_set = build_pairs([labels[i] for i in chunk], config.mining.positive_rule)
+            pair_set = build_pairs(y[chunk], config.mining.positive_rule)
             table = batch_similarity_table(z, pair_set)
             try:
                 out = _pair_loss(table, config)
@@ -339,7 +342,8 @@ def pretrain(
 
 
 def finetune(
-    samples: Sequence[EmbeddedSample],
+    x: np.ndarray,
+    y: np.ndarray,
     vocabulary: LabelVocabulary,
     projection: ProjectionHead,
     config: TrainConfig,
@@ -347,17 +351,19 @@ def finetune(
 ) -> tuple[ModelArtifact, list[float]]:
     """Joint projection+classifier training under per-label BCE.
 
-    The given projection is copied, not mutated. Returns the packaged
+    ``y`` holds the multi-hot label rows of ``x``, columns in ``vocabulary``
+    order. The given projection is copied, not mutated. Returns the packaged
     artifact and the per-epoch mean batch loss.
     """
-    if not samples:
+    x, y = _aligned(x, y)
+    if not len(x):
         raise ValidationError("finetuning needs at least 1 sample")
-    x = np.stack([s.vector for s in samples])
     if x.shape[1] != projection.d_in:
         raise ValidationError(
             f"projection expects dim {projection.d_in}, embeddings have {x.shape[1]}"
         )
-    y = np.stack([encode_labels(s.labels, vocabulary) for s in samples])
+    if y.shape[1] != len(vocabulary):
+        raise ValidationError(f"label rows have {y.shape[1]} columns for {len(vocabulary)} labels")
     head = projection.copy()
     init_rng = np.random.default_rng([config.seed, 201])
     shuffle_rng = np.random.default_rng([config.seed, 202])
@@ -366,7 +372,7 @@ def finetune(
     velocity_c = [np.zeros_like(p) for p in classifier.params()]
     history: list[float] = []
     for _ in range(config.epochs_finetune):
-        order = shuffle_rng.permutation(len(samples))
+        order = shuffle_rng.permutation(len(x))
         batch_losses: list[float] = []
         for chunk in _batches(order, config.batch_size):
             z, cache = _project_batch(x[chunk], head)
@@ -411,30 +417,28 @@ def predict(embedding: np.ndarray, artifact: ModelArtifact) -> tuple[LabelSet, d
     return labels, {label: float(p) for label, p in zip(vocab, probs[0])}
 
 
-def score_samples(samples: Sequence[EmbeddedSample], artifact: ModelArtifact) -> np.ndarray:
-    """Per-label probability matrix (n x m) for a batch of embedded samples."""
-    if not samples:
-        return np.zeros((0, len(artifact.vocabulary)))
-    x = np.stack([s.vector for s in samples])
-    if x.shape[1] != artifact.embed_dim:
+def score_samples(x: np.ndarray, artifact: ModelArtifact) -> np.ndarray:
+    """Per-label probability matrix (n x m) for embeddings ``x`` (n x d)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != artifact.embed_dim:
         raise ValidationError(
-            f"expected embeddings of dim {artifact.embed_dim}, got {x.shape[1]}"
+            f"expected n x {artifact.embed_dim} embeddings, got shape {x.shape}"
         )
     return _forward(x, artifact)
 
 
 def projection_margin_gap(
-    samples: Sequence[EmbeddedSample], head: ProjectionHead, rule: str = "exact"
+    x: np.ndarray, y: np.ndarray, head: ProjectionHead, rule: str = "exact"
 ) -> float:
     """Mean positive-pair similarity minus mean negative-pair similarity.
 
-    Measured in projection space over all pairs of ``samples``. Raises
-    :class:`NoPairsError` if either polarity is absent.
+    Measured in projection space over all pairs of the rows of ``x``, with
+    polarities from their label rows ``y``. Raises :class:`NoPairsError` if
+    either polarity is absent.
     """
-    if len(samples) < 2:
-        raise ValidationError("need at least 2 samples")
-    z, _ = _project_batch(np.stack([s.vector for s in samples]), head)
-    pair_set = build_pairs([s.labels for s in samples], rule)
+    x, y = _aligned(x, y)
+    pair_set = build_pairs(y, rule)  # rejects fewer than 2 rows
+    z, _ = _project_batch(x, head)
     table = batch_similarity_table(z, pair_set)
     if not table.d_pos or not table.d_neg:
         raise NoPairsError("margin gap needs both pair polarities")

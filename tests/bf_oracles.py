@@ -116,6 +116,13 @@ def entries(pairs) -> list:
 # pair building and the gradient scatter, as the original per-pair loops
 
 
+def multi_hot(label_sets) -> np.ndarray:
+    """Label sets as multi-hot rows over the sorted union of their labels."""
+    columns = sorted(set().union(*label_sets))
+    rows = [[float(c in s) for c in columns] for s in label_sets]
+    return np.array(rows).reshape(len(label_sets), len(columns))
+
+
 def build_pairs_loop(labels, rule: str) -> list:
     """All unordered pairs (a, b, positive) with a < b, in lexicographic order."""
     pairs = []

@@ -23,8 +23,8 @@ from intentclf import (
     MiningConfig,
     SimilarityTable,
     default_taxonomy,
-    encode_labels,
     grad_check,
+    label_matrix,
     load_artifact,
     load_dataset,
     load_embeddings,
@@ -136,9 +136,9 @@ def toy_run(tmp_path_factory):
 def _holdout(paths):
     vocab = default_taxonomy()
     dataset = load_dataset(paths["dataset"], vocab)
-    embedded = load_embeddings(paths["embeddings"], dataset)
+    x = load_embeddings(paths["embeddings"], dataset)
     _, holdout_idx = split_indices(len(dataset), HOLDOUT_FRACTION, SEED)
-    return vocab, dataset, [embedded[i] for i in holdout_idx]
+    return vocab, x[holdout_idx], label_matrix(dataset)[holdout_idx]
 
 
 def test_criterion_production_scale_note():
@@ -248,7 +248,7 @@ def test_criterion_end_to_end_toy_pipeline(toy_run):
 
 def test_criterion_contrastive_benefit(toy_run):
     with criterion("contrastive benefit: holdout margin gap grows by >= 0.05"):
-        vocab, _, holdout = _holdout(toy_run)
+        vocab, x, y = _holdout(toy_run)
         artifact = load_artifact(toy_run["model"])
         initial = ProjectionHead.init(
             EMBED_DIM,
@@ -256,8 +256,8 @@ def test_criterion_contrastive_benefit(toy_run):
             artifact.train_config.d_proj,
             np.random.default_rng([SEED, 101]),
         )
-        before = projection_margin_gap(holdout, initial)
-        after = projection_margin_gap(holdout, artifact.projection)
+        before = projection_margin_gap(x, y, initial)
+        after = projection_margin_gap(x, y, artifact.projection)
         assert after - before >= 0.05, (before, after)
 
 
@@ -313,10 +313,9 @@ def test_criterion_serve_parity(toy_run, capsys):
 
 def test_criterion_holdout_prediction_consistency(toy_run):
     # sanity: the eval path's scores reproduce through the public predict rule
-    vocab, _, holdout = _holdout(toy_run)
+    vocab, x, truth = _holdout(toy_run)
     artifact = load_artifact(toy_run["model"])
-    scores = score_samples(holdout, artifact)
-    truth = np.stack([encode_labels(e.labels, vocab) for e in holdout])
+    scores = score_samples(x, artifact)
     report = evaluate(scores, artifact.decision_threshold, truth)
     assert report == load_report(toy_run["report"])
     pred = threshold_scores(scores, artifact.decision_threshold)
@@ -328,12 +327,12 @@ def test_criterion_predict_matches_batch_forward(toy_run):
     # operand through gemv and a taller one through gemm, so the two agree to
     # a few ulps rather than bit for bit; the bound is fixed from float64 eps.
     with criterion("one forward: predict == score_samples row, labels == threshold_scores"):
-        vocab, _, holdout = _holdout(toy_run)
+        vocab, x, _ = _holdout(toy_run)
         artifact = load_artifact(toy_run["model"])
-        scores = score_samples(holdout, artifact)
+        scores = score_samples(x, artifact)
         pred = threshold_scores(scores, artifact.decision_threshold)
-        for row, sample in enumerate(holdout):
-            labels, by_label = predict(sample.vector, artifact)
+        for row, vector in enumerate(x):
+            labels, by_label = predict(vector, artifact)
             assert list(by_label) == list(vocab.labels)
             np.testing.assert_allclose(
                 list(by_label.values()), scores[row], rtol=256 * np.finfo(np.float64).eps, atol=0

@@ -1,9 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
+
+import intentclf
 
 from intentclf import (
     default_taxonomy,
@@ -17,7 +27,7 @@ from intentclf import (
 import intentclf.service as service
 from intentclf.cli import main
 from intentclf.metrics import load_report
-from intentclf import encode_labels, evaluate, score_samples
+from intentclf import evaluate, label_matrix, score_samples
 
 
 @pytest.fixture(scope="module")
@@ -132,8 +142,18 @@ class TestEmbed:
     def test_embeddings_align_with_dataset(self, workspace):
         vocab = default_taxonomy()
         dataset = load_dataset(workspace["dataset"], vocab)
-        embedded = load_embeddings(workspace["embeddings"], dataset)
-        assert len(embedded) == len(dataset)
+        x = load_embeddings(workspace["embeddings"], dataset)
+        assert x.shape == (len(dataset), 64)
+
+    def test_empty_dataset_embeds_to_empty_file(self, workspace, tmp_path):
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text("", encoding="utf-8")
+        out = tmp_path / "empty_embeddings.jsonl"
+        assert main([
+            "embed", "--taxonomy", str(workspace["taxonomy"]), "--dataset", str(dataset),
+            "--provider", "toy", "--dim", "64", "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == b""
 
     def test_file_provider_normalizes_passthrough(self, workspace, tmp_path):
         outs = []
@@ -246,12 +266,11 @@ class TestEval:
     def test_report_matches_recomputation(self, workspace):
         vocab = default_taxonomy()
         dataset = load_dataset(workspace["dataset"], vocab)
-        embedded = load_embeddings(workspace["embeddings"], dataset)
+        x = load_embeddings(workspace["embeddings"], dataset)
         artifact = load_artifact(workspace["model"])
         _, holdout_idx = split_indices(len(dataset), 0.2, 3)
-        holdout = [embedded[i] for i in holdout_idx]
-        scores = score_samples(holdout, artifact)
-        truth = np.stack([encode_labels(e.labels, vocab) for e in holdout])
+        scores = score_samples(x[holdout_idx], artifact)
+        truth = label_matrix(dataset)[holdout_idx]
         expected = evaluate(scores, artifact.decision_threshold, truth)
         assert load_report(workspace["report"]) == expected
 
@@ -334,6 +353,36 @@ class TestServe:
         assert bound == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "cannot embed new text" in err[0], err
+
+    def test_ctrl_c_exits_130_without_traceback(self, workspace):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        src = str(Path(intentclf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "intentclf.cli", "serve", "--model", str(workspace["model"]),
+             "--port", str(port)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            deadline = time.monotonic() + 20
+            while True:
+                try:
+                    if requests.get(f"http://127.0.0.1:{port}/health", timeout=1).status_code == 200:
+                        break
+                except requests.ConnectionError:
+                    pass
+                assert proc.poll() is None and time.monotonic() < deadline, "serve never answered /health"
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130, err
+        assert "Traceback" not in err, err
 
 
 class TestConfigFile:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,13 +13,17 @@ from intentclf import (
     LabelVocabulary,
     TextSample,
     ValidationError,
+    default_taxonomy,
     encode_labels,
+    label_matrix,
     load_dataset,
     load_vocabulary,
+    offline_generate,
     save_dataset,
     save_vocabulary,
     split,
     split_indices,
+    two_label_combos,
 )
 
 
@@ -133,6 +138,18 @@ class TestEncoding:
         members = frozenset(l for l, b in zip(vocab.labels, bits) if b)
         vec = encode_labels(members, vocab)
         assert frozenset(l for l, bit in zip(vocab.labels, vec) if bit == 1.0) == members
+
+    def test_label_matrix_rows_are_encode_labels(self):
+        vocab = default_taxonomy()
+        ds = offline_generate(vocab, per_class=3, combos=two_label_combos(vocab, 5, seed=2), seed=2)
+        y = label_matrix(ds)
+        assert y.shape == (len(ds), len(vocab)) and y.dtype == np.float64
+        for row, sample in zip(y, ds.samples):
+            assert row.tobytes() == encode_labels(sample.labels, vocab).tobytes()
+        assert (y.sum(axis=1) == 2).any(), "the combos give multi-label rows"
+
+    def test_label_matrix_of_empty_dataset(self, small_vocab):
+        assert label_matrix(Dataset(small_vocab, ())).shape == (0, 3)
 
 
 class TestSplit:

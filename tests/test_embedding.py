@@ -179,10 +179,9 @@ class TestEmbeddingFile:
         path = tmp_path / "e.jsonl"
         save_embeddings(vectors, path)
         loaded = load_embeddings(path, tiny_dataset)
-        assert len(loaded) == 3
-        for i, emb in enumerate(loaded):
-            assert emb.labels == tiny_dataset.samples[i].labels
-            assert np.allclose(emb.vector, vectors[i])
+        assert loaded.shape == (3, 8)
+        for i, row in enumerate(loaded):
+            assert np.allclose(row, vectors[i])
 
     def test_dimension_mismatch_names_row(self, tmp_path, tiny_dataset):
         path = tmp_path / "e.jsonl"
@@ -211,8 +210,8 @@ class TestEmbeddingFile:
     def test_vectors_normalized_on_load(self, tmp_path, tiny_dataset):
         path = tmp_path / "e.jsonl"
         save_embeddings([np.full(4, 9.0), np.full(4, 2.0), np.full(4, -3.0)], path)
-        for emb in load_embeddings(path, tiny_dataset):
-            assert abs(np.linalg.norm(emb.vector) - 1.0) < 1e-9
+        for row in load_embeddings(path, tiny_dataset):
+            assert abs(np.linalg.norm(row) - 1.0) < 1e-9
 
 
 class TestRemoteProvider:
@@ -279,8 +278,7 @@ class TestProviderConfig:
 
 def test_embed_dataset_toy_provider(tiny_dataset):
     embedded = embed_dataset(tiny_dataset, ProviderConfig(kind="toy", dim=32, seed=4))
-    assert len(embedded) == 3
-    for emb, sample in zip(embedded, tiny_dataset.samples):
-        assert emb.labels == sample.labels
+    assert embedded.shape == (3, 32)
+    for row, sample in zip(embedded, tiny_dataset.samples):
         expected = toy_embed(sample.text, 32, 4)
-        assert np.array_equal(emb.vector, expected)
+        assert np.array_equal(row, expected)

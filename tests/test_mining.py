@@ -14,7 +14,7 @@ from intentclf import (
     mine,
     select_top,
 )
-from bf_oracles import entries, mine_bruteforce, pair_sims, random_similarity_batch
+from bf_oracles import entries, mine_bruteforce, multi_hot, pair_sims, random_similarity_batch
 
 
 def _table(d_pos, d_neg) -> SimilarityTable:
@@ -23,27 +23,27 @@ def _table(d_pos, d_neg) -> SimilarityTable:
 
 class TestBuildPairs:
     def test_equal_labels_positive(self):
-        ps = build_pairs([frozenset({"a"}), frozenset({"a"})])
+        ps = build_pairs(multi_hot([frozenset({"a"}), frozenset({"a"})]))
         assert len(ps.pairs) == 1 and ps.positive[0]
 
     def test_disparate_labels_negative(self):
-        ps = build_pairs([frozenset({"a"}), frozenset({"b"})])
+        ps = build_pairs(multi_hot([frozenset({"a"}), frozenset({"b"})]))
         assert len(ps.pairs) == 1 and not ps.positive[0]
 
     def test_overlap_rule_table(self):
-        labels = [frozenset({"a", "b"}), frozenset({"b", "c"})]
+        labels = multi_hot([frozenset({"a", "b"}), frozenset({"b", "c"})])
         assert not build_pairs(labels, "exact").positive[0]
         assert build_pairs(labels, "overlap").positive[0]
 
     def test_all_unordered_pairs_lexicographic(self):
-        ps = build_pairs([frozenset({"a"})] * 4)
+        ps = build_pairs(multi_hot([frozenset({"a"})] * 4))
         assert ps.pairs.tolist() == [
             [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3],
         ]
 
     def test_batch_too_small(self):
         with pytest.raises(ValidationError):
-            build_pairs([frozenset({"a"})])
+            build_pairs(multi_hot([frozenset({"a"})]))
 
 
 class TestSelectTop:
@@ -179,14 +179,14 @@ class TestBatchSimilarityTable:
     def test_polarity_split_and_values(self):
         z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         labels = [frozenset({"a"}), frozenset({"a"}), frozenset({"b"})]
-        ps = build_pairs(labels)
+        ps = build_pairs(multi_hot(labels))
         table = batch_similarity_table(z, ps)
         assert entries(table.d_pos) == [(0, 1.0)]
         assert {i for i, _ in entries(table.d_neg)} == {1, 2}
         assert all(s == 0.0 for _, s in entries(table.d_neg))
 
     def test_row_count_check(self):
-        ps = build_pairs([frozenset({"a"}), frozenset({"b"})])
+        ps = build_pairs(multi_hot([frozenset({"a"}), frozenset({"b"})]))
         with pytest.raises(ValidationError):
             batch_similarity_table(np.eye(3), ps)
 

@@ -20,7 +20,7 @@ from intentclf import (
     mine,
 )
 from intentclf.trainer import _mining_for_loss, _pair_loss, _sim_grads_to_z
-from bf_oracles import build_pairs_loop, sim_grads_to_z_loop
+from bf_oracles import build_pairs_loop, multi_hot, sim_grads_to_z_loop
 
 _POOL = ["a", "b", "c", "d"]
 
@@ -71,7 +71,7 @@ def test_array_path_matches_loops_byte_for_byte():
         seen[rule] += 1
 
         loop_pairs = build_pairs_loop(labels, rule)
-        pair_set = build_pairs(labels, rule)
+        pair_set = build_pairs(multi_hot(labels), rule)
         assert pair_set.pairs.tolist() == [[a, b] for a, b, _ in loop_pairs], case
         assert pair_set.positive.tolist() == [positive for _, _, positive in loop_pairs], case
 
@@ -115,4 +115,4 @@ def test_scatter_sums_repeated_pairs_in_entry_order():
     expected = sim_grads_to_z_loop(
         list(zip(index.tolist(), grad.tolist())), build_pairs_loop(labels, "exact"), z
     )
-    assert _sim_grads_to_z(out, build_pairs(labels), z).tobytes() == expected.tobytes()
+    assert _sim_grads_to_z(out, build_pairs(multi_hot(labels)), z).tobytes() == expected.tobytes()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +17,7 @@ from intentclf import (
     ValidationError,
     embed_dataset,
     finetune,
+    label_matrix,
     offline_generate,
     pretrain,
     TrainConfig,
@@ -35,13 +37,13 @@ from intentclf.service import (
 def artifact(small_vocab):
     dataset = offline_generate(small_vocab, per_class=10, combos=[], seed=6)
     provider = ProviderConfig(kind="toy", dim=64, seed=6)
-    embedded = embed_dataset(dataset, provider)
+    x, y = embed_dataset(dataset, provider), label_matrix(dataset)
     config = TrainConfig(
         seed=6, epochs_pretrain=4, epochs_finetune=8, batch_size=16,
         d_hidden=32, d_proj=32,
     )
-    head, _ = pretrain(embedded, config)
-    art, _ = finetune(embedded, small_vocab, head, config, provider)
+    head, _ = pretrain(x, y, config)
+    art, _ = finetune(x, y, small_vocab, head, config, provider)
     return art
 
 
@@ -234,6 +236,33 @@ class TestWorkerPool:
         assert any("timed out" in r.getMessage() for r in caplog.records)
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert "Traceback" not in capsys.readouterr().err
+
+
+    def test_client_reset_before_the_reply_is_dropped_quietly(self, artifact, monkeypatch, caplog, capsys):
+        entered, reset = threading.Event(), threading.Event()
+        render = service.classification_body
+
+        def after_reset(art, text):
+            entered.set()
+            assert reset.wait(5)
+            return render(art, text)
+
+        monkeypatch.setattr(service, "classification_body", after_reset)
+        body = json.dumps({"text": "eta please"}).encode("ascii")
+        with caplog.at_level(logging.DEBUG, logger="intentclf.service"), _running(artifact) as srv:
+            port = srv.server_address[1]
+            sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+            sock.sendall(f"POST /classify HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n".encode("ascii") + body)
+            assert entered.wait(5)
+            # linger 0: close() sends RST, so the reply's write fails
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            time.sleep(0.05)
+            reset.set()
+            assert _post(port, "eta please").status_code == 200
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert "Traceback" not in capsys.readouterr().err
+        assert any("connection dropped" in r.getMessage() for r in caplog.records)
 
 
 class TestRendererContract:

@@ -18,6 +18,7 @@ from intentclf import (
     embed_dataset,
     finetune,
     grad_check,
+    label_matrix,
     load_artifact,
     offline_generate,
     predict,
@@ -26,7 +27,6 @@ from intentclf import (
     save_artifact,
     score_samples,
 )
-from intentclf.embedding import EmbeddedSample
 from intentclf.gradcheck import max_relative_error
 from intentclf.trainer import (
     ClassifierHead,
@@ -41,8 +41,9 @@ from bf_oracles import central_diff
 
 @pytest.fixture(scope="module")
 def separable_samples(small_vocab):
+    """Embeddings and label rows of a small dataset, as one (x, y) pair."""
     dataset = offline_generate(small_vocab, per_class=12, combos=[], seed=5)
-    return embed_dataset(dataset, ProviderConfig(kind="toy", dim=64, seed=5))
+    return embed_dataset(dataset, ProviderConfig(kind="toy", dim=64, seed=5)), label_matrix(dataset)
 
 
 def _fast_config(**overrides):
@@ -71,7 +72,7 @@ class TestProjection:
     def test_dim_check(self, small_vocab):
         artifact = _probs_artifact(small_vocab, [0.5, 0.5, 0.5])
         with pytest.raises(ValidationError):
-            score_samples([EmbeddedSample(np.ones(7), frozenset({"eta"}))], artifact)
+            score_samples(np.ones((1, 7)), artifact)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -145,41 +146,42 @@ class TestBce:
 class TestPretrain:
     def test_zero_epochs_returns_seeded_initial_head(self, separable_samples):
         config = _fast_config(epochs_pretrain=0)
-        head_a, history_a = pretrain(separable_samples, config)
-        head_b, _ = pretrain(separable_samples, config)
+        head_a, history_a = pretrain(*separable_samples, config)
+        head_b, _ = pretrain(*separable_samples, config)
         assert history_a == []
         assert all(np.array_equal(a, b) for a, b in zip(head_a.params(), head_b.params()))
-        trained, _ = pretrain(separable_samples, _fast_config(epochs_pretrain=1))
+        trained, _ = pretrain(*separable_samples, _fast_config(epochs_pretrain=1))
         assert not np.array_equal(head_a.w1, trained.w1)
 
     def test_loss_decreases_on_separable_set(self, separable_samples):
-        _, history = pretrain(separable_samples, _fast_config(epochs_pretrain=30))
+        _, history = pretrain(*separable_samples, _fast_config(epochs_pretrain=30))
         assert history[-1] <= history[0]
 
     def test_bit_identical_under_seed(self, separable_samples):
         config = _fast_config()
-        head_a, hist_a = pretrain(separable_samples, config)
-        head_b, hist_b = pretrain(separable_samples, config)
+        head_a, hist_a = pretrain(*separable_samples, config)
+        head_b, hist_b = pretrain(*separable_samples, config)
         assert hist_a == hist_b
         assert all(np.array_equal(a, b) for a, b in zip(head_a.params(), head_b.params()))
 
     def test_needs_two_distinct_label_sets(self, separable_samples):
-        same = [s for s in separable_samples if s.labels == separable_samples[0].labels]
+        x, y = separable_samples
+        same = (y == y[0]).all(axis=1)
         with pytest.raises(ValidationError):
-            pretrain(same, _fast_config())
+            pretrain(x[same], y[same], _fast_config())
 
     def test_runs_for_all_loss_kinds(self, separable_samples):
         for kind in ("ofc", "oc", "cs"):
-            _, history = pretrain(separable_samples, _fast_config(loss_kind=kind, epochs_pretrain=3))
+            _, history = pretrain(*separable_samples, _fast_config(loss_kind=kind, epochs_pretrain=3))
             assert len(history) == 3
 
 
 class TestFinetune:
     def test_zero_epochs_keeps_seeded_classifier(self, small_vocab, separable_samples):
         config = _fast_config(epochs_finetune=0)
-        head, _ = pretrain(separable_samples, config)
-        art_a, hist = finetune(separable_samples, small_vocab, head, config)
-        art_b, _ = finetune(separable_samples, small_vocab, head, config)
+        head, _ = pretrain(*separable_samples, config)
+        art_a, hist = finetune(*separable_samples, small_vocab, head, config)
+        art_b, _ = finetune(*separable_samples, small_vocab, head, config)
         assert hist == []
         assert np.array_equal(art_a.classifier.w, art_b.classifier.w)
         # the projection passed in is not mutated
@@ -187,8 +189,8 @@ class TestFinetune:
 
     def test_bce_mostly_decreases(self, small_vocab, separable_samples):
         config = _fast_config(epochs_finetune=50)
-        head, _ = pretrain(separable_samples, config)
-        _, history = finetune(separable_samples, small_vocab, head, config)
+        head, _ = pretrain(*separable_samples, config)
+        _, history = finetune(*separable_samples, small_vocab, head, config)
         decreasing = sum(1 for a, b in zip(history, history[1:]) if b < a)
         assert decreasing / (len(history) - 1) >= 0.8
 
@@ -197,8 +199,8 @@ class TestFinetune:
         provider = ProviderConfig(kind="toy", dim=64, seed=5)
         paths = []
         for name in ("a.json", "b.json"):
-            head, _ = pretrain(separable_samples, config)
-            artifact, _ = finetune(separable_samples, small_vocab, head, config, provider)
+            head, _ = pretrain(*separable_samples, config)
+            artifact, _ = finetune(*separable_samples, small_vocab, head, config, provider)
             path = tmp_path / name
             save_artifact(artifact, path)
             paths.append(path)
@@ -207,7 +209,25 @@ class TestFinetune:
     def test_dim_mismatch_rejected(self, small_vocab, separable_samples):
         head = ProjectionHead.init(32, 8, 8, np.random.default_rng(0))
         with pytest.raises(ValidationError):
-            finetune(separable_samples, small_vocab, head, _fast_config())
+            finetune(*separable_samples, small_vocab, head, _fast_config())
+
+
+class TestArrayBoundary:
+    def test_row_count_mismatch_rejected(self, small_vocab, separable_samples):
+        x, y = separable_samples
+        head = ProjectionHead.init(x.shape[1], 8, 8, np.random.default_rng(0))
+        with pytest.raises(ValidationError):
+            pretrain(x, y[:-1], _fast_config())
+        with pytest.raises(ValidationError):
+            finetune(x[:-1], y, small_vocab, head, _fast_config())
+        with pytest.raises(ValidationError):
+            projection_margin_gap(x, y[:-1], head)
+
+    def test_label_width_must_match_vocabulary(self, small_vocab, separable_samples):
+        x, y = separable_samples
+        head = ProjectionHead.init(x.shape[1], 8, 8, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="columns"):
+            finetune(x, y[:, :-1], small_vocab, head, _fast_config())
 
 
 def _probs_artifact(small_vocab, probabilities, threshold=0.5):
@@ -275,8 +295,8 @@ class TestArtifactPersistence:
     def _trained(self, small_vocab, separable_samples, tmp_path):
         config = _fast_config(epochs_pretrain=2, epochs_finetune=2)
         provider = ProviderConfig(kind="toy", dim=64, seed=5)
-        head, _ = pretrain(separable_samples, config)
-        artifact, _ = finetune(separable_samples, small_vocab, head, config, provider)
+        head, _ = pretrain(*separable_samples, config)
+        artifact, _ = finetune(*separable_samples, small_vocab, head, config, provider)
         path = tmp_path / "model.json"
         save_artifact(artifact, path)
         return artifact, path
@@ -328,23 +348,17 @@ class TestMarginGap:
             np.array([1.0, 0.0]),
             np.array([0.0, 1.0]),
         ]
-        samples = [
-            EmbeddedSample(vector=v, labels=frozenset({l}))
-            for v, l in zip(vectors, ["a", "a", "b"])
-        ]
+        labels = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # a, a, b
         # identity-ish head: project still normalizes, gap sign must hold
         head = ProjectionHead.init(2, 8, 4, np.random.default_rng(0))
-        gap = projection_margin_gap(samples, head)
+        gap = projection_margin_gap(np.stack(vectors), labels, head)
         assert math.isfinite(gap)
 
     def test_single_polarity_raises(self):
-        samples = [
-            EmbeddedSample(np.array([1.0, 0.0]), frozenset({"a"})),
-            EmbeddedSample(np.array([0.0, 1.0]), frozenset({"a"})),
-        ]
+        x = np.array([[1.0, 0.0], [0.0, 1.0]])
         head = ProjectionHead.init(2, 4, 4, np.random.default_rng(0))
         with pytest.raises(NoPairsError):
-            projection_margin_gap(samples, head)
+            projection_margin_gap(x, np.ones((2, 1)), head)
 
 
 def test_train_config_validation():
