@@ -260,7 +260,11 @@ def run_eval(args) -> int:
 
 def _print_report_table(report: EvalReport) -> None:
     print(" | ".join(name for name, _ in _TABLE_COLUMNS))
-    print(" | ".join(f"{getattr(report, attr) * 100:.2f}" for _, attr in _TABLE_COLUMNS))
+    print(" | ".join(_table_cell(getattr(report, attr)) for _, attr in _TABLE_COLUMNS))
+
+
+def _table_cell(value: float | None) -> str:
+    return "undefined (holdout has one class)" if value is None else f"{value * 100:.2f}"
 
 
 def run_predict(args) -> int:

@@ -42,7 +42,7 @@ class EvalReport:
     precision: float
     recall: float
     mcc: float
-    auc: float
+    auc: float | None  # None when the truth cells hold one class only
     sample_count: int
     label_count: int
 
@@ -176,13 +176,21 @@ def threshold_scores(scores, threshold: float) -> np.ndarray:
 
 
 def evaluate(scores, threshold: float, truth) -> EvalReport:
-    """Threshold scores (argmax fallback) and compute the full metric suite."""
+    """Threshold scores (argmax fallback) and compute the full metric suite.
+
+    ``auc`` is ``None`` when the truth cells are all positive or all
+    negative, where AUC is undefined; the other metrics are still reported.
+    """
     s = np.asarray(scores, dtype=np.float64)
     t = _as_binary(truth)
     if s.shape != t.shape:
         raise ValidationError(f"shape mismatch: scores {s.shape} vs truth {t.shape}")
     pred = threshold_scores(s, threshold)
     precision, recall, f1, _ = micro_prf(pred, t)
+    try:
+        auc_value = auc(s, t)
+    except DegenerateAucError:
+        auc_value = None
     return EvalReport(
         subset_accuracy=subset_accuracy(pred, t),
         hamming_loss=hamming_loss(pred, t),
@@ -191,7 +199,7 @@ def evaluate(scores, threshold: float, truth) -> EvalReport:
         precision=precision,
         recall=recall,
         mcc=mcc(pred, t),
-        auc=auc(s, t),
+        auc=auc_value,
         sample_count=int(t.shape[0]),
         label_count=int(t.shape[1]),
     )

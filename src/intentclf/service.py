@@ -13,9 +13,22 @@ failures, 404 for unknown paths. The classify body is rendered by the same
 function the ``predict`` CLI uses, so the two are byte-identical for the same
 text and model.
 
+The service speaks HTTP/1.0: one request per connection, read by this module
+rather than ``http.server``. The head must end in CRLF CRLF within
+``MAX_HEAD_BYTES``; a longer head gets 431 and is not read further. A request
+line that is not ``METHOD TARGET HTTP/x``, or a header line without a colon,
+gets 400, and so do two Content-Length headers that differ. A method other
+than GET or POST gets 501. Every error body is JSON ``{"error": ...}``. A
+reply carries ``Content-Type``, ``Content-Length`` and ``Date`` (RFC 9110
+section 6.6.1 asks a server with a clock for it) and no ``Server`` header,
+so it names no software versions.
+
 A fixed pool of ``WORKER_THREADS`` threads answers the connections, one at a
-time each; a read or write that blocks for ``CONNECTION_TIMEOUT_S`` drops its
-connection without a response, and so does a client that disconnects first.
+time each. One deadline, ``CONNECTION_TIMEOUT_S`` after the connection is
+accepted, bounds the whole request and its reply, however the client spaces
+its bytes. A connection that passes the deadline, is closed before its
+request is complete or is reset before its reply is dropped without a
+response and logged at DEBUG.
 """
 
 from __future__ import annotations
@@ -23,8 +36,11 @@ from __future__ import annotations
 import json
 import logging
 import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from email.utils import formatdate
+from http import HTTPStatus
 
 from .embedding import embed_texts
 from .errors import PipelineError, ValidationError
@@ -34,9 +50,11 @@ logger = logging.getLogger(__name__)
 
 # Threads answering connections; further connections wait in the listen backlog.
 WORKER_THREADS = 8
-# Seconds one read or write on a connection may block, so that idle clients
-# cannot hold the workers.
+# Seconds from accept() to the end of the reply, so that idle or trickling
+# clients cannot hold the workers.
 CONNECTION_TIMEOUT_S = 10.0
+# Largest request head (request line and headers) the service reads.
+MAX_HEAD_BYTES = 16 * 1024
 # Largest request body the service reads.
 MAX_BODY_BYTES = 64 * 1024
 
@@ -68,74 +86,104 @@ def health_body(artifact: ModelArtifact) -> str:
     )
 
 
-class _ClassifyHandler(BaseHTTPRequestHandler):
-    artifact: ModelArtifact  # set by make_server on the subclass
-    # Set on each accepted socket; handle_one_request drops a connection
-    # whose read or write times out, without a response.
-    timeout = CONNECTION_TIMEOUT_S
-
-    def _send(self, status: int, body: str) -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def handle(self) -> None:
-        try:
-            super().handle()
-        except ConnectionError as exc:  # the client reset or closed before its response
-            logger.debug("%s - connection dropped: %s", self.address_string(), exc)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        logger.debug("%s - %s", self.address_string(), format % args)
-
-    def do_GET(self) -> None:
-        if self.path == "/health":
-            self._send(200, health_body(self.artifact))
-        else:
-            self._send(404, _error_body(f"unknown path {self.path}"))
-
-    def do_POST(self) -> None:
-        if self.path != "/classify":
-            self._send(404, _error_body(f"unknown path {self.path}"))
-            return
-        length = self.headers.get("Content-Length", "0").strip()
-        if not (length.isascii() and length.isdigit()):
-            # never read a body of unknown size: rfile.read(-1) waits for EOF
-            self._send(400, _error_body("Content-Length must be a non-negative integer"))
-            return
-        if int(length) > MAX_BODY_BYTES:
-            self._send(413, _error_body(f"body exceeds {MAX_BODY_BYTES} bytes"))
-            return
-        # Reading and writing stay outside the try below: a timeout must reach
-        # handle_one_request and a dropped client handle, which close the
-        # connection instead of answering 500.
-        raw = self.rfile.read(int(length))
-        try:
-            status, body = self._classify(raw)
-        except PipelineError as exc:
-            status, body = 500, _error_body(str(exc))
-        except Exception:  # pragma: no cover - defensive
-            logger.exception("classify failed")
-            status, body = 500, _error_body("internal error")
-        self._send(status, body)
-
-    def _classify(self, raw: bytes) -> tuple[int, str]:
-        """Status and body answering the request body ``raw``."""
-        try:
-            request = json.loads(raw)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return 400, _error_body("body is not valid JSON")
-        if not isinstance(request, dict) or not isinstance(request.get("text"), str):
-            return 400, _error_body("body must be an object with a string 'text'")
-        if not request["text"].strip():
-            return 422, _error_body("text is empty")
-        return 200, classification_body(self.artifact, request["text"])
+def _arm(sock: socket.socket, deadline: float) -> None:
+    """Let the next blocking call on ``sock`` wait no later than ``deadline``."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    sock.settimeout(left)
 
 
-class PooledHTTPServer(HTTPServer):
+def _recv(sock: socket.socket, deadline: float) -> bytes:
+    """The next bytes from ``sock``, waiting no later than ``deadline``."""
+    _arm(sock, deadline)
+    chunk = sock.recv(65536)
+    if not chunk:
+        raise ConnectionError("closed before the request was complete")
+    return chunk
+
+
+def _respond(sock: socket.socket, deadline: float, artifact: ModelArtifact) -> tuple[str, int, str]:
+    """Read the request on ``sock``; return its request line, reply status and body."""
+    data = bytearray()
+    end = -1
+    # past MAX_HEAD_BYTES + 4 bytes no terminator can end a head within the cap
+    while end < 0 and len(data) < MAX_HEAD_BYTES + 4:
+        start = max(0, len(data) - 3)
+        data += _recv(sock, deadline)
+        end = data.find(b"\r\n\r\n", start)
+    if not 0 <= end <= MAX_HEAD_BYTES:
+        return "", 431, _error_body(f"request head exceeds {MAX_HEAD_BYTES} bytes")
+    request_line, *fields = data[:end].decode("latin-1").split("\r\n")
+    parts = request_line.split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+        return request_line, 400, _error_body("malformed request line")
+    method, path, _ = parts
+    lengths = set()
+    for field in fields:
+        name, colon, value = field.partition(":")
+        if not colon:
+            return request_line, 400, _error_body("malformed header line")
+        if name.lower() == "content-length":
+            lengths.add(value.strip())
+    if method == "GET":
+        if path == "/health":
+            return request_line, 200, health_body(artifact)
+        return request_line, 404, _error_body(f"unknown path {path}")
+    if method != "POST":
+        return request_line, 501, _error_body(f"unsupported method {method}")
+    if path != "/classify":
+        return request_line, 404, _error_body(f"unknown path {path}")
+    if len(lengths) > 1:
+        return request_line, 400, _error_body("conflicting Content-Length headers")
+    length = lengths.pop() if lengths else "0"
+    if not (length.isascii() and length.isdigit()):
+        # never read a body of unknown size
+        return request_line, 400, _error_body("Content-Length must be a non-negative integer")
+    size = int(length)
+    if size > MAX_BODY_BYTES:
+        return request_line, 413, _error_body(f"body exceeds {MAX_BODY_BYTES} bytes")
+    body = data[end + 4:]
+    while len(body) < size:
+        body += _recv(sock, deadline)
+    # Reading stays outside the try below: a timeout or a dropped client must
+    # close the connection instead of answering 500.
+    try:
+        status, reply = _classify(artifact, bytes(body[:size]))
+    except PipelineError as exc:
+        status, reply = 500, _error_body(str(exc))
+    except Exception:  # pragma: no cover - defensive
+        logger.exception("classify failed")
+        status, reply = 500, _error_body("internal error")
+    return request_line, status, reply
+
+
+def _classify(artifact: ModelArtifact, raw: bytes) -> tuple[int, str]:
+    """Status and body answering the request body ``raw``."""
+    try:
+        request = json.loads(raw)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return 400, _error_body("body is not valid JSON")
+    if not isinstance(request, dict) or not isinstance(request.get("text"), str):
+        return 400, _error_body("body must be an object with a string 'text'")
+    if not request["text"].strip():
+        return 422, _error_body("text is empty")
+    return 200, classification_body(artifact, request["text"])
+
+
+def _send(sock: socket.socket, deadline: float, status: int, body: str) -> None:
+    data = body.encode("utf-8")
+    head = (
+        f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(data)}\r\n"
+        f"Date: {formatdate(usegmt=True)}\r\n\r\n"
+    )
+    _arm(sock, deadline)
+    sock.sendall(head.encode("ascii") + data)
+
+
+class PooledHTTPServer(socketserver.TCPServer):
     """An HTTP server whose connections are answered by a fixed pool of threads.
 
     ``serve_forever`` starts ``WORKER_THREADS`` workers. Each blocks in
@@ -145,10 +193,13 @@ class PooledHTTPServer(HTTPServer):
     them all).
     """
 
+    allow_reuse_address = True
     request_queue_size = 128  # connections beyond the busy workers wait here
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, server_address: tuple[str, int], artifact: ModelArtifact):
+        # finish_request answers each connection itself, so no handler class
+        super().__init__(server_address, None)
+        self.artifact = artifact
         self._stop = threading.Event()
         self._stopped = threading.Event()
 
@@ -185,6 +236,17 @@ class PooledHTTPServer(HTTPServer):
         self._stop.set()
         self._stopped.wait()
 
+    def finish_request(self, request: socket.socket, client_address) -> None:
+        """Answer the one request on ``request`` before its deadline, or drop it."""
+        deadline = time.monotonic() + CONNECTION_TIMEOUT_S
+        try:
+            request_line, status, body = _respond(request, deadline, self.artifact)
+            _send(request, deadline, status, body)
+        except (ConnectionError, TimeoutError) as exc:
+            logger.debug("%s - connection dropped: %s", client_address[0], exc)
+            return
+        logger.debug('%s - "%s" %d', client_address[0], request_line, status)
+
     def _work(self) -> None:
         while not self._stop.is_set():
             try:
@@ -218,8 +280,7 @@ def make_server(artifact: ModelArtifact, host: str = "127.0.0.1", port: int = 80
 
     The artifact is immutable, so concurrent request handling needs no locks.
     """
-    handler = type("BoundClassifyHandler", (_ClassifyHandler,), {"artifact": artifact})
-    return PooledHTTPServer((host, port), handler)
+    return PooledHTTPServer((host, port), artifact)
 
 
 def serve_forever(artifact: ModelArtifact, host: str = "127.0.0.1", port: int = 8080) -> None:

@@ -306,6 +306,27 @@ class TestEval:
         assert report.hamming_loss == 0.0
         assert report.subset_accuracy == 1.0
 
+    def test_one_class_holdout_reports_auc_null_and_exits_0(self, workspace, tmp_path, capsys):
+        # every row carries every label: the holdout has no negative cell
+        labels = list(default_taxonomy().labels)
+        dataset, embeddings, report = tmp_path / "d.jsonl", tmp_path / "e.jsonl", tmp_path / "r.json"
+        dataset.write_text(
+            "".join(json.dumps({"text": f"eta fuel berth query {i}", "labels": labels}) + "\n" for i in range(10)),
+            encoding="utf-8",
+        )
+        assert main(["embed", "--taxonomy", str(workspace["taxonomy"]), "--dataset", str(dataset),
+                     "--provider", "toy", "--dim", "64", "--embed-seed", "3", "--out", str(embeddings)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--taxonomy", str(workspace["taxonomy"]), "--dataset", str(dataset),
+                     "--embeddings", str(embeddings), "--model", str(workspace["model"]),
+                     "--holdout-fraction", "0.2", "--split-seed", "3", "--out", str(report)]) == 0
+        header, values = capsys.readouterr().out.splitlines()[:2]
+        assert header.endswith("| AUC") and values.endswith("| undefined (holdout has one class)")
+        written = json.loads(report.read_text())
+        assert written["auc"] is None
+        others = ("subset_accuracy", "hamming_loss", "jaccard", "f1", "precision", "recall", "mcc")
+        assert all(isinstance(written[k], float) for k in others)
+
     def test_table_column_order(self, workspace, tmp_path, capsys):
         assert main([
             "eval", "--taxonomy", str(workspace["taxonomy"]),

@@ -206,6 +206,20 @@ class TestEvaluate:
         assert report.auc == 1.0
         assert report.sample_count == 2 and report.label_count == 3
 
+    @pytest.mark.parametrize("cell", [0, 1], ids=["no-positive-cells", "no-negative-cells"])
+    def test_one_class_holdout_reports_auc_none(self, cell, tmp_path):
+        truth = np.full((3, 2), cell)
+        scores = np.array([[0.9, 0.2], [0.6, 0.7], [0.1, 0.4]])
+        report = evaluate(scores, 0.5, truth)
+        assert report.auc is None
+        pred = threshold_scores(scores, 0.5)
+        assert report.subset_accuracy == subset_accuracy(pred, truth)
+        assert report.hamming_loss == hamming_loss(pred, truth)
+        assert report.mcc == mcc(pred, truth)
+        save_report(report, tmp_path / "r.json")
+        assert '"auc": null' in (tmp_path / "r.json").read_text()
+        assert load_report(tmp_path / "r.json") == report
+
     def test_fields_match_standalone_ops(self):
         rng = np.random.default_rng(123)
         scores = rng.random((64, 8))

@@ -26,6 +26,7 @@ from intentclf import service
 from intentclf.cli import main
 from intentclf.service import (
     MAX_BODY_BYTES,
+    MAX_HEAD_BYTES,
     WORKER_THREADS,
     classification_body,
     health_body,
@@ -77,6 +78,11 @@ class TestHealth:
         response = requests.get(f"{server}/health", timeout=5)
         assert response.status_code == 200
         assert response.json() == {"status": "ok", "model_version": 1}
+
+    def test_reply_has_date_and_no_server_header(self, server):
+        headers = requests.get(f"{server}/health", timeout=5).headers
+        assert "Date" in headers and "Server" not in headers
+        assert headers["Content-Type"] == "application/json"
 
     def test_unknown_path_404(self, server):
         assert requests.get(f"{server}/nope", timeout=5).status_code == 404
@@ -208,7 +214,7 @@ class TestWorkerPool:
             srv.server_close()
 
     def test_idle_connections_time_out_and_free_the_workers(self, artifact, monkeypatch):
-        monkeypatch.setattr(service._ClassifyHandler, "timeout", 0.2)
+        monkeypatch.setattr(service, "CONNECTION_TIMEOUT_S", 0.2)
         with _running(artifact) as srv:
             port = srv.server_address[1]
             # one idle connection per worker: the request below waits for their timeouts
@@ -227,7 +233,7 @@ class TestWorkerPool:
         ids=["headers", "body"],
     )
     def test_read_timeout_drops_the_connection_without_500(self, artifact, monkeypatch, caplog, capsys, sent):
-        monkeypatch.setattr(service._ClassifyHandler, "timeout", 0.2)
+        monkeypatch.setattr(service, "CONNECTION_TIMEOUT_S", 0.2)
         with caplog.at_level(logging.DEBUG, logger="intentclf.service"), _running(artifact) as srv:
             with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=5) as sock:
                 sock.sendall(sent)
@@ -237,6 +243,30 @@ class TestWorkerPool:
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_trickled_head_is_dropped_at_the_deadline(self, artifact, monkeypatch, caplog):
+        monkeypatch.setattr(service, "CONNECTION_TIMEOUT_S", 0.2)
+        # one byte per 0.05 s: every single read is well inside the timeout
+        head = b"GET /health HTTP/1.0\r\nX-Slow: " + b"a" * 80
+        with caplog.at_level(logging.DEBUG, logger="intentclf.service"), _running(artifact) as srv:
+            port = srv.server_address[1]
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                sock.settimeout(0.05)
+                start = time.monotonic()
+                answer = None
+                for i in range(len(head)):
+                    try:
+                        sock.sendall(head[i:i + 1])
+                        answer = sock.recv(1024)
+                    except socket.timeout:
+                        continue
+                    except ConnectionError:
+                        answer = b""
+                    break
+                elapsed = time.monotonic() - start
+            assert answer == b"", "the trickled request must be closed unanswered"
+            assert elapsed < 0.2 + 0.5, f"held for {elapsed:.2f} s"
+            assert _post(port, "eta please").status_code == 200
+        assert any("timed out" in r.getMessage() for r in caplog.records)
 
     def test_client_reset_before_the_reply_is_dropped_quietly(self, artifact, monkeypatch, caplog, capsys):
         entered, reset = threading.Event(), threading.Event()
@@ -263,6 +293,64 @@ class TestWorkerPool:
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert "Traceback" not in capsys.readouterr().err
         assert any("connection dropped" in r.getMessage() for r in caplog.records)
+
+
+class TestRawRequests:
+    """Single hand-written requests, for what an HTTP client library never sends."""
+
+    @staticmethod
+    def _exchange(server, data: bytes) -> bytes:
+        """Everything the server sends back to ``data`` before it closes."""
+        host, port = server.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+            return sock.makefile("rb").read()
+
+    @classmethod
+    def _status_and_error(cls, server, data: bytes) -> tuple[bytes, dict]:
+        head, _, body = cls._exchange(server, data).partition(b"\r\n\r\n")
+        return head.split()[1], json.loads(body)
+
+    def test_head_without_terminator_is_closed_unanswered(self, server):
+        assert self._exchange(server, b"GET /health HTTP/1.0\r\nHost: x") == b""
+        assert requests.get(f"{server}/health", timeout=5).status_code == 200
+
+    @pytest.mark.parametrize(
+        "head",
+        [b"GARBAGE", b"GET /health", b"GET /health FTP/1.0", b"GET  HTTP/1.0", b"GET /health HTTP/1.0\r\nNoColon"],
+    )
+    def test_malformed_head_400(self, server, head):
+        status, body = self._status_and_error(server, head + b"\r\n\r\n")
+        assert status == b"400" and "error" in body
+
+    def test_head_over_the_cap_431_without_reading_further(self, server):
+        # no terminator: a head of this size cannot end within the cap
+        status, body = self._status_and_error(server, b"GET /health HTTP/1.0\r\n" + b"a" * MAX_HEAD_BYTES)
+        assert status == b"431" and "error" in body
+
+    def test_head_of_exactly_the_cap_is_read(self, server):
+        line = b"GET /health HTTP/1.0\r\nX-Pad: "
+        head = line + b"a" * (MAX_HEAD_BYTES - len(line))
+        assert self._exchange(server, head + b"\r\n\r\n").split()[1] == b"200"
+
+    def test_conflicting_content_length_400(self, server):
+        body = b'{"text": "eta please"}'
+        head = (f"POST /classify HTTP/1.0\r\nContent-Length: {len(body)}\r\n"
+                f"Content-Length: {len(body) + 1}\r\n\r\n").encode("ascii")
+        status, error = self._status_and_error(server, head + body)
+        assert status == b"400" and "Content-Length" in error["error"]
+
+    def test_repeated_equal_content_length_is_read(self, server, artifact):
+        body = b'{"text": "eta please"}'
+        head = f"POST /classify HTTP/1.0\r\nContent-Length: {len(body)}\r\ncontent-length: {len(body)}\r\n\r\n"
+        reply = self._exchange(server, head.encode("ascii") + body)
+        assert reply.split(b"\r\n\r\n", 1)[1] == classification_body(artifact, "eta please").encode("utf-8")
+
+    @pytest.mark.parametrize("method", [b"PUT", b"DELETE", b"HEAD"])
+    def test_unknown_method_501_with_json_body(self, server, method):
+        status, body = self._status_and_error(server, method + b" /classify HTTP/1.0\r\n\r\n")
+        assert status == b"501" and method.decode() in body["error"]
 
 
 class TestRendererContract:
