@@ -6,13 +6,14 @@ for its flags (explicit flags win). The ``train``, ``mining``, ``ofc`` and
 ``provider`` sections hold fields of the matching config dataclass; a flag
 whose ``dest`` is ``<section>.<field>`` overrides that field. Exit codes:
 0 success, 2 validation, 3 file/I-O, 4 remote service, 130 interrupted
-(Ctrl-C).
+(Ctrl-C), 143 terminated (SIGTERM to ``serve``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -56,6 +57,7 @@ from .trainer import (
 
 _EXIT_OK = 0
 _EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+_EXIT_TERMINATED = 143  # 128 + SIGTERM
 # first match wins: FileFormatError is a PipelineError but a file problem
 _EXIT_CODES = (
     ((RemoteServiceError, GenerationError), 4),
@@ -104,6 +106,19 @@ class _Cfg:
             node = _as_section(node.get(keys[depth - 1], {}), ".".join(keys[:depth]))
         value = node.get(keys[-1], default) if cli_value is None else cli_value
         return value if kind is None else coerce(value, kind, ".".join(keys))
+
+    def path(self, cli_value, *keys) -> str | None:
+        """The flag if given, else the config string at ``keys``, else None."""
+        value = self.pick(cli_value, *keys)
+        return None if value is None else coerce(value, str, ".".join(keys))
+
+
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread as Ctrl-C raises KeyboardInterrupt."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
 
 
 def _require(value, what: str):
@@ -156,13 +171,13 @@ def _train_config(args, cfg: _Cfg) -> TrainConfig:
 
 def run_generate(args) -> int:
     cfg = _Cfg(args.config)
-    taxonomy_path = _require(cfg.pick(args.taxonomy, "taxonomy"), "--taxonomy")
-    out_path = _require(cfg.pick(args.out, "dataset"), "--out")
+    taxonomy_path = _require(cfg.path(args.taxonomy, "taxonomy"), "--taxonomy")
+    out_path = _require(cfg.path(args.out, "dataset"), "--out")
     per_class = cfg.pick(args.per_class, "generate", "per_class", default=40, kind=int)
     seed = cfg.pick(args.seed, "generate", "seed", default=0, kind=int)
-    offline = bool(cfg.pick(args.offline or None, "generate", "offline"))
+    offline = cfg.pick(args.offline or None, "generate", "offline", default=False, kind=bool)
     vocabulary = load_vocabulary(taxonomy_path)
-    combos = _load_combos(cfg.pick(args.combos, "generate", "combos"))
+    combos = _load_combos(cfg.path(args.combos, "generate", "combos"))
     if offline:
         dataset = offline_generate(vocabulary, per_class, combos, seed)
     else:
@@ -181,7 +196,7 @@ def run_generate(args) -> int:
 
 def run_embed(args) -> int:
     cfg = _Cfg(args.config)
-    out_path = _require(cfg.pick(args.out, "embeddings"), "--out")
+    out_path = _require(cfg.path(args.out, "embeddings"), "--out")
     _, dataset = _load_dataset(cfg, args)
     provider = ProviderConfig.from_json(_layered(args, cfg, "provider"))
     x = embed_dataset(dataset, provider)
@@ -191,14 +206,14 @@ def run_embed(args) -> int:
 
 
 def _load_dataset(cfg: _Cfg, args):
-    taxonomy_path = _require(cfg.pick(args.taxonomy, "taxonomy"), "--taxonomy")
-    dataset_path = _require(cfg.pick(args.dataset, "dataset"), "--dataset")
+    taxonomy_path = _require(cfg.path(args.taxonomy, "taxonomy"), "--taxonomy")
+    dataset_path = _require(cfg.path(args.dataset, "dataset"), "--dataset")
     vocabulary = load_vocabulary(taxonomy_path)
     return vocabulary, load_dataset(dataset_path, vocabulary)
 
 
 def _load_embedded(cfg: _Cfg, args):
-    embeddings_path = _require(cfg.pick(args.embeddings, "embeddings"), "--embeddings")
+    embeddings_path = _require(cfg.path(args.embeddings, "embeddings"), "--embeddings")
     vocabulary, dataset = _load_dataset(cfg, args)
     return vocabulary, load_embeddings(embeddings_path, dataset), label_matrix(dataset)
 
@@ -212,7 +227,8 @@ def _split(args, cfg: _Cfg, n: int) -> tuple[list[int], list[int]]:
 def run_train(args) -> int:
     cfg = _Cfg(args.config)
     vocabulary, x, y = _load_embedded(cfg, args)
-    out_path = _require(cfg.pick(args.out, "model"), "--out")
+    out_path = _require(cfg.path(args.out, "model"), "--out")
+    loss_log = cfg.path(args.loss_log, "loss_log")
     train_idx, _ = _split(args, cfg, len(x))
     x, y = x[train_idx], y[train_idx]
 
@@ -230,7 +246,6 @@ def run_train(args) -> int:
     for epoch, value in enumerate(finetune_losses):
         print(f"finetune epoch {epoch}: loss {value:.6f}")
     save_artifact(artifact, out_path)
-    loss_log = cfg.pick(args.loss_log, "loss_log")
     if loss_log:
         Path(loss_log).write_text(
             json.dumps({"pretrain": pretrain_losses, "finetune": finetune_losses}, indent=2)
@@ -244,8 +259,8 @@ def run_train(args) -> int:
 def run_eval(args) -> int:
     cfg = _Cfg(args.config)
     vocabulary, x, y = _load_embedded(cfg, args)
-    model_path = _require(cfg.pick(args.model, "model"), "--model")
-    out_path = _require(cfg.pick(args.out, "report"), "--out")
+    model_path = _require(cfg.path(args.model, "model"), "--model")
+    out_path = _require(cfg.path(args.out, "report"), "--out")
     artifact = load_artifact(model_path)
     if artifact.vocabulary.labels != vocabulary.labels:
         raise ValidationError("model vocabulary does not match the taxonomy file")
@@ -277,7 +292,12 @@ def run_serve(args) -> int:
     artifact = load_artifact(args.model)
     # refuse before binding: such a model would answer 500 to every request
     check_embeds_text(artifact.provider)
-    serve_forever(artifact, args.host, args.port)
+    # SIGTERM, as process managers send it, drains the pool like Ctrl-C
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        serve_forever(artifact, args.host, args.port)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return _EXIT_OK
 
 
@@ -388,6 +408,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except KeyboardInterrupt:  # serve has joined its workers by now
         return _EXIT_INTERRUPTED
+    except _Terminated:  # likewise
+        return _EXIT_TERMINATED
     except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

@@ -28,10 +28,14 @@ def coerce(value, kind: type, what: str):
     """``kind(value)``, or a :class:`ValidationError` naming ``what``.
 
     A JSON boolean coerces only to ``bool``: ``true`` is no count or seed.
+    A ``bool`` or ``str`` is taken only as itself: ``"false"`` is not false
+    and ``5`` is no path.
     """
     try:
         if isinstance(value, bool) and kind is not bool:
             raise TypeError(f"{value!r} is a boolean")
+        if kind in (bool, str) and not isinstance(value, kind):
+            raise TypeError(f"{value!r} is not a {kind.__name__}")
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be {kind.__name__}, got {value!r}") from exc

@@ -1,7 +1,11 @@
 """Analytic gradients of the training stages against central finite differences.
 
-A verification tool, kept out of the training module. Random check points are
-drawn away from the clamps and hinges where no gradient is defined.
+A verification tool, kept out of the training module. It differentiates the
+training steps themselves: ``trainer._pretrain_step`` with mining live for
+the projection components, and ``trainer._finetune_step`` over projection
+and classifier together for the classifier component. Random check points
+are redrawn where no gradient is defined: when a kept pair sits at a clamp
+or hinge, or when a perturbation changes which pairs mining keeps.
 """
 
 from __future__ import annotations
@@ -10,28 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import trainer
 from .errors import ValidationError
-from .losses import LossOutput, cs_loss, ofc_loss, oc_loss
-from .mining import (
-    MinedCounts,
-    MinedPairs,
-    MiningConfig,
-    PairSims,
-    batch_similarity_table,
-    build_pairs,
-    mine,
-)
-from .trainer import (
-    ClassifierHead,
-    ProjectionHead,
-    TrainConfig,
-    _classify_batch,
-    _mining_for_loss,
-    _project_batch,
-    _projection_backward,
-    _sim_grads_to_z,
-    bce_loss,
-)
+from .mining import MiningConfig, PairSims, batch_similarity_table, build_pairs
+from .trainer import ClassifierHead, ProjectionHead, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -80,16 +66,6 @@ def _central_difference(f, params: list[np.ndarray], step_scale: float = 1e-5) -
 _GRAD_COMPONENTS = ("projection+ofc", "projection+oc", "projection+cs", "classifier+bce", "classifier")
 
 
-def _fixed_mined(pos: PairSims, neg: PairSims) -> MinedPairs:
-    return MinedPairs(
-        pos_final=pos,
-        neg_final=neg,
-        t_neg=None,
-        t_pos=None,
-        counts=MinedCounts(len(pos), len(neg), 0, 0, 0, 0),
-    )
-
-
 def _away_from_kinks(pos: PairSims, neg: PairSims, margin: float, delta: float = 1e-3) -> bool:
     s = np.abs(pos.sim)
     if np.any((s < delta) | (np.abs(s - 1.0) < 1e-9)):
@@ -97,10 +73,10 @@ def _away_from_kinks(pos: PairSims, neg: PairSims, margin: float, delta: float =
     return not np.any((np.abs(neg.sim - margin) < delta) | (np.abs(neg.sim - (margin - 1.0)) < delta))
 
 
-def _grad_point_projection(loss_kind: str, rng: np.random.Generator):
-    """A random batch, head, and frozen mined pair sets away from kinks."""
+def _check_projection_point(loss_kind: str, rng: np.random.Generator) -> float | None:
+    """Worst error of ``_pretrain_step`` at a random batch and head, or None to redraw."""
     d_in, d_hidden, d_proj, batch = 10, 7, 5, 6
-    base_config = TrainConfig(
+    config = TrainConfig(
         loss_kind=loss_kind,
         d_hidden=d_hidden,
         d_proj=d_proj,
@@ -111,77 +87,45 @@ def _grad_point_projection(loss_kind: str, rng: np.random.Generator):
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     labels = pool[rng.integers(0, len(pool), size=batch)]
     head = ProjectionHead.init(d_in, d_hidden, d_proj, rng)
-    z, _ = _project_batch(x, head)
-    pair_set = build_pairs(labels, "exact")
-    table = batch_similarity_table(z, pair_set)
+    z, _ = trainer._project_batch(x, head)
+    table = batch_similarity_table(z, build_pairs(labels, config.mining.positive_rule))
     if not table.d_pos or not table.d_neg:
         return None
-    if loss_kind == "cs":
-        pos_idx, neg_idx = table.d_pos.index, table.d_neg.index
-    else:
-        mined = mine(table, _mining_for_loss(base_config))
-        if not mined.pos_final and not mined.neg_final:
-            return None
-        pos_idx, neg_idx = mined.pos_final.index, mined.neg_final.index
-    # freeze the retained pairs in table order
-    frozen_pos = table.d_pos.take(np.isin(table.d_pos.index, pos_idx))
-    frozen_neg = table.d_neg.take(np.isin(table.d_neg.index, neg_idx))
-    if not _away_from_kinks(frozen_pos, frozen_neg, base_config.ofc.margin):
+    out, analytic = trainer._pretrain_step(x, labels, head, config)
+    kept = np.sort(out.index)
+    if not kept.size:
         return None
-    return x, head, pair_set, frozen_pos.index, frozen_neg.index, base_config
-
-
-def _projection_loss_on_fixed(x, head, pair_set, pos_idx, neg_idx, config) -> tuple[float, LossOutput, np.ndarray, tuple]:
-    z, cache = _project_batch(x, head)
-    gram = z @ z.T
-    a, b = pair_set.pairs.T
-    pos = PairSims(pos_idx, gram[a[pos_idx], b[pos_idx]])
-    neg = PairSims(neg_idx, gram[a[neg_idx], b[neg_idx]])
-    if config.loss_kind == "cs":
-        out = cs_loss(pos, neg)
-    elif config.loss_kind == "oc":
-        out = oc_loss(_fixed_mined(pos, neg), config.ofc.margin)
-    else:
-        out = ofc_loss(_fixed_mined(pos, neg), config.ofc)
-    return out.value, out, z, cache
-
-
-def _check_projection_point(loss_kind: str, rng: np.random.Generator) -> float | None:
-    point = _grad_point_projection(loss_kind, rng)
-    if point is None:
+    pos = table.d_pos.take(np.isin(table.d_pos.index, kept))
+    neg = table.d_neg.take(np.isin(table.d_neg.index, kept))
+    if not _away_from_kinks(pos, neg, config.ofc.margin):
         return None
-    x, head, pair_set, pos_idx, neg_idx, config = point
-    value, out, z, cache = _projection_loss_on_fixed(x, head, pair_set, pos_idx, neg_idx, config)
-    d_z = _sim_grads_to_z(out, pair_set, z)
-    analytic = _projection_backward(d_z, cache, head)
+    same_pairs = True
 
     def f() -> float:
-        v, _, _, _ = _projection_loss_on_fixed(x, head, pair_set, pos_idx, neg_idx, config)
-        return v
+        nonlocal same_pairs
+        perturbed, _ = trainer._pretrain_step(x, labels, head, config)
+        same_pairs &= np.array_equal(np.sort(perturbed.index), kept)
+        return perturbed.value
 
     numeric = _central_difference(f, head.params())
-    return max(
-        max_relative_error(a, n) for a, n in zip(analytic, numeric)
-    )
+    if not same_pairs:
+        return None
+    return max(max_relative_error(a, n) for a, n in zip(analytic, numeric))
 
 
 def _check_classifier_point(rng: np.random.Generator) -> float:
-    batch, d_proj, n_labels = 6, 5, 4
-    z = rng.normal(size=(batch, d_proj))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    """Worst error of ``_finetune_step`` over projection and classifier parameters."""
+    d_in, d_hidden, d_proj, n_labels, batch = 10, 7, 5, 4, 6
+    x = rng.normal(size=(batch, d_in))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
     y = (rng.random(size=(batch, n_labels)) < 0.4).astype(np.float64)
-    head = ClassifierHead.init(d_proj, n_labels, rng)
-
-    def forward() -> tuple[float, np.ndarray, np.ndarray]:
-        probs = _classify_batch(z, head)
-        value, d_probs = bce_loss(probs, y)
-        return value, probs, d_probs
-
-    value, probs, d_probs = forward()
-    d_logits = d_probs * probs * (1.0 - probs)
-    analytic = [z.T @ d_logits, d_logits.sum(axis=0)]
-    numeric = _central_difference(lambda: forward()[0], head.params())
-    return max(max_relative_error(a, n) for a, n in zip(analytic, numeric))
+    head = ProjectionHead.init(d_in, d_hidden, d_proj, rng)
+    classifier = ClassifierHead.init(d_proj, n_labels, rng)
+    _, grads_p, grads_c = trainer._finetune_step(x, y, head, classifier)
+    numeric = _central_difference(
+        lambda: trainer._finetune_step(x, y, head, classifier)[0], head.params() + classifier.params()
+    )
+    return max(max_relative_error(a, n) for a, n in zip(grads_p + grads_c, numeric))
 
 
 def grad_check(
@@ -189,9 +133,9 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    ``component`` is ``classifier`` (BCE head) or ``projection+<loss_kind>``
-    for the full contrastive chain. Random points that land too close to a
-    clamp or hinge are redrawn, since no gradient is defined there.
+    ``component`` is ``classifier`` (the BCE finetune step, projection and
+    classifier) or ``projection+<loss_kind>`` (the contrastive pretrain
+    step). Random points where no gradient is defined are redrawn.
     """
     comp = component.lower()
     if comp == "classifier+bce":

@@ -301,14 +301,26 @@ def _batches(order: np.ndarray, batch_size: int):
 # training stages
 
 
+def _pretrain_step(
+    x: np.ndarray, y: np.ndarray, head: ProjectionHead, config: TrainConfig
+) -> tuple[LossOutput, list[np.ndarray]]:
+    """Pair loss of one batch and its gradients [dw1, db1, dw2, db2] in ``head``."""
+    z, cache = _project_batch(x, head)
+    pair_set = build_pairs(y, config.mining.positive_rule)
+    table = batch_similarity_table(z, pair_set)
+    out = _pair_loss(table, config)
+    d_z = _sim_grads_to_z(out, pair_set, z)
+    return out, _projection_backward(d_z, cache, head)
+
+
 def pretrain(x: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple[ProjectionHead, list[float]]:
     """Contrastive pretraining of the projection head.
 
     ``x`` holds one embedding per row and ``y`` its multi-hot label row.
     Each epoch reshuffles with the seeded generator, mines pairs per batch
     and steps SGD on the configured pair loss. Returns the head and the
-    per-epoch mean batch loss. Batches without usable pairs are skipped; an
-    epoch in which every batch was skipped raises :class:`NoPairsError`.
+    per-epoch mean batch loss. A trailing batch of one row has no pairs and
+    is left out of its epoch.
     """
     x, y = _aligned(x, y)
     if not (y != y[:1]).any():  # also rejects fewer than 2 rows
@@ -318,27 +330,30 @@ def pretrain(x: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple[Project
     head = ProjectionHead.init(x.shape[1], config.d_hidden, config.d_proj, init_rng)
     velocity = [np.zeros_like(p) for p in head.params()]
     history: list[float] = []
-    for epoch in range(config.epochs_pretrain):
+    for _ in range(config.epochs_pretrain):
         order = shuffle_rng.permutation(len(x))
         batch_losses: list[float] = []
         for chunk in _batches(order, config.batch_size):
             if len(chunk) < 2:
                 continue
-            z, cache = _project_batch(x[chunk], head)
-            pair_set = build_pairs(y[chunk], config.mining.positive_rule)
-            table = batch_similarity_table(z, pair_set)
-            try:
-                out = _pair_loss(table, config)
-            except NoPairsError:
-                continue
-            d_z = _sim_grads_to_z(out, pair_set, z)
-            grads = _projection_backward(d_z, cache, head)
+            out, grads = _pretrain_step(x[chunk], y[chunk], head, config)
             _sgd_step(head.params(), grads, velocity, config.lr_pretrain, config.momentum, config.grad_clip_norm)
             batch_losses.append(out.value)
-        if not batch_losses:
-            raise NoPairsError(f"epoch {epoch}: no batch produced a contrastive pair")
         history.append(float(np.mean(batch_losses)))
     return head, history
+
+
+def _finetune_step(
+    x: np.ndarray, y: np.ndarray, head: ProjectionHead, classifier: ClassifierHead
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """BCE of one batch and its gradients in ``head`` and in ``classifier`` [dw, db]."""
+    z, cache = _project_batch(x, head)
+    probs = _classify_batch(z, classifier)
+    value, d_probs = bce_loss(probs, y)
+    d_logits = d_probs * probs * (1.0 - probs)
+    grads_c = [z.T @ d_logits, d_logits.sum(axis=0)]
+    d_z = d_logits @ classifier.w.T
+    return value, _projection_backward(d_z, cache, head), grads_c
 
 
 def finetune(
@@ -375,16 +390,9 @@ def finetune(
         order = shuffle_rng.permutation(len(x))
         batch_losses: list[float] = []
         for chunk in _batches(order, config.batch_size):
-            z, cache = _project_batch(x[chunk], head)
-            probs = _classify_batch(z, classifier)
-            value, d_probs = bce_loss(probs, y[chunk])
-            d_logits = d_probs * probs * (1.0 - probs)
-            d_w = z.T @ d_logits
-            d_b = d_logits.sum(axis=0)
-            d_z = d_logits @ classifier.w.T
-            grads_p = _projection_backward(d_z, cache, head)
+            value, grads_p, grads_c = _finetune_step(x[chunk], y[chunk], head, classifier)
             _sgd_step(head.params(), grads_p, velocity_p, config.lr_finetune, config.momentum, config.grad_clip_norm)
-            _sgd_step(classifier.params(), [d_w, d_b], velocity_c, config.lr_finetune, config.momentum, config.grad_clip_norm)
+            _sgd_step(classifier.params(), grads_c, velocity_c, config.lr_finetune, config.momentum, config.grad_clip_norm)
             batch_losses.append(value)
         history.append(float(np.mean(batch_losses)))
     artifact = ModelArtifact(

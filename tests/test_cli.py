@@ -375,7 +375,8 @@ class TestServe:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "cannot embed new text" in err[0], err
 
-    def test_ctrl_c_exits_130_without_traceback(self, workspace):
+    def _start_serve(self, workspace) -> tuple[subprocess.Popen, int]:
+        """``intentclf serve`` in a child process, once it answers /health."""
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
@@ -386,16 +387,22 @@ class TestServe:
              "--port", str(port)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
         )
+        deadline = time.monotonic() + 20
+        while True:
+            try:
+                if requests.get(f"http://127.0.0.1:{port}/health", timeout=1).status_code == 200:
+                    return proc, port
+            except requests.ConnectionError:
+                pass
+            if proc.poll() is not None or time.monotonic() > deadline:
+                proc.kill()
+                proc.communicate()
+                pytest.fail("serve never answered /health")
+            time.sleep(0.05)
+
+    def test_ctrl_c_exits_130_without_traceback(self, workspace):
+        proc, _ = self._start_serve(workspace)
         try:
-            deadline = time.monotonic() + 20
-            while True:
-                try:
-                    if requests.get(f"http://127.0.0.1:{port}/health", timeout=1).status_code == 200:
-                        break
-                except requests.ConnectionError:
-                    pass
-                assert proc.poll() is None and time.monotonic() < deadline, "serve never answered /health"
-                time.sleep(0.05)
             proc.send_signal(signal.SIGINT)
             _, err = proc.communicate(timeout=10)
         finally:
@@ -403,6 +410,31 @@ class TestServe:
                 proc.kill()
                 proc.communicate()
         assert proc.returncode == 130, err
+        assert "Traceback" not in err, err
+
+    def test_sigterm_answers_the_open_request_then_exits_143(self, workspace):
+        proc, port = self._start_serve(workspace)
+        body = json.dumps({"text": "estimated time of arrival of the tanker?"}).encode()
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as client:
+                client.sendall(
+                    b"POST /classify HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % len(body) + body[:5]
+                )
+                time.sleep(0.2)  # a worker holds the connection
+                proc.send_signal(signal.SIGTERM)
+                time.sleep(0.3)
+                assert proc.poll() is None, "serve exited with a request open"
+                client.sendall(body[5:])
+                reply = b""
+                while chunk := client.recv(65536):
+                    reply += chunk
+            _, err = proc.communicate(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert reply.startswith(b"HTTP/1.0 200 "), reply
+        assert proc.returncode == 143, err
         assert "Traceback" not in err, err
 
 
@@ -456,6 +488,8 @@ class TestConfigFile:
             {"train": {"seed": -1}},
             {"train": {"epochs_pretrain": True}},
             {"split": 7},
+            {"provider": {"endpoint": 7}},
+            {"loss_log": 5},
         ],
     )
     def test_wrong_typed_value_exits_2(self, workspace, tmp_path, capsys, bad):
@@ -469,7 +503,10 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"per_class": "abc"}, {"per_class": None}, {"seed": [1]}, {"seed": "1.5"}, {"per_class": True}],
+        [
+            {"per_class": "abc"}, {"per_class": None}, {"seed": [1]}, {"seed": "1.5"}, {"per_class": True},
+            {"offline": "false"}, {"offline": 1}, {"combos": 5}, {"combos": ["combos.json"]},
+        ],
     )
     def test_wrong_typed_generate_value_exits_2(self, workspace, tmp_path, capsys, bad):
         cfg = tmp_path / "cfg.json"
@@ -482,6 +519,23 @@ class TestConfigFile:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: generate."), err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("taxonomy", 5, "error: taxonomy must be str, got 5"),
+            ("embeddings", ["e.jsonl"], "error: embeddings must be str, got ['e.jsonl']"),
+            ("report", 1.5, "error: report must be str, got 1.5"),
+            ("dataset", None, "error: missing required value: --dataset"),
+        ],
+    )
+    def test_config_path_must_be_a_string(self, workspace, tmp_path, capsys, key, value, message):
+        paths = {name: str(workspace[name]) for name in ("taxonomy", "dataset", "embeddings", "model")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**paths, "report": str(tmp_path / "r.json"), key: value}))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
 
     @pytest.mark.parametrize("cfg_obj", [{"generate": 5, "split": 7}, {"generate": []}])
     def test_non_object_generate_section_exits_2(self, workspace, tmp_path, capsys, cfg_obj):

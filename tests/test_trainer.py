@@ -27,6 +27,7 @@ from intentclf import (
     save_artifact,
     score_samples,
 )
+from intentclf import trainer
 from intentclf.gradcheck import max_relative_error
 from intentclf.trainer import (
     ClassifierHead,
@@ -289,6 +290,26 @@ class TestGradCheck:
     def test_unknown_component(self):
         with pytest.raises(ValidationError):
             grad_check("decoder+mse")
+
+    @pytest.mark.parametrize(
+        "component, step, part",
+        [
+            ("projection+ofc", "_pretrain_step", 1),  # dw1
+            ("classifier", "_finetune_step", 1),  # dw1, reached through d_z
+            ("classifier", "_finetune_step", 2),  # classifier dw
+        ],
+    )
+    def test_oracle_checks_the_training_step(self, monkeypatch, component, step, part):
+        original = getattr(trainer, step)
+
+        def skewed(*args):
+            result = list(original(*args))
+            result[part] = [result[part][0] * 1.01, *result[part][1:]]
+            return tuple(result)
+
+        assert grad_check(component, points=2).passed
+        monkeypatch.setattr(trainer, step, skewed)
+        assert not grad_check(component, points=2).passed
 
 
 class TestArtifactPersistence:
