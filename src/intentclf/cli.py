@@ -22,6 +22,7 @@ from .dataset import (
     label_matrix,
     load_dataset,
     load_vocabulary,
+    read_json,
     save_dataset,
     split_indices,
 )
@@ -82,14 +83,7 @@ class _Cfg:
     """Optional JSON config file backing flag defaults."""
 
     def __init__(self, path: str | None):
-        self.data: dict = {}
-        if path:
-            try:
-                self.data = json.loads(Path(path).read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(f"config is not valid JSON: {exc}", path=path) from exc
-            if not isinstance(self.data, dict):
-                raise FileFormatError("config must be a JSON object", path=path)
+        self.data: dict = read_json(path, "config") if path else {}
 
     def section(self, name: str) -> dict:
         return _as_section(self.data.get(name, {}), name)
@@ -130,12 +124,9 @@ def _require(value, what: str):
 def _load_combos(path: str | None) -> list[frozenset[str]]:
     if not path:
         return []
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"combos file is not valid JSON: {exc}", path=path) from exc
-    if not isinstance(obj, list) or not all(isinstance(c, list) for c in obj):
-        raise FileFormatError("combos file must be a JSON array of label arrays", path=path)
+    obj = read_json(path, "combos file", list)
+    if not all(isinstance(c, list) and all(isinstance(label, str) for label in c) for c in obj):
+        raise FileFormatError("combos file must be a JSON array of label-string arrays", path=path)
     return [frozenset(c) for c in obj]
 
 

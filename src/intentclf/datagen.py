@@ -232,7 +232,8 @@ def llm_generate(
     for combo in combos:
         members = validate_labels(combo, vocabulary)
         segments = {
-            label: pools[label][int(rng.integers(0, len(pools[label])))] for label in members
+            label: pools[label][int(rng.integers(0, len(pools[label])))]
+            for label in vocabulary.sorted_members(members)
         }
         samples.append(compose_multilabel(segments, members, vocabulary))
     return Dataset(vocabulary=vocabulary, samples=tuple(samples))

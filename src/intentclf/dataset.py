@@ -1,4 +1,5 @@
-"""Label taxonomy, sample records, multi-hot encoding, JSONL I/O and splitting.
+"""Label taxonomy, sample records, multi-hot encoding, splitting, and the JSON
+and JSON Lines readers that parse every input file of the pipeline.
 
 A dataset file is UTF-8 JSON Lines: each line is an object with ``text``
 (string) and ``labels`` (array of strings). A taxonomy file is a JSON object
@@ -76,18 +77,63 @@ class LabelVocabulary:
         ):
             raise FileFormatError("taxonomy 'labels' must be an array of non-empty strings")
         descriptions = obj.get("descriptions", {})
-        if not isinstance(descriptions, dict):
-            raise FileFormatError("taxonomy 'descriptions' must be an object")
+        if not isinstance(descriptions, dict) or not all(
+            isinstance(text, str) for text in descriptions.values()
+        ):
+            raise FileFormatError("taxonomy 'descriptions' must be an object of strings")
         return cls(labels=tuple(labels), descriptions=dict(descriptions))
+
+
+def read_json(path: str | Path, what: str, kind: type = dict):
+    """The JSON value in the UTF-8 file at ``path``, which must be a ``kind``.
+
+    A file that is not UTF-8, not JSON, nested too deeply to parse or of
+    another top-level type is a :class:`FileFormatError` naming ``what`` and
+    ``path``.
+    """
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise FileFormatError(f"{what} is not valid UTF-8 JSON: {exc}", path=str(path)) from exc
+    if not isinstance(obj, kind):
+        name = "object" if kind is dict else "array"
+        raise FileFormatError(f"{what} must be a JSON {name}", path=str(path))
+    return obj
+
+
+def read_json_lines(path: str | Path, keys: tuple[str, ...]):
+    """Yield ``(lineno, record)`` for each non-blank line of a UTF-8 JSONL file.
+
+    Lines are read one at a time. Each record must be an object holding
+    ``keys``; anything else is a :class:`FileFormatError` carrying the
+    1-based line number.
+    """
+    with Path(path).open("r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    reason = getattr(exc, "msg", exc)  # a JSONDecodeError's msg has no position
+                    raise FileFormatError(
+                        f"malformed JSON record: {reason}", path=str(path), line=lineno
+                    ) from exc
+                if not isinstance(record, dict) or not all(key in record for key in keys):
+                    raise FileFormatError(
+                        f"record must be an object with {' and '.join(map(repr, keys))}",
+                        path=str(path),
+                        line=lineno,
+                    )
+                yield lineno, record
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"file is not UTF-8 text: {exc}", path=str(path)) from exc
 
 
 def load_vocabulary(path: str | Path) -> LabelVocabulary:
     """Read a taxonomy file (JSON object with labels and descriptions)."""
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"taxonomy is not valid JSON: {exc}", path=str(path)) from exc
+    obj = read_json(path, "taxonomy")
     try:
         return LabelVocabulary.from_json(obj)
     except (FileFormatError, ValidationError) as exc:  # e.g. a duplicate label
@@ -135,7 +181,10 @@ class Dataset:
 
 
 def validate_labels(labels: Iterable[str], vocabulary: LabelVocabulary) -> LabelSet:
-    """Return ``labels`` as a frozenset after checking membership."""
+    """Return ``labels`` as a frozenset after checking each is a vocabulary label."""
+    labels = tuple(labels)
+    if not all(isinstance(label, str) for label in labels):
+        raise ValidationError(f"labels must be strings, got {list(labels)!r}")
     members = frozenset(labels)
     unknown = members - set(vocabulary.labels)
     if unknown:
@@ -181,34 +230,18 @@ def load_dataset(path: str | Path, vocabulary: LabelVocabulary) -> Dataset:
     Errors carry the 1-based line number of the offending record.
     """
     samples: list[TextSample] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(
-                    f"malformed JSON record: {exc.msg}", path=str(path), line=lineno
-                ) from exc
-            if not isinstance(record, dict) or "text" not in record or "labels" not in record:
-                raise FileFormatError(
-                    "record must be an object with 'text' and 'labels'",
-                    path=str(path),
-                    line=lineno,
-                )
-            text = record["text"]
-            labels = record["labels"]
-            if not isinstance(text, str) or not text.strip():
-                raise ValidationError(f"line {lineno}: empty text")
-            if not isinstance(labels, list) or not labels:
-                raise ValidationError(f"line {lineno}: 'labels' must be a non-empty array")
-            unknown = set(labels) - set(vocabulary.labels)
-            if unknown:
-                raise ValidationError(
-                    f"line {lineno}: unknown label(s) {sorted(unknown)!r}"
-                )
-            samples.append(TextSample(text=text, labels=frozenset(labels)))
+    for lineno, record in read_json_lines(path, ("text", "labels")):
+        text = record["text"]
+        labels = record["labels"]
+        if not isinstance(text, str) or not text.strip():
+            raise ValidationError(f"line {lineno}: empty text")
+        if not isinstance(labels, list) or not labels:
+            raise ValidationError(f"line {lineno}: 'labels' must be a non-empty array")
+        try:
+            members = validate_labels(labels, vocabulary)
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+        samples.append(TextSample(text=text, labels=members))
     return Dataset(vocabulary=vocabulary, samples=tuple(samples))
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import JsonConfig
-from .dataset import Dataset
+from .dataset import Dataset, read_json_lines
 from .errors import (
     DegenerateEmbeddingError,
     FileFormatError,
@@ -223,47 +223,32 @@ def load_embeddings(path: str | Path, dataset: Dataset) -> np.ndarray:
     """
     rows: list[np.ndarray] = []
     dim: int | None = None
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            row = len(rows)
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(
-                    f"malformed JSON record: {exc.msg}", path=str(path), line=lineno
-                ) from exc
-            if not isinstance(record, dict) or "index" not in record or "vector" not in record:
-                raise FileFormatError(
-                    "record must be an object with 'index' and 'vector'",
-                    path=str(path),
-                    line=lineno,
-                )
-            if record["index"] != row:
-                raise FileFormatError(
-                    f"expected index {row}, got {record['index']}",
-                    path=str(path),
-                    line=lineno,
-                )
-            try:
-                vec = np.asarray(record["vector"], dtype=np.float64)
-            except (TypeError, ValueError):
-                vec = None
-            if vec is None or vec.ndim != 1 or vec.size == 0:
-                raise FileFormatError(
-                    "'vector' must be a non-empty flat array of numbers",
-                    path=str(path),
-                    line=lineno,
-                )
-            if dim is None:
-                dim = int(vec.shape[0])
-            elif vec.shape[0] != dim:
-                raise FileFormatError(
-                    f"dimension mismatch at row {row}: expected {dim}, got {vec.shape[0]}",
-                    path=str(path),
-                )
-            rows.append(vec)
+    for lineno, record in read_json_lines(path, ("index", "vector")):
+        row = len(rows)
+        if record["index"] != row:
+            raise FileFormatError(
+                f"expected index {row}, got {record['index']!r}",
+                path=str(path),
+                line=lineno,
+            )
+        try:
+            vec = np.asarray(record["vector"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            vec = None
+        if vec is None or vec.ndim != 1 or vec.size == 0:
+            raise FileFormatError(
+                "'vector' must be a non-empty flat array of numbers",
+                path=str(path),
+                line=lineno,
+            )
+        if dim is None:
+            dim = int(vec.shape[0])
+        elif vec.shape[0] != dim:
+            raise FileFormatError(
+                f"dimension mismatch at row {row}: expected {dim}, got {vec.shape[0]}",
+                path=str(path),
+            )
+        rows.append(vec)
     if len(rows) != len(dataset):
         raise ValidationError(
             f"embedding file has {len(rows)} rows but dataset has {len(dataset)} samples"

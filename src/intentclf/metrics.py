@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import read_json
 from .errors import DegenerateAucError, ValidationError
 
 
@@ -210,4 +211,4 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> EvalReport:
-    return EvalReport.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return EvalReport.from_json(read_json(path, "report"))

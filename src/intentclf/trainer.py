@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import JsonConfig
-from .dataset import LabelSet, LabelVocabulary
+from .config import JsonConfig, coerce
+from .dataset import LabelSet, LabelVocabulary, read_json
 from .embedding import ProviderConfig
 from .errors import (
     DegenerateProjectionError,
@@ -459,16 +459,21 @@ def projection_margin_gap(
 # persistence
 
 
-def _matrix(obj, name: str, shape_hint: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"field {name!r} is not a numeric array") from exc
-    if not np.all(np.isfinite(arr)):
-        raise FileFormatError(f"field {name!r} has non-finite entries")
-    if arr.ndim != len(shape_hint):
-        raise FileFormatError(f"field {name!r} must be {len(shape_hint)}-dimensional")
-    return arr
+# The named dimensions of each stored head array, in dataclass field order.
+# embed_dim and the label count are known before the arrays are read; the
+# hidden and projection widths are taken from the first array that has them.
+_HEAD_SHAPES = {
+    ("projection", "w1"): ("embed_dim", "hidden width"),
+    ("projection", "b1"): ("hidden width",),
+    ("projection", "w2"): ("hidden width", "projection width"),
+    ("projection", "b2"): ("projection width",),
+    ("classifier", "w"): ("projection width", "label count"),
+    ("classifier", "b"): ("label count",),
+}
+
+
+def _head_json(head: ProjectionHead | ClassifierHead) -> dict:
+    return {f.name: getattr(head, f.name).tolist() for f in fields(head)}
 
 
 def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
@@ -477,16 +482,8 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
         "format_version": artifact.format_version,
         "vocabulary": artifact.vocabulary.to_json(),
         "embed_dim": artifact.embed_dim,
-        "projection": {
-            "w1": artifact.projection.w1.tolist(),
-            "b1": artifact.projection.b1.tolist(),
-            "w2": artifact.projection.w2.tolist(),
-            "b2": artifact.projection.b2.tolist(),
-        },
-        "classifier": {
-            "w": artifact.classifier.w.tolist(),
-            "b": artifact.classifier.b.tolist(),
-        },
+        "projection": _head_json(artifact.projection),
+        "classifier": _head_json(artifact.classifier),
         "decision_threshold": artifact.decision_threshold,
         "config": {
             "train": artifact.train_config.to_json(),
@@ -498,61 +495,45 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
 
 def load_artifact(path: str | Path) -> ModelArtifact:
     """Load and validate a model artifact file."""
-    raw = Path(path).read_text(encoding="utf-8")
+    obj = read_json(path, "artifact")
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"artifact is not valid JSON: {exc}", path=str(path)) from exc
-    if not isinstance(obj, dict):
-        raise FileFormatError("artifact must be a JSON object", path=str(path))
-    version = obj.get("format_version")
-    if version != ARTIFACT_FORMAT_VERSION:
-        raise FileFormatError(
-            f"unknown artifact format_version {version!r} (supported: {ARTIFACT_FORMAT_VERSION})",
-            path=str(path),
-        )
-    try:
+        version = obj.get("format_version")
+        if version != ARTIFACT_FORMAT_VERSION:
+            raise FileFormatError(
+                f"unknown artifact format_version {version!r} (supported: {ARTIFACT_FORMAT_VERSION})"
+            )
         vocabulary = LabelVocabulary.from_json(obj["vocabulary"])
-        embed_dim = int(obj["embed_dim"])
-        proj_obj = obj["projection"]
-        cls_obj = obj["classifier"]
-        projection = ProjectionHead(
-            w1=_matrix(proj_obj["w1"], "projection.w1", "rc"),
-            b1=_matrix(proj_obj["b1"], "projection.b1", "r"),
-            w2=_matrix(proj_obj["w2"], "projection.w2", "rc"),
-            b2=_matrix(proj_obj["b2"], "projection.b2", "r"),
-        )
-        classifier = ClassifierHead(
-            w=_matrix(cls_obj["w"], "classifier.w", "rc"),
-            b=_matrix(cls_obj["b"], "classifier.b", "r"),
-        )
-        decision_threshold = float(obj["decision_threshold"])
+        embed_dim = coerce(obj["embed_dim"], int, "embed_dim")
+        sizes = {"embed_dim": embed_dim, "label count": len(vocabulary)}
+        heads: dict[str, dict[str, np.ndarray]] = {}
+        for (head, name), dims in _HEAD_SHAPES.items():
+            key, value = f"{head}.{name}", obj[head][name]
+            try:
+                arr = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise FileFormatError(f"field {key!r} is not a numeric array") from exc
+            if not np.all(np.isfinite(arr)):
+                raise FileFormatError(f"field {key!r} has non-finite entries")
+            if arr.ndim != len(dims):
+                raise FileFormatError(f"field {key!r} must be {len(dims)}-dimensional")
+            for dim, size in zip(dims, arr.shape):
+                if sizes.setdefault(dim, size) != size:
+                    raise FileFormatError(f"field {key!r} has shape {arr.shape}, but the {dim} is {sizes[dim]}")
+            heads.setdefault(head, {})[name] = arr
+        decision_threshold = coerce(obj["decision_threshold"], float, "decision_threshold")
         config_obj = obj["config"]
         train_config = TrainConfig.from_json(config_obj["train"])
         provider_obj = config_obj.get("provider")
         provider = ProviderConfig.from_json(provider_obj) if provider_obj else None
+    except FileFormatError as exc:
+        raise FileFormatError(str(exc), path=str(path)) from exc
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FileFormatError):
-            raise
         raise FileFormatError(f"artifact is missing or mistypes a field: {exc}", path=str(path)) from exc
-    if projection.w1.shape[0] != embed_dim:
-        raise FileFormatError(
-            f"projection expects input dim {projection.w1.shape[0]} but embed_dim is {embed_dim}",
-            path=str(path),
-        )
-    if projection.w1.shape[1] != projection.b1.shape[0] or projection.w2.shape[0] != projection.w1.shape[1]:
-        raise FileFormatError("projection layer dims are inconsistent", path=str(path))
-    if projection.w2.shape[1] != projection.b2.shape[0]:
-        raise FileFormatError("projection output dims are inconsistent", path=str(path))
-    if classifier.w.shape[0] != projection.w2.shape[1]:
-        raise FileFormatError("classifier input dim does not match projection output", path=str(path))
-    if classifier.w.shape[1] != len(vocabulary) or classifier.b.shape[0] != len(vocabulary):
-        raise FileFormatError("classifier output dim does not match vocabulary size", path=str(path))
     return ModelArtifact(
         vocabulary=vocabulary,
         embed_dim=embed_dim,
-        projection=projection,
-        classifier=classifier,
+        projection=ProjectionHead(**heads["projection"]),
+        classifier=ClassifierHead(**heads["classifier"]),
         decision_threshold=decision_threshold,
         train_config=train_config,
         provider=provider,

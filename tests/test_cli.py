@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import signal
@@ -12,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import intentclf
 
@@ -588,3 +592,91 @@ class TestConfigFile:
         }))
         assert main(["train", "--config", str(cfg)]) == 0
         assert out.read_bytes() == workspace["model"].read_bytes()
+
+
+def _argv_reading(kind: str, workspace, path, out) -> list[str]:
+    """A command that reads ``path`` as its ``kind`` input, the rest from ``workspace``."""
+    files = {name: str(workspace[name]) for name in ("taxonomy", "dataset", "embeddings", "model")}
+    files[kind] = str(path)
+    generate = ["generate", "--taxonomy", files["taxonomy"], "--offline", "--per-class", "1", "--out", str(out)]
+    return {
+        "taxonomy": generate,
+        "combos": [*generate, "--combos", str(path)],
+        "config": [*generate, "--config", str(path)],
+        "dataset": ["embed", "--taxonomy", files["taxonomy"], "--dataset", files["dataset"],
+                    "--provider", "toy", "--dim", "8", "--out", str(out)],
+        "embeddings": ["eval", "--taxonomy", files["taxonomy"], "--dataset", files["dataset"],
+                       "--embeddings", files["embeddings"], "--model", files["model"],
+                       "--holdout-fraction", "0.2", "--split-seed", "3", "--out", str(out)],
+        "model": ["predict", "--model", files["model"], "--text", "eta of the tanker ACHERON?"],
+    }[kind]
+
+
+_INPUT_KINDS = ("taxonomy", "combos", "config", "dataset", "embeddings", "model")
+
+
+_BAD_INPUTS = [
+    *(pytest.param(kind, '{"labels": ["Überfahrt"]}'.encode("latin-1"), 3, id=f"{kind}-latin-1")
+      for kind in _INPUT_KINDS),
+    # int() refuses 5,000 digits
+    *(pytest.param(kind, b"9" * 5000, 3, id=f"{kind}-long-integer") for kind in _INPUT_KINDS),
+    pytest.param("config", b"[" * 200_000, 3, id="config-too-deep"),
+    pytest.param("dataset", b'{"text": "eta?", "labels": [["x"]]}', 2, id="dataset-nested-label"),
+    pytest.param("dataset", b'{"text": "eta?", "labels": [1, null]}', 2, id="dataset-non-string-labels"),
+    pytest.param("combos", b'[[["a"]]]', 3, id="combos-nested-label"),
+    pytest.param("combos", b"[[1, null]]", 3, id="combos-non-string-labels"),
+    pytest.param("taxonomy", b'{"labels": ["a", "b"], "descriptions": {"a": 5}}', 3, id="taxonomy-description"),
+    pytest.param("model", b'{"format_version": 1, "vocabulary": {"labels": ["a"]}, "embed_dim": 1e400}', 3,
+                 id="model-embed-dim-overflow"),
+]
+
+
+@pytest.mark.parametrize("kind, content, code", _BAD_INPUTS)
+def test_bad_input_file_exits_with_one_error_line(workspace, tmp_path, capsys, kind, content, code):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    capsys.readouterr()
+    assert main(_argv_reading(kind, workspace, bad, tmp_path / "out")) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    # a file problem names the file, a dataset label problem its line
+    assert str(bad) in err[0] if code == 3 else err[0].startswith("error: line 1: "), err
+
+
+# object keys of every input format, so generated values reach past the
+# top-level type checks
+_FORMAT_KEYS = st.sampled_from([
+    "labels", "descriptions", "text", "index", "vector", "format_version", "vocabulary",
+    "embed_dim", "projection", "classifier", "w1", "b1", "w2", "b2", "w", "b",
+    "decision_threshold", "config", "train", "provider", "generate", "split", "mining", "ofc",
+])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_FORMAT_KEYS | st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=256),
+    _JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    st.lists(_JSON_VALUES, max_size=4).map(lambda rows: "\n".join(map(json.dumps, rows)).encode()),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("kind", _INPUT_KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(content=_FILE_BYTES)
+def test_any_input_file_exits_with_a_documented_code(workspace, fuzz_dir, kind, content):
+    path = fuzz_dir / f"{kind}.input"
+    path.write_bytes(content)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(_argv_reading(kind, workspace, path, fuzz_dir / "out"))
+    assert code in (0, 2, 3, 4)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

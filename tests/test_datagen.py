@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import intentclf
 import intentclf.httpclient as httpclient
 from intentclf import (
     GenerationError,
@@ -277,3 +283,28 @@ class TestLLMGenerate:
             )
         assert len(ds) == 3
         assert len(state.calls) == 4
+
+    def test_combo_draws_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # each class answers with its own numbered queries, so combo texts
+        # show which query each label's draw picked
+        script = (
+            "import sys\n"
+            "from intentclf import datagen, default_taxonomy, save_dataset, two_label_combos\n"
+            "def answer(template, config):\n"
+            "    texts = tuple(f'{template.class_label} {i}' for i in range(template.sample_count))\n"
+            "    return datagen.GenerationResult(template.class_label, texts, template.sample_count)\n"
+            "datagen.generate_class = answer\n"
+            "vocab = default_taxonomy()\n"
+            "config = datagen.LLMClientConfig(endpoint_url='http://127.0.0.1:9', model_name='m')\n"
+            "combos = two_label_combos(vocab, 20, seed=1)\n"
+            "save_dataset(datagen.llm_generate(vocab, 5, combos, config, seed=3), sys.argv[1])\n"
+        )
+        src = str(Path(intentclf.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"hash{hash_seed}.jsonl"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, timeout=60)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

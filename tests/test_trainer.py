@@ -361,6 +361,33 @@ class TestArtifactPersistence:
         with pytest.raises(FileFormatError):
             load_artifact(path)
 
+    @pytest.mark.parametrize(
+        "head, name, edit",
+        [
+            (None, "embed_dim", lambda d: d + 1),  # w1 rows vs embed_dim
+            ("projection", "b1", lambda b: b[:-1]),  # b1 vs w1 columns
+            ("projection", "w2", lambda w: w[:-1]),  # w2 rows vs w1 columns
+            ("projection", "b2", lambda b: b[:-1]),  # b2 vs w2 columns
+            ("classifier", "w", lambda w: w[:-1]),  # rows vs projection output
+            ("classifier", "w", lambda w: [row[:-1] for row in w]),  # columns vs labels
+            ("classifier", "b", lambda b: b[:-1]),  # b vs labels
+            ("projection", "w1", lambda w: [[math.nan, *w[0][1:]], *w[1:]]),
+            ("classifier", "b", lambda b: [math.inf, *b[1:]]),
+            ("projection", "w2", lambda w: [["x", *w[0][1:]], *w[1:]]),
+            ("projection", "b1", lambda b: {"values": b}),
+            ("projection", "w1", lambda w: w[0]),  # wrong ndim
+            ("classifier", "b", lambda b: [b]),
+        ],
+    )
+    def test_each_shape_and_value_rule(self, tmp_path, small_vocab, separable_samples, head, name, edit):
+        _, path = self._trained(small_vocab, separable_samples, tmp_path)
+        obj = json.loads(path.read_text())
+        parent = obj if head is None else obj[head]
+        parent[name] = edit(parent[name])
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FileFormatError):
+            load_artifact(path)
+
 
 class TestMarginGap:
     def test_crafted_gap(self):
