@@ -1,5 +1,5 @@
 """Label taxonomy, sample records, multi-hot encoding, splitting, and the JSON
-and JSON Lines readers that parse every input file of the pipeline.
+and JSON Lines readers that parse every text input file of the pipeline.
 
 A dataset file is UTF-8 JSON Lines: each line is an object with ``text``
 (string) and ``labels`` (array of strings). A taxonomy file is a JSON object

@@ -7,8 +7,7 @@ Three provider kinds exist:
 * ``http`` - a remote encoder speaking ``POST {"texts": [..]} ->
   {"vectors": [[..], ..]}``;
 * ``file`` - precomputed vectors aligned row-for-row with a dataset, stored
-  as JSON Lines ``{"index": <int>, "vector": [..]}`` with ``index`` ascending
-  from 0.
+  as one n x d ``.npy`` matrix, numpy's own binary format.
 
 Every provider normalizes at the boundary, so cosine similarity downstream is
 a plain dot product.
@@ -18,7 +17,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
+import math
+import os
+import tokenize
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -26,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import JsonConfig
-from .dataset import Dataset, read_json_lines
+from .dataset import Dataset
 from .errors import (
     DegenerateEmbeddingError,
     FileFormatError,
@@ -75,12 +77,15 @@ def l2_normalize(v: Sequence[float] | np.ndarray) -> EmbeddingVector:
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"expected a non-empty 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    peak = np.abs(arr).max()  # NaN when an entry is NaN
+    if not math.isfinite(peak):
         raise ValidationError("vector has non-finite entries")
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
+    if peak == 0.0:
         raise DegenerateEmbeddingError("cannot normalize a zero vector")
-    return arr / norm
+    if not 1e-150 < peak < 1e150:
+        # the sum of squares would overflow to inf or underflow towards 0
+        arr = arr / peak
+    return arr / float(np.linalg.norm(arr))
 
 
 def _trigrams(text: str) -> list[str]:
@@ -184,77 +189,66 @@ def embed_dataset(dataset: Dataset, config: ProviderConfig) -> np.ndarray:
     return np.array(vectors, dtype=np.float64).reshape(len(vectors), config.dim)
 
 
-def _vector_json(row: np.ndarray) -> str:
-    """``json.dumps(row.tolist())`` for a 1-D float64 ``row``.
-
-    Rendering floats is most of the cost. When at most half of a row's values
-    are distinct, as in toy vectors (a handful of counts over one norm), each
-    distinct value is rendered once and the list is gathered from those
-    renderings. Values are told apart by bit pattern, so ``-0.0`` stays
-    ``-0.0``. Other rows, such as an encoder's, are rendered whole; telling
-    the two kinds apart costs one sort of the row.
-    """
-    bits = row.view(np.int64)
-    ordered = np.sort(bits)
-    if 2 * np.count_nonzero(ordered[1:] != ordered[:-1]) >= row.size:
-        return json.dumps(row.tolist())
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    words = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
-    return "[" + ", ".join(np.array(words, dtype=object)[inverse].tolist()) + "]"
+# numpy's .npy header readers, by format version; 3.0 only adds UTF-8 field
+# names, which a numeric matrix does not have
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
 
 
-def save_embeddings(vectors: Sequence[np.ndarray], path: str | Path) -> None:
-    """Write vectors as JSON Lines with ascending ``index`` starting at 0.
-
-    Each line is byte for byte what ``json.dumps({"index": i, "vector": [floats]})``
-    gives, ``NaN`` and ``Infinity`` included.
-    """
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for index, vec in enumerate(vectors):
-            vector = _vector_json(np.asarray(vec, dtype=np.float64))
-            fh.write('{"index": %d, "vector": %s}\n' % (index, vector))
+def save_embeddings(vectors: Sequence[np.ndarray] | np.ndarray, path: str | Path) -> None:
+    """Write ``vectors`` to exactly ``path`` as one n x d float64 ``.npy`` matrix."""
+    matrix = np.asarray(vectors, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValidationError(f"embeddings must be an n x d matrix, got shape {matrix.shape}")
+    # through an open file: np.save would add ".npy" to a path that lacks it
+    with Path(path).open("wb") as fh:
+        np.save(fh, matrix, allow_pickle=False)
 
 
 def load_embeddings(path: str | Path, dataset: Dataset) -> np.ndarray:
-    """Read an embedding file aligned row-for-row with ``dataset`` as an n x d matrix.
+    """Read a ``.npy`` matrix aligned row-for-row with ``dataset``, rows normalized.
 
-    Vectors are normalized on load. Rows must carry ``index`` equal to their
-    0-based position, share one dimension, and match the dataset row count.
+    The file must hold a 2-D float or integer array whose data is exactly as
+    long as its header claims; anything else is a :class:`FileFormatError`
+    naming ``path``, raised before the data is read. The row count must match
+    the dataset (:class:`ValidationError`), and each row must be finite and
+    non-zero (see :func:`l2_normalize`).
     """
-    rows: list[np.ndarray] = []
-    dim: int | None = None
-    for lineno, record in read_json_lines(path, ("index", "vector")):
-        row = len(rows)
-        if record["index"] != row:
-            raise FileFormatError(
-                f"expected index {row}, got {record['index']!r}",
-                path=str(path),
-                line=lineno,
-            )
+    with Path(path).open("rb") as fh:
         try:
-            vec = np.asarray(record["vector"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            vec = None
-        if vec is None or vec.ndim != 1 or vec.size == 0:
+            with warnings.catch_warnings():
+                # numpy warns on Python 2 headers and deprecated dtype aliases
+                warnings.simplefilter("ignore")
+                version = np.lib.format.read_magic(fh)
+                if version not in _NPY_HEADER_READERS:
+                    raise ValueError(f"unsupported format version {version[0]}.{version[1]}")
+                shape, fortran_order, dtype = _NPY_HEADER_READERS[version](fh)
+        except (ValueError, IndexError, tokenize.TokenError) as exc:  # what numpy's parser raises
+            reason = " ".join(str(exc).split())
+            raise FileFormatError(f"unreadable .npy header: {reason}", path=str(path)) from exc
+        if dtype.kind not in "fiu":
+            raise FileFormatError(f"embeddings must be float or integer, got {dtype}", path=str(path))
+        if len(shape) != 2 or shape[0] < 0 or shape[1] < 1:
             raise FileFormatError(
-                "'vector' must be a non-empty flat array of numbers",
-                path=str(path),
-                line=lineno,
+                f"embeddings must be a 2-D matrix with columns, got shape {shape}", path=str(path)
             )
-        if dim is None:
-            dim = int(vec.shape[0])
-        elif vec.shape[0] != dim:
+        rows, cols = shape
+        data_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if rows * cols * dtype.itemsize != data_bytes:
             raise FileFormatError(
-                f"dimension mismatch at row {row}: expected {dim}, got {vec.shape[0]}",
+                f"header claims a {rows} x {cols} {dtype} matrix, but {data_bytes} data bytes follow",
                 path=str(path),
             )
-        rows.append(vec)
-    if len(rows) != len(dataset):
-        raise ValidationError(
-            f"embedding file has {len(rows)} rows but dataset has {len(dataset)} samples"
-        )
+        if rows != len(dataset):
+            raise ValidationError(
+                f"embedding file has {rows} rows but dataset has {len(dataset)} samples"
+            )
+        flat = np.fromfile(fh, dtype=dtype, count=rows * cols)
+    x = flat.reshape(shape, order="F" if fortran_order else "C")
+    x = x.astype(np.float64, order="C", copy=False)
     # per row: a batched norm over axis 1 rounds differently on some rows
-    x = np.empty((len(rows), dim or 0))
-    for row, vec in enumerate(rows):
-        x[row] = l2_normalize(vec)
+    for row in x:
+        row[:] = l2_normalize(row)
     return x

@@ -128,17 +128,10 @@ def mcc(pred, truth) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties getting the mean rank of their block."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, block, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    # a block of c ties ending at rank e spans e-c+1..e: a half-integer mean, exact
+    return ((2 * ends - counts + 1) / 2.0)[block]
 
 
 def auc(scores, truth) -> float:

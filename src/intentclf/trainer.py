@@ -498,7 +498,8 @@ def load_artifact(path: str | Path) -> ModelArtifact:
     obj = read_json(path, "artifact")
     try:
         version = obj.get("format_version")
-        if version != ARTIFACT_FORMAT_VERSION:
+        # exactly the JSON integer: true and 1.0 compare equal to 1
+        if type(version) is not int or version != ARTIFACT_FORMAT_VERSION:
             raise FileFormatError(
                 f"unknown artifact format_version {version!r} (supported: {ARTIFACT_FORMAT_VERSION})"
             )
@@ -521,6 +522,8 @@ def load_artifact(path: str | Path) -> ModelArtifact:
                     raise FileFormatError(f"field {key!r} has shape {arr.shape}, but the {dim} is {sizes[dim]}")
             heads.setdefault(head, {})[name] = arr
         decision_threshold = coerce(obj["decision_threshold"], float, "decision_threshold")
+        if not 0.0 < decision_threshold < 1.0:
+            raise FileFormatError(f"decision_threshold must be in (0,1), got {decision_threshold!r}")
         config_obj = obj["config"]
         train_config = TrainConfig.from_json(config_obj["train"])
         provider_obj = config_obj.get("provider")

@@ -9,7 +9,6 @@ lists; ``pair_sims`` and ``entries`` convert at the package's array boundary.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -147,7 +146,7 @@ def sim_grads_to_z_loop(grads, pairs, z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the toy embedder and the embeddings writer, as the original per-item loops
+# the toy embedder, as the original per-item loop
 
 
 def toy_acc_loop(text: str, dim: int, seed: int) -> np.ndarray:
@@ -172,14 +171,6 @@ def toy_embed_loop(text: str, dim: int, seed: int) -> np.ndarray:
         digest = hashlib.blake2b(whole, key=key, digest_size=9).digest()
         acc[int.from_bytes(digest[:8], "little") % dim] = 1.0 if digest[8] & 1 else -1.0
     return acc / float(np.linalg.norm(acc))
-
-
-def save_embeddings_loop(vectors, path) -> None:
-    """One ``json.dumps`` of a whole record per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for index, vec in enumerate(vectors):
-            record = {"index": index, "vector": [float(x) for x in np.asarray(vec)]}
-            fh.write(json.dumps(record) + "\n")
 
 
 # ---------------------------------------------------------------------------

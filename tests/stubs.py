@@ -1,4 +1,5 @@
-"""A tiny scriptable HTTP server for exercising the remote-client paths."""
+"""Test doubles: a tiny scriptable HTTP server for exercising the remote-client
+paths, and hand-built ``.npy`` files for the embeddings loader."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import json
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import numpy as np
 
 
 class StubState:
@@ -68,3 +71,12 @@ def stub_server(responses):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+def npy_bytes(descr, shape, fortran_order=False, payload: bytes = b"", version=(1, 0)) -> bytes:
+    """A ``.npy`` file whose header holds the reprs of ``descr``, ``shape`` and
+    ``fortran_order`` as given, valid or not, followed by ``payload``."""
+    header = "{'descr': %r, 'fortran_order': %r, 'shape': %r, }\n" % (descr, fortran_order, shape)
+    header_bytes = header.encode("utf-8")
+    size = len(header_bytes).to_bytes(2 if version == (1, 0) else 4, "little")
+    return np.lib.format.MAGIC_PREFIX + bytes(version) + size + header_bytes + payload

@@ -9,6 +9,7 @@ import socket
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import intentclf
 
@@ -32,6 +34,7 @@ import intentclf.service as service
 from intentclf.cli import main
 from intentclf.metrics import load_report
 from intentclf import evaluate, label_matrix, score_samples
+from stubs import npy_bytes
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +54,7 @@ def workspace(tmp_path_factory):
         "taxonomy": taxonomy,
         "combos": combos,
         "dataset": root / "dataset.jsonl",
-        "embeddings": root / "embeddings.jsonl",
+        "embeddings": root / "embeddings.npy",
         "model": root / "model.json",
         "report": root / "report.json",
     }
@@ -149,19 +152,19 @@ class TestEmbed:
         x = load_embeddings(workspace["embeddings"], dataset)
         assert x.shape == (len(dataset), 64)
 
-    def test_empty_dataset_embeds_to_empty_file(self, workspace, tmp_path):
+    def test_empty_dataset_embeds_to_zero_row_matrix(self, workspace, tmp_path):
         dataset = tmp_path / "empty.jsonl"
         dataset.write_text("", encoding="utf-8")
-        out = tmp_path / "empty_embeddings.jsonl"
+        out = tmp_path / "empty_embeddings.npy"
         assert main([
             "embed", "--taxonomy", str(workspace["taxonomy"]), "--dataset", str(dataset),
             "--provider", "toy", "--dim", "64", "--out", str(out),
         ]) == 0
-        assert out.read_bytes() == b""
+        assert np.load(out).shape == (0, 64)
 
     def test_file_provider_normalizes_passthrough(self, workspace, tmp_path):
         outs = []
-        for name in ("copy_a.jsonl", "copy_b.jsonl"):
+        for name in ("copy_a.npy", "copy_b.npy"):
             out = tmp_path / name
             assert main([
                 "embed", "--taxonomy", str(workspace["taxonomy"]),
@@ -172,9 +175,7 @@ class TestEmbed:
         # renormalization may flip last-ulp bits vs the source, but the
         # passthrough itself is deterministic and numerically unchanged
         assert outs[0].read_bytes() == outs[1].read_bytes()
-        src = [json.loads(l)["vector"] for l in workspace["embeddings"].read_text().splitlines()]
-        dst = [json.loads(l)["vector"] for l in outs[0].read_text().splitlines()]
-        assert np.allclose(src, dst, atol=1e-12)
+        assert np.allclose(np.load(workspace["embeddings"]), np.load(outs[0]), atol=1e-12)
 
 
 class TestTrain:
@@ -209,27 +210,27 @@ class TestTrain:
         code = main([
             "train", "--taxonomy", str(workspace["taxonomy"]),
             "--dataset", str(workspace["dataset"]),
-            "--embeddings", str(tmp_path / "missing.jsonl"),
+            "--embeddings", str(tmp_path / "missing.npy"),
             "--out", str(tmp_path / "m.json"),
         ])
         assert code == 3
 
     @pytest.mark.parametrize(
-        "vector", [["q", 1], 3, [[0.5, 0.5]], [0.5, [0.5]], []],
+        "vectors",
+        [np.array([["q", "1"]]), np.float64(3.0), np.zeros((2, 2, 2)),
+         np.array([[0.5, 0.5], [0.5]], dtype=object), np.zeros((3, 0))],
         ids=["non-numeric", "scalar", "nested", "ragged", "empty"],
     )
-    def test_malformed_embedding_vector_exits_3(self, workspace, tmp_path, capsys, vector):
-        lines = workspace["embeddings"].read_text().splitlines()
-        lines[1] = json.dumps({"index": 1, "vector": vector})
-        embeddings = tmp_path / "bad.jsonl"
-        embeddings.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def test_malformed_embedding_vector_exits_3(self, workspace, tmp_path, capsys, vectors):
+        embeddings = tmp_path / "bad.npy"
+        np.save(embeddings, vectors, allow_pickle=True)
         code = main([
             "train", "--taxonomy", str(workspace["taxonomy"]),
             "--dataset", str(workspace["dataset"]),
             "--embeddings", str(embeddings), "--out", str(tmp_path / "m.json"),
         ])
         assert code == 3
-        assert f"{embeddings}:2]" in capsys.readouterr().err
+        assert f"[{embeddings}]" in capsys.readouterr().err
 
     def test_bad_fraction_exits_2(self, workspace, tmp_path):
         code = main([
@@ -288,7 +289,7 @@ class TestEval:
         t = tmp_path / "t.json"
         save_vocabulary(vocab, t)
         args = {
-            "d": tmp_path / "d.jsonl", "e": tmp_path / "e.jsonl",
+            "d": tmp_path / "d.jsonl", "e": tmp_path / "e.npy",
             "m": tmp_path / "m.json", "r": tmp_path / "r.json",
         }
         assert main(["generate", "--taxonomy", str(t), "--offline",
@@ -313,7 +314,7 @@ class TestEval:
     def test_one_class_holdout_reports_auc_null_and_exits_0(self, workspace, tmp_path, capsys):
         # every row carries every label: the holdout has no negative cell
         labels = list(default_taxonomy().labels)
-        dataset, embeddings, report = tmp_path / "d.jsonl", tmp_path / "e.jsonl", tmp_path / "r.json"
+        dataset, embeddings, report = tmp_path / "d.jsonl", tmp_path / "e.npy", tmp_path / "r.json"
         dataset.write_text(
             "".join(json.dumps({"text": f"eta fuel berth query {i}", "labels": labels}) + "\n" for i in range(10)),
             encoding="utf-8",
@@ -361,9 +362,24 @@ class TestPredict:
     def test_missing_model_exits_3(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "nope.json"), "--text", "x"]) == 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("decision_threshold", 5), ("decision_threshold", -1), ("decision_threshold", 0.0),
+        ("decision_threshold", 1.0), ("format_version", True), ("format_version", 1.0),
+    ])
+    def test_out_of_contract_model_field_exits_3(self, workspace, tmp_path, capsys, field, value):
+        # a threshold outside (0,1) would answer the argmax label or every
+        # label; true and 1.0 compare equal to the format version 1
+        model = json.loads(workspace["model"].read_text())
+        model[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        assert main(["predict", "--model", str(path), "--text", "eta?"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and field in err[0] and str(path) in err[0], err
+
 
 class TestServe:
-    @pytest.mark.parametrize("provider", [{"kind": "file", "dim": 64, "path": "e.jsonl"}, None])
+    @pytest.mark.parametrize("provider", [{"kind": "file", "dim": 64, "path": "e.npy"}, None])
     def test_model_that_cannot_embed_text_exits_2_before_binding(
         self, workspace, tmp_path, monkeypatch, capsys, provider
     ):
@@ -628,6 +644,20 @@ _BAD_INPUTS = [
     pytest.param("taxonomy", b'{"labels": ["a", "b"], "descriptions": {"a": 5}}', 3, id="taxonomy-description"),
     pytest.param("model", b'{"format_version": 1, "vocabulary": {"labels": ["a"]}, "embed_dim": 1e400}', 3,
                  id="model-embed-dim-overflow"),
+    # .npy embeddings that np.load would allocate for, warn on, fail on with
+    # another exception, or load
+    pytest.param("embeddings", npy_bytes("<f8", (10**9, 10**9)), 3, id="embeddings-huge-shape"),
+    pytest.param("embeddings", npy_bytes("<f8", (2**64, 2**64)), 3, id="embeddings-overflowing-shape"),
+    pytest.param("embeddings", npy_bytes("<f8", (-2, -2), payload=bytes(32)), 3, id="embeddings-negative-shape"),
+    pytest.param("embeddings", b"PK\x03\x04" + bytes(60), 3, id="embeddings-zip"),
+    pytest.param("embeddings", b"", 3, id="embeddings-empty-file"),
+    pytest.param("embeddings", b"0.5 0.25\n0.25 0.5\n", 3, id="embeddings-text"),
+    pytest.param("embeddings", npy_bytes("<c16", (2, 2), payload=bytes(64)), 3, id="embeddings-complex"),
+    pytest.param("embeddings", npy_bytes("<U3", (2, 2), payload=bytes(48)), 3, id="embeddings-unicode"),
+    pytest.param("embeddings", npy_bytes("|b1", (2, 2), payload=bytes(4)), 3, id="embeddings-bool"),
+    pytest.param("embeddings", npy_bytes("<f8", (2, 2), payload=bytes(31)), 3, id="embeddings-truncated"),
+    pytest.param("embeddings", npy_bytes("<f8", (2, 2), payload=bytes(33)), 3, id="embeddings-trailing-byte"),
+    pytest.param("embeddings", npy_bytes("<f8", (2, 2), version=(3, 0)), 3, id="embeddings-version-3"),
 ]
 
 
@@ -636,7 +666,9 @@ def test_bad_input_file_exits_with_one_error_line(workspace, tmp_path, capsys, k
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     capsys.readouterr()
-    assert main(_argv_reading(kind, workspace, bad, tmp_path / "out")) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print a second stderr line
+        assert main(_argv_reading(kind, workspace, bad, tmp_path / "out")) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     # a file problem names the file, a dataset label problem its line
@@ -660,6 +692,37 @@ _FILE_BYTES = st.one_of(
     _JSON_VALUES.map(lambda value: json.dumps(value).encode()),
     st.lists(_JSON_VALUES, max_size=4).map(lambda rows: "\n".join(map(json.dumps, rows)).encode()),
 )
+_NPY_DTYPES = st.sampled_from(["<f8", ">f4", "<f2", "<i4", "|u1", "|b1", "<c16", "<U3", "<M8[s]"])
+
+
+def _saved(array: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def _npy_files(rows: int):
+    """``.npy`` embeddings files for a dataset of ``rows`` samples.
+
+    Valid arrays of random dtype and shape (some with the right row count),
+    hand-built headers with random fields, valid files cut short at random,
+    and random bytes.
+    """
+    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=8) | st.tuples(
+        st.just(rows), st.sampled_from([0, 1, 64])
+    )
+    valid = hnp.arrays(_NPY_DTYPES, shapes).map(_saved)
+    dims = st.integers(-2, 8) | st.sampled_from([10**9, 2**63, 2**64])
+    headers = st.builds(
+        npy_bytes,
+        descr=_NPY_DTYPES | st.text(max_size=6) | _JSON_VALUES,
+        shape=st.lists(dims, max_size=3).map(tuple) | _JSON_VALUES,
+        fortran_order=st.booleans() | _JSON_VALUES,
+        payload=st.binary(max_size=64),
+        version=st.sampled_from([(1, 0), (2, 0), (3, 0)]),
+    )
+    cut = st.tuples(valid, st.floats(0, 1)).map(lambda pair: pair[0][: int(len(pair[0]) * pair[1])])
+    return st.one_of(valid, headers, cut, st.binary(max_size=256))
 
 
 @pytest.fixture(scope="module")
@@ -669,8 +732,13 @@ def fuzz_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("kind", _INPUT_KINDS)
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(content=_FILE_BYTES)
-def test_any_input_file_exits_with_a_documented_code(workspace, fuzz_dir, kind, content):
+@given(data=st.data())
+def test_any_input_file_exits_with_a_documented_code(workspace, fuzz_dir, kind, data):
+    if kind == "embeddings":
+        rows = len(load_dataset(workspace["dataset"], default_taxonomy()))
+        content = data.draw(_npy_files(rows), label="content")
+    else:
+        content = data.draw(_FILE_BYTES, label="content")
     path = fuzz_dir / f"{kind}.input"
     path.write_bytes(content)
     err = io.StringIO()

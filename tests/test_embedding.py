@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import itertools
-import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from intentclf import (
     save_embeddings,
     toy_embed,
 )
-from bf_oracles import save_embeddings_loop, toy_acc_loop, toy_embed_loop
-from stubs import stub_server
+from bf_oracles import toy_acc_loop, toy_embed_loop
+from stubs import npy_bytes, stub_server
 
 
 @pytest.fixture(autouse=True)
@@ -57,6 +58,15 @@ class TestL2Normalize:
     def test_zero_vector(self):
         with pytest.raises(DegenerateEmbeddingError):
             l2_normalize([0.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 5e-324])
+    def test_sum_of_squares_out_of_range(self, scale):
+        # squares of 1e300 overflow to inf and of 1e-300 underflow to 0:
+        # neither may give a zero vector, a refusal or a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = l2_normalize([3.0 * scale, 4.0 * scale])
+        assert np.allclose(got, [0.6, 0.8])
 
     def test_non_finite(self):
         with pytest.raises(ValidationError):
@@ -144,74 +154,74 @@ class TestToyEmbedOracle:
         assert embedding._hash_trigram.cache_info().misses - misses > bound
 
 
-class TestSaveEmbeddingsOracle:
-    def test_file_bytes_match_one_dumps_per_record(self, tmp_path):
-        rng = np.random.default_rng(7)
-        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-320,
-                   1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5,
-                   float("nan"), float("inf"), float("-inf")]
-        rows = [
-            np.array([0.0, -0.0, 0.0, -0.0, 1.0]),
-            np.array([5e-324, -5e-324, 2.2250738585072014e-308, 1e-320, 5e-324]),
-            np.array([1e308, -1e308, 1.7976931348623157e308, -0.0, 1e308]),
-            np.full(256, 0.0625),
-            toy_embed("estimated time of arrival", 256, 42),
-            rng.normal(size=256),
-            np.where(rng.random(256) < 0.5, -0.0, rng.normal(size=256)),
-            np.array([0.25, 0.25, -0.0, 0.25]),  # 2 of 4 distinct: gathered
-            np.array([0.25, 0.5, -0.0, 0.25]),  # 3 of 4 distinct: rendered whole
-            np.array([float("nan"), float("inf"), float("-inf"), float("nan")]),
-            rng.normal(size=16).astype(np.float32),
-            np.arange(-3, 4),
-            [0.5, -0.0, 0.5],
-            np.array([]),
-        ]
-        rows += [rng.choice(special, size=int(rng.integers(1, 40))) for _ in range(200)]
-        got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
-        save_embeddings(rows, got)
-        save_embeddings_loop(rows, want)
-        assert got.read_bytes() == want.read_bytes()
-
-
 class TestEmbeddingFile:
     def test_round_trip(self, tmp_path, tiny_dataset):
-        vectors = [toy_embed(s.text, 8, 0) for s in tiny_dataset.samples]
-        path = tmp_path / "e.jsonl"
-        save_embeddings(vectors, path)
-        loaded = load_embeddings(path, tiny_dataset)
-        assert loaded.shape == (3, 8)
-        for i, row in enumerate(loaded):
-            assert np.allclose(row, vectors[i])
+        # toy rows and an encoder's dense rows, unnormalized
+        rng = np.random.default_rng(5)
+        for rows in ([toy_embed(s.text, 8, 0) * 3.0 for s in tiny_dataset.samples], rng.normal(size=(3, 8))):
+            path = tmp_path / "e.npy"
+            save_embeddings(rows, path)
+            loaded = load_embeddings(path, tiny_dataset)
+            want = np.array([l2_normalize(row) for row in rows])
+            assert loaded.shape == (3, 8) and loaded.flags.c_contiguous
+            assert loaded.tobytes() == want.tobytes()
 
-    def test_dimension_mismatch_names_row(self, tmp_path, tiny_dataset):
-        path = tmp_path / "e.jsonl"
-        rows = [
-            {"index": 0, "vector": [1.0] * 4},
-            {"index": 1, "vector": [1.0] * 4},
-            {"index": 2, "vector": [1.0] * 3},
-        ]
-        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-        with pytest.raises(FileFormatError, match="row 2"):
-            load_embeddings(path, tiny_dataset)
+    def test_writes_exactly_the_path_given(self, tmp_path, tiny_dataset):
+        path = tmp_path / "embeddings.jsonl"
+        save_embeddings(np.eye(3), str(path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["embeddings.jsonl"]
+        assert np.load(path).tobytes() == np.eye(3).tobytes()
+
+    def test_save_needs_a_matrix(self, tmp_path):
+        with pytest.raises(ValidationError, match="n x d matrix"):
+            save_embeddings(np.ones(4), tmp_path / "e.npy")
 
     def test_row_count_mismatch_reports_both_counts(self, tmp_path, tiny_dataset):
-        path = tmp_path / "e.jsonl"
+        path = tmp_path / "e.npy"
         save_embeddings([np.ones(4), np.ones(4)], path)
         with pytest.raises(ValidationError, match=r"2 rows.*3 samples"):
             load_embeddings(path, tiny_dataset)
 
-    def test_index_must_ascend_from_zero(self, tmp_path, tiny_dataset):
-        path = tmp_path / "e.jsonl"
-        rows = [{"index": 0, "vector": [1, 0]}, {"index": 5, "vector": [0, 1]}]
-        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-        with pytest.raises(FileFormatError, match="expected index 1"):
-            load_embeddings(path, tiny_dataset)
-
     def test_vectors_normalized_on_load(self, tmp_path, tiny_dataset):
-        path = tmp_path / "e.jsonl"
+        path = tmp_path / "e.npy"
         save_embeddings([np.full(4, 9.0), np.full(4, 2.0), np.full(4, -3.0)], path)
         for row in load_embeddings(path, tiny_dataset):
             assert abs(np.linalg.norm(row) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("bad, error", [(np.nan, ValidationError), (0.0, DegenerateEmbeddingError)])
+    def test_non_finite_or_zero_row_refused(self, tmp_path, tiny_dataset, bad, error):
+        path = tmp_path / "e.npy"
+        save_embeddings([np.ones(4), np.full(4, bad), np.ones(4)], path)
+        with pytest.raises(error):
+            load_embeddings(path, tiny_dataset)
+
+    @pytest.mark.parametrize("array", [
+        np.asfortranarray(np.arange(1.0, 13.0).reshape(3, 4)),
+        np.arange(1, 13, dtype=">i2").reshape(3, 4),
+        np.arange(1, 13, dtype=np.uint8).reshape(3, 4),
+        np.arange(1, 13, dtype=np.float32).reshape(3, 4),
+    ], ids=["fortran-order", "big-endian-int16", "uint8", "float32"])
+    def test_any_real_numeric_matrix_loads(self, tmp_path, tiny_dataset, array):
+        path = tmp_path / "e.npy"
+        np.save(path, array)
+        want = np.array([l2_normalize(row) for row in np.arange(1.0, 13.0).reshape(3, 4)])
+        assert np.array_equal(load_embeddings(path, tiny_dataset), want)
+
+    @pytest.mark.parametrize("shape", [(10**9, 10**9), (2**64, 2**64), (1 << 14, 1 << 13)])
+    def test_huge_shape_header_refused_without_allocating(self, tmp_path, tiny_dataset, shape):
+        path = tmp_path / "e.npy"
+        path.write_bytes(npy_bytes("<f8", shape, payload=bytes(96)))
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FileFormatError, match="header claims") as caught:
+                    load_embeddings(path, tiny_dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(caught.value)
+        assert peak < 1 << 20  # the smallest claim above is 1 GiB
 
 
 class TestRemoteProvider:
@@ -267,7 +277,7 @@ class TestProviderConfig:
             ProviderConfig(kind="file", dim=4)
 
     def test_file_provider_cannot_embed_text(self, tmp_path):
-        config = ProviderConfig(kind="file", dim=4, path=str(tmp_path / "e.jsonl"))
+        config = ProviderConfig(kind="file", dim=4, path=str(tmp_path / "e.npy"))
         with pytest.raises(ValidationError):
             embed_texts(["x"], config)
 
