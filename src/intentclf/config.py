@@ -10,6 +10,7 @@ field type (recursing into nested configs) and ignores unknown keys.
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 
@@ -29,16 +30,19 @@ def coerce(value, kind: type, what: str):
 
     A JSON boolean coerces only to ``bool``: ``true`` is no count or seed.
     A ``bool`` or ``str`` is taken only as itself: ``"false"`` is not false
-    and ``5`` is no path.
+    and ``5`` is no path. A ``float`` must be finite: no NaN or infinity.
     """
     try:
         if isinstance(value, bool) and kind is not bool:
             raise TypeError(f"{value!r} is a boolean")
         if kind in (bool, str) and not isinstance(value, kind):
             raise TypeError(f"{value!r} is not a {kind.__name__}")
-        return kind(value)
+        result = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+    if kind is float and not math.isfinite(result):
+        raise ValidationError(f"{what} must be a finite float, got {value!r}")
+    return result
 
 
 class JsonConfig:

@@ -51,23 +51,6 @@ def default_taxonomy() -> LabelVocabulary:
 
 
 @dataclass(frozen=True)
-class PromptTemplate:
-    """The (class label, description, sample count) triple behind one prompt."""
-
-    class_label: str
-    description: str
-    sample_count: int
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValidationError(f"sample_count must be >= 1, got {self.sample_count}")
-        if not self.class_label.strip():
-            raise ValidationError("class_label is empty")
-        if not self.description.strip():
-            raise ValidationError("description is empty")
-
-
-@dataclass(frozen=True)
 class LLMClientConfig(JsonConfig):
     endpoint_url: str
     model_name: str
@@ -83,20 +66,13 @@ class LLMClientConfig(JsonConfig):
             raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
-@dataclass(frozen=True)
-class GenerationResult:
-    class_label: str
-    texts: tuple[str, ...]
-    requested: int
-
-
-def build_prompt(template: PromptTemplate) -> str:
-    """Fixed phrasing asking for n distinct queries of one intent class."""
+def build_prompt(label: str, description: str, n: int) -> str:
+    """Fixed phrasing asking for ``n`` distinct queries of one intent class."""
     return (
         "You are helping to build an intent classifier for user queries.\n"
-        f'Intent class: "{template.class_label}"\n'
-        f"Class description: {template.description}\n"
-        f"Write {template.sample_count} distinct user queries that express this intent.\n"
+        f'Intent class: "{label}"\n'
+        f"Class description: {description}\n"
+        f"Write {n} distinct user queries that express this intent.\n"
         "Output one query per line with no numbering, bullets or commentary.\n"
         "Vary the wording, entities and level of detail across queries."
     )
@@ -146,7 +122,6 @@ def compose_multilabel(
     segments: dict[str, str],
     combo: LabelSet,
     vocabulary: LabelVocabulary,
-    separator: str = " ",
 ) -> TextSample:
     """Concatenate per-label segments in vocabulary order into one sample."""
     members = validate_labels(combo, vocabulary)
@@ -156,15 +131,15 @@ def compose_multilabel(
     if missing:
         raise ValidationError(f"missing segment(s) for label(s) {sorted(missing)!r}")
     ordered = vocabulary.sorted_members(members)
-    return TextSample(text=separator.join(segments[label] for label in ordered), labels=members)
+    return TextSample(text=" ".join(segments[label] for label in ordered), labels=members)
 
 
 # ---------------------------------------------------------------------------
 # remote generation
 
 
-def generate_class(template: PromptTemplate, config: LLMClientConfig) -> GenerationResult:
-    """Ask the chat-completion endpoint for one class's queries."""
+def generate_class(label: str, description: str, n: int, config: LLMClientConfig) -> list[str]:
+    """Ask the chat-completion endpoint for up to ``n`` queries of one class."""
     headers = {}
     token = os.environ.get(config.auth_token_env, "")
     if token:
@@ -173,7 +148,7 @@ def generate_class(template: PromptTemplate, config: LLMClientConfig) -> Generat
         config.endpoint_url,
         {
             "model": config.model_name,
-            "messages": [{"role": "user", "content": build_prompt(template)}],
+            "messages": [{"role": "user", "content": build_prompt(label, description, n)}],
             "temperature": config.temperature,
         },
         headers=headers,
@@ -183,20 +158,15 @@ def generate_class(template: PromptTemplate, config: LLMClientConfig) -> Generat
     try:
         content = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):
+        content = None
+    if not isinstance(content, str):
         raise RemoteServiceError(
-            f"completion response for {template.class_label!r} lacks choices[0].message.content"
-        ) from None
-    texts = parse_generation(content, template.sample_count)
-    if len(texts) < template.sample_count:
-        logger.warning(
-            "class %r: requested %d queries, parsed %d",
-            template.class_label,
-            template.sample_count,
-            len(texts),
+            f"completion response for {label!r} lacks a string choices[0].message.content"
         )
-    return GenerationResult(
-        class_label=template.class_label, texts=tuple(texts), requested=template.sample_count
-    )
+    texts = parse_generation(content, n)
+    if len(texts) < n:
+        logger.warning("class %r: requested %d queries, parsed %d", label, n, len(texts))
+    return texts
 
 
 def llm_generate(
@@ -216,18 +186,14 @@ def llm_generate(
         raise ValidationError(f"per_class must be >= 1, got {per_class}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    pools: dict[str, tuple[str, ...]] = {}
+    pools: dict[str, list[str]] = {}
     samples: list[TextSample] = []
     for label in vocabulary.labels:
-        description = vocabulary.descriptions.get(label)
-        if not description:
+        description = vocabulary.descriptions.get(label, "")
+        if not description.strip():
             raise ValidationError(f"label {label!r} has no description to prompt with")
-        result = generate_class(
-            PromptTemplate(class_label=label, description=description, sample_count=per_class),
-            config,
-        )
-        pools[label] = result.texts
-        samples.extend(TextSample(text=t, labels=frozenset({label})) for t in result.texts)
+        pools[label] = generate_class(label, description, per_class, config)
+        samples.extend(TextSample(text=t, labels=frozenset({label})) for t in pools[label])
     rng = np.random.default_rng([seed, 7])
     for combo in combos:
         members = validate_labels(combo, vocabulary)

@@ -270,13 +270,3 @@ def split_indices(n: int, holdout_fraction: float, seed: int) -> tuple[list[int]
     chosen = set(holdout)
     train = [i for i in range(n) if i not in chosen]
     return train, holdout
-
-
-def split(dataset: Dataset, holdout_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Split a dataset into (train, holdout) with a seeded shuffle."""
-    train_idx, holdout_idx = split_indices(len(dataset), holdout_fraction, seed)
-    voc = dataset.vocabulary
-    return (
-        Dataset(voc, tuple(dataset.samples[i] for i in train_idx)),
-        Dataset(voc, tuple(dataset.samples[i] for i in holdout_idx)),
-    )

@@ -132,10 +132,8 @@ def toy_embed(text: str, dim: int, seed: int = 0) -> EmbeddingVector:
     return l2_normalize(acc)
 
 
-def embed_remote(texts: Sequence[str], config: ProviderConfig) -> list[EmbeddingVector]:
+def _embed_remote(texts: Sequence[str], config: ProviderConfig) -> list[EmbeddingVector]:
     """Encode a batch through the configured HTTP endpoint, order-preserving."""
-    if config.kind != "http":
-        raise ValidationError(f"embed_remote needs an http provider, got {config.kind!r}")
     if not texts:
         return []
     body = post_json(
@@ -152,7 +150,10 @@ def embed_remote(texts: Sequence[str], config: ProviderConfig) -> list[Embedding
         )
     out: list[EmbeddingVector] = []
     for row, vec in enumerate(vectors):
-        arr = np.asarray(vec, dtype=np.float64)
+        try:
+            arr = np.asarray(vec, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"encoder row {row} is not a numeric vector") from None
         if arr.ndim != 1 or arr.shape[0] != config.dim:
             raise ValidationError(
                 f"encoder row {row} has dim {arr.shape} but config.dim={config.dim}"
@@ -178,7 +179,7 @@ def embed_texts(texts: Sequence[str], config: ProviderConfig) -> list[EmbeddingV
     check_embeds_text(config)
     if config.kind == "toy":
         return [toy_embed(t, config.dim, config.seed) for t in texts]
-    return embed_remote(texts, config)
+    return _embed_remote(texts, config)
 
 
 def embed_dataset(dataset: Dataset, config: ProviderConfig) -> np.ndarray:

@@ -44,9 +44,5 @@ class DegenerateProjectionError(PipelineError, ValueError):
     """The projection collapsed to a zero vector before normalization."""
 
 
-class NoPairsError(PipelineError, ValueError):
-    """No contrastive pairs of either polarity were available."""
-
-
 class DegenerateAucError(PipelineError, ValueError):
     """AUC is undefined when only one class is present in the truth cells."""

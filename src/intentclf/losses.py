@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import JsonConfig
-from .errors import NoPairsError, ValidationError
+from .errors import ValidationError
 from .mining import MinedPairs, PairSims
 
-_REDUCTIONS = ("mean", "sum")
 _SIM_SLACK = 1e-6
 
 
@@ -37,7 +36,6 @@ class OFCConfig(JsonConfig):
     gamma: float = 2.0
     margin: float = 0.5
     epsilon: float = 1e-12
-    reduction: str = "mean"
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -48,8 +46,6 @@ class OFCConfig(JsonConfig):
             raise ValidationError(f"margin must be in (0, 2], got {self.margin}")
         if not 0.0 < self.epsilon <= 1e-3:
             raise ValidationError(f"epsilon must be in (0, 1e-3], got {self.epsilon}")
-        if self.reduction not in _REDUCTIONS:
-            raise ValidationError(f"reduction must be one of {_REDUCTIONS}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +59,6 @@ class LossOutput:
     value: float
     index: np.ndarray
     grad: np.ndarray
-
-
-def _no_grads() -> LossOutput:
-    return LossOutput(value=0.0, index=np.zeros(0, dtype=np.intp), grad=np.zeros(0))
 
 
 def _check_sims(sims: np.ndarray) -> np.ndarray:
@@ -93,12 +85,11 @@ def _focal(q: np.ndarray, alpha: float, gamma: float) -> tuple[np.ndarray, np.nd
     return value, dvalue
 
 
-def _reduce(terms: np.ndarray, dterm_ds: np.ndarray, reduction: str) -> tuple[float, np.ndarray]:
+def _mean(terms: np.ndarray, dterm_ds: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean of the per-pair terms and its derivative; 0 over no pairs."""
     if terms.size == 0:
         return 0.0, dterm_ds
-    if reduction == "mean":
-        return float(np.mean(terms)), dterm_ds / terms.size
-    return float(np.sum(terms)), dterm_ds
+    return float(np.mean(terms)), dterm_ds / terms.size
 
 
 def positive_loss(pairs: PairSims, config: OFCConfig) -> LossOutput:
@@ -109,7 +100,7 @@ def positive_loss(pairs: PairSims, config: OFCConfig) -> LossOutput:
     q = np.maximum(q_raw, config.epsilon)
     term, dterm_dq = _focal(q, config.alpha, config.gamma)
     dq_ds = np.where(clamped, 0.0, 2.0 * s)
-    value, grad = _reduce(term, dterm_dq * dq_ds, config.reduction)
+    value, grad = _mean(term, dterm_dq * dq_ds)
     return LossOutput(value=value, index=pairs.index, grad=grad)
 
 
@@ -128,31 +119,15 @@ def negative_loss(pairs: PairSims, config: OFCConfig) -> LossOutput:
     q = np.maximum(q_raw, config.epsilon)
     term, dterm_dq = _focal(q, config.alpha, config.gamma)
     dq_du = np.where(clamped, 0.0, 2.0 * u)
-    value, grad = _reduce(term, dterm_dq * dq_du * du_ds, config.reduction)
+    value, grad = _mean(term, dterm_dq * dq_du * du_ds)
     return LossOutput(value=value, index=pairs.index, grad=grad)
 
 
-def _empty_mined(mined: MinedPairs) -> LossOutput | None:
-    """Zero loss when mining retained nothing from a non-empty batch.
-
-    Raises :class:`NoPairsError` when the batch had no pairs of either
-    polarity to begin with; hinges going inactive is not an error.
-    """
-    if mined.pos_final or mined.neg_final:
-        return None
-    table_sizes = (
-        mined.counts.h_pos + mined.counts.o_pos + mined.counts.h_neg + mined.counts.o_neg
-    )
-    if table_sizes == 0:
-        raise NoPairsError("no pairs of either polarity")
-    return _no_grads()
-
-
 def ofc_loss(mined: MinedPairs, config: OFCConfig) -> LossOutput:
-    """Positive plus negative focal loss over the mined pair sets."""
-    empty = _empty_mined(mined)
-    if empty is not None:
-        return empty
+    """Positive plus negative focal loss over the mined pair sets.
+
+    When mining kept nothing the loss is 0 with no gradient entries.
+    """
     pos = positive_loss(mined.pos_final, config)
     neg = negative_loss(mined.neg_final, config)
     return LossOutput(
@@ -170,9 +145,6 @@ def oc_loss(mined: MinedPairs, margin: float = 0.5) -> LossOutput:
     retained sets are exactly the hard pairs; once every pair is separated
     the hinges go inactive and the loss is 0.
     """
-    empty = _empty_mined(mined)
-    if empty is not None:
-        return empty
     value = 0.0
     pos_grad = neg_grad = np.zeros(0)
     if mined.pos_final:
@@ -197,7 +169,7 @@ def cs_loss(pos_pairs: PairSims, neg_pairs: PairSims) -> LossOutput:
     Targets are 1 for positive pairs, 0 for negative pairs. No mining.
     """
     if not pos_pairs and not neg_pairs:
-        return _no_grads()
+        return LossOutput(value=0.0, index=np.zeros(0, dtype=np.intp), grad=np.zeros(0))
     sims = _check_sims(np.concatenate((pos_pairs.sim, neg_pairs.sim)))
     targets = np.concatenate([np.ones(len(pos_pairs)), np.zeros(len(neg_pairs))])
     residual = sims - targets

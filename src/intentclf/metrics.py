@@ -29,10 +29,6 @@ class MicroCounts:
     fn: int
     tn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 @dataclass(frozen=True)
 class EvalReport:

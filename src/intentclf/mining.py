@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -184,13 +183,6 @@ def _top_count(p: float, size: int) -> int:
     return int(math.ceil(Fraction(p) * size / 100))
 
 
-def select_top(ordered: Sequence, p: float) -> Sequence:
-    """First ceil(p/100 * len) elements of an already-sorted sequence."""
-    if not 0.0 <= p <= 100.0:
-        raise ValidationError(f"p must be in [0,100], got {p}")
-    return ordered[: _top_count(p, len(ordered))]
-
-
 def _hard_mask(side: PairSims, threshold: float | None, above: bool) -> np.ndarray:
     if threshold is None:
         return np.zeros(len(side), dtype=bool)
@@ -219,8 +211,8 @@ def mine(table: SimilarityTable, config: MiningConfig) -> MinedPairs:
 
     refined_pos = _refined_order(d_pos, hard_pos, descending=True)
     refined_neg = _refined_order(d_neg, hard_neg, descending=False)
-    selected_pos = select_top(refined_pos, config.p)
-    selected_neg = select_top(refined_neg, config.p)
+    selected_pos = refined_pos[: _top_count(config.p, len(refined_pos))]
+    selected_neg = refined_neg[: _top_count(config.p, len(refined_neg))]
 
     return MinedPairs(
         pos_final=d_pos.take(np.concatenate((selected_pos, np.flatnonzero(hard_pos)))),

@@ -22,7 +22,6 @@ from .embedding import ProviderConfig
 from .errors import (
     DegenerateProjectionError,
     FileFormatError,
-    NoPairsError,
     ValidationError,
 )
 from .losses import (
@@ -433,26 +432,6 @@ def score_samples(x: np.ndarray, artifact: ModelArtifact) -> np.ndarray:
             f"expected n x {artifact.embed_dim} embeddings, got shape {x.shape}"
         )
     return _forward(x, artifact)
-
-
-def projection_margin_gap(
-    x: np.ndarray, y: np.ndarray, head: ProjectionHead, rule: str = "exact"
-) -> float:
-    """Mean positive-pair similarity minus mean negative-pair similarity.
-
-    Measured in projection space over all pairs of the rows of ``x``, with
-    polarities from their label rows ``y``. Raises :class:`NoPairsError` if
-    either polarity is absent.
-    """
-    x, y = _aligned(x, y)
-    pair_set = build_pairs(y, rule)  # rejects fewer than 2 rows
-    z, _ = _project_batch(x, head)
-    table = batch_similarity_table(z, pair_set)
-    if not table.d_pos or not table.d_neg:
-        raise NoPairsError("margin gap needs both pair polarities")
-    pos = np.mean(table.d_pos.sim)
-    neg = np.mean(table.d_neg.sim)
-    return float(pos - neg)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from intentclf import PairSims
+from intentclf.mining import PairSims
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Analytic gradients of the training stages against central finite differences.
+"""Verification oracles for training: analytic gradients against central
+finite differences, and the projection margin gap.
 
-A verification tool, kept out of the training module. It differentiates the
-training steps themselves: ``trainer._pretrain_step`` with mining live for
-the projection components, and ``trainer._finetune_step`` over projection
-and classifier together for the classifier component. Random check points
-are redrawn where no gradient is defined: when a kept pair sits at a clamp
-or hinge, or when a perturbation changes which pairs mining keeps.
+The gradient oracle differentiates the training steps themselves:
+``trainer._pretrain_step`` with mining live for the projection components,
+and ``trainer._finetune_step`` over projection and classifier together for
+the classifier component. Random check points are redrawn where no gradient
+is defined: when a kept pair sits at a clamp or hinge, or when a
+perturbation changes which pairs mining keeps.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import trainer
-from .errors import ValidationError
-from .mining import MiningConfig, PairSims, batch_similarity_table, build_pairs
-from .trainer import ClassifierHead, ProjectionHead, TrainConfig
+from intentclf import trainer
+from intentclf.errors import ValidationError
+from intentclf.mining import MiningConfig, PairSims, batch_similarity_table, build_pairs
+from intentclf.trainer import ClassifierHead, ProjectionHead, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -157,3 +158,23 @@ def grad_check(
                 raise ValidationError("could not draw a valid gradient-check point")
         worst = max(worst, err)
     return GradCheckReport(component=comp, points=points, tolerance=tolerance, max_rel_error=worst)
+
+
+def projection_margin_gap(
+    x: np.ndarray, y: np.ndarray, head: ProjectionHead, rule: str = "exact"
+) -> float:
+    """Mean positive-pair similarity minus mean negative-pair similarity.
+
+    Measured in projection space over all pairs of the rows of ``x``, with
+    polarities from their label rows ``y``. Raises ``ValueError`` if either
+    polarity is absent.
+    """
+    x, y = trainer._aligned(x, y)
+    pair_set = build_pairs(y, rule)  # rejects fewer than 2 rows
+    z, _ = trainer._project_batch(x, head)
+    table = batch_similarity_table(z, pair_set)
+    if not table.d_pos or not table.d_neg:
+        raise ValueError("margin gap needs both pair polarities")
+    pos = np.mean(table.d_pos.sim)
+    neg = np.mean(table.d_neg.sim)
+    return float(pos - neg)

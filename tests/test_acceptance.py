@@ -19,24 +19,19 @@ import pytest
 import requests
 
 from intentclf import (
-    MicroCounts,
     MiningConfig,
-    SimilarityTable,
     default_taxonomy,
-    grad_check,
     label_matrix,
     load_artifact,
     load_dataset,
     load_embeddings,
-    mine,
-    prf_from_counts,
-    projection_margin_gap,
     save_vocabulary,
     split_indices,
     two_label_combos,
 )
 from intentclf.cli import main
 from intentclf.metrics import (
+    MicroCounts,
     auc,
     evaluate,
     hamming_loss,
@@ -44,12 +39,15 @@ from intentclf.metrics import (
     load_report,
     mcc,
     micro_prf,
+    prf_from_counts,
     subset_accuracy,
     threshold_scores,
 )
+from intentclf.mining import SimilarityTable, mine
 from intentclf.service import make_server
 from intentclf import score_samples
 from intentclf.trainer import ProjectionHead, predict
+from grad_oracle import grad_check, projection_margin_gap
 from bf_oracles import (
     auc_bf,
     counts_bf,

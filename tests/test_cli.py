@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import signal
 import socket
@@ -30,11 +31,15 @@ from intentclf import (
     split_indices,
     two_label_combos,
 )
+import intentclf.datagen as datagen
+import intentclf.embedding as embedding
 import intentclf.service as service
 from intentclf.cli import main
 from intentclf.metrics import load_report
-from intentclf import evaluate, label_matrix, score_samples
+from intentclf import evaluate, label_matrix, save_artifact, score_samples
 from stubs import npy_bytes
+
+_DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -377,6 +382,67 @@ class TestPredict:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and field in err[0] and str(path) in err[0], err
 
+    def test_model_with_a_reduction_snapshot_predicts_as_before(self, tmp_path, capsys):
+        # written while OFCConfig still had a "reduction" field, which the
+        # snapshot now carries as an unknown key; the predict output was
+        # recorded from that code
+        model = _DATA / "model_with_reduction.json"
+        for record in json.loads((_DATA / "model_with_reduction.predict.json").read_text()):
+            capsys.readouterr()
+            assert main(["predict", "--model", str(model), "--text", record["text"]]) == 0
+            assert capsys.readouterr().out == record["stdout"]
+        resaved = tmp_path / "model.json"
+        save_artifact(load_artifact(model), resaved)
+        old = model.read_text()
+        assert old.count('"reduction": "mean"') == 1
+        assert resaved.read_text() == old.replace(',\n    "reduction": "mean"', "")
+
+
+class TestRemoteReplies:
+    """A reply of the wrong shape from the encoder or the LLM endpoint exits
+    with a documented code and one error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "vector", [["a", 1], {"x": 1}, [[1.0, 0.0]], [10**400, 1]],
+        ids=["string-entry", "object", "nested", "int-overflow"],
+    )
+    def test_encoder_reply_without_numeric_vectors_exits_2(
+        self, workspace, tmp_path, monkeypatch, capsys, vector
+    ):
+        def reply(url, payload, **kwargs):
+            return {"vectors": [vector] * len(payload["texts"])}
+
+        monkeypatch.setattr(embedding, "post_json", reply)
+        out = tmp_path / "e.npy"
+        capsys.readouterr()
+        assert main([
+            "embed", "--taxonomy", str(workspace["taxonomy"]), "--dataset", str(workspace["dataset"]),
+            "--provider", "http", "--endpoint", "http://127.0.0.1:9/embed", "--dim", "2",
+            "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: encoder row 0 "), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [5, None, ["a"], {"text": "a"}])
+    def test_completion_without_string_content_exits_4(
+        self, workspace, tmp_path, monkeypatch, capsys, content
+    ):
+        def reply(url, payload, **kwargs):
+            return {"choices": [{"message": {"content": content}}]}
+
+        monkeypatch.setattr(datagen, "post_json", reply)
+        out = tmp_path / "d.jsonl"
+        capsys.readouterr()
+        assert main([
+            "generate", "--taxonomy", str(workspace["taxonomy"]),
+            "--endpoint", "http://127.0.0.1:9/v1/chat", "--model-name", "m", "--per-class", "1",
+            "--out", str(out),
+        ]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: completion response for "), err
+        assert not out.exists()
+
 
 class TestServe:
     @pytest.mark.parametrize("provider", [{"kind": "file", "dim": 64, "path": "e.npy"}, None])
@@ -520,6 +586,35 @@ class TestConfigFile:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize(
+        "flags, cfg_obj, field",
+        [
+            (["--lr-finetune", "nan"], {}, "lr_finetune"),
+            (["--lr-finetune", "inf"], {}, "lr_finetune"),
+            (["--lr-pretrain", "nan"], {}, "lr_pretrain"),
+            (["--margin=-inf"], {}, "margin"),
+            ([], {"train": {"grad_clip_norm": math.nan}}, "grad_clip_norm"),
+            ([], {"train": {"momentum": -math.inf}}, "momentum"),
+            ([], {"ofc": {"gamma": math.nan}}, "gamma"),
+            ([], {"provider": {"timeout": math.inf}}, "timeout"),
+            ([], {"split": {"holdout_fraction": math.nan}}, "holdout_fraction"),
+        ],
+        ids=[
+            "flag-lr_finetune-nan", "flag-lr_finetune-inf", "flag-lr_pretrain-nan", "flag-margin-minus-inf",
+            "config-grad_clip_norm-nan", "config-momentum-minus-inf", "config-gamma-nan",
+            "config-timeout-inf", "config-holdout_fraction-nan",
+        ],
+    )
+    def test_non_finite_float_exits_2(self, workspace, tmp_path, capsys, flags, cfg_obj, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_obj))  # NaN and Infinity, as Python's json writes them
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert main(self._train_argv(workspace, out, cfg, "--dim", "64", *flags)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and f"{field} must be a finite float" in err[0], err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "bad",

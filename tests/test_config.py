@@ -19,7 +19,7 @@ _CLASSES = [TrainConfig, MiningConfig, OFCConfig, ProviderConfig]
             grad_clip_norm=None,
         ),
         MiningConfig(p=37.5, mode="standard", positive_rule="overlap"),
-        OFCConfig(alpha=0.5, gamma=0.0, margin=1.5, epsilon=1e-9, reduction="sum"),
+        OFCConfig(alpha=0.5, gamma=0.0, margin=1.5, epsilon=1e-9),
         ProviderConfig(kind="http", dim=64, endpoint="http://127.0.0.1:9/embed", seed=9, timeout=2.5),
     ],
     ids=lambda config: type(config).__name__,

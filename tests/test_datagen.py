@@ -15,17 +15,15 @@ import intentclf.httpclient as httpclient
 from intentclf import (
     GenerationError,
     LLMClientConfig,
-    PromptTemplate,
+    LabelVocabulary,
     RemoteServiceError,
     ValidationError,
-    build_prompt,
-    compose_multilabel,
     llm_generate,
     offline_generate,
-    parse_generation,
     save_dataset,
     two_label_combos,
 )
+from intentclf.datagen import build_prompt, compose_multilabel, parse_generation
 from stubs import stub_server
 
 
@@ -37,11 +35,9 @@ def _fast_backoff(monkeypatch):
 class TestBuildPrompt:
     def test_embeds_label_description_and_count(self):
         prompt = build_prompt(
-            PromptTemplate(
-                class_label="long-range ETA in maritime",
-                description="estimated time of arrival for maritime vessels and ships",
-                sample_count=100,
-            )
+            "long-range ETA in maritime",
+            "estimated time of arrival for maritime vessels and ships",
+            100,
         )
         assert "long-range ETA in maritime" in prompt
         assert "estimated time of arrival for maritime vessels and ships" in prompt
@@ -49,16 +45,18 @@ class TestBuildPrompt:
         assert "one query per line" in prompt
 
     def test_single_sample_request(self):
-        prompt = build_prompt(PromptTemplate("a", "desc", 1))
+        prompt = build_prompt("a", "desc", 1)
         assert "Write 1 distinct" in prompt
 
     def test_invariants(self):
+        # llm_generate refuses before any request: nothing listens on port 9
+        config = LLMClientConfig(endpoint_url="http://127.0.0.1:9", model_name="m", max_retries=0)
+        for descriptions, per_class in [({"a": ""}, 3), ({"a": " \t"}, 3), ({}, 3), ({"a": "d"}, 0)]:
+            vocab = LabelVocabulary(labels=("a",), descriptions=descriptions)
+            with pytest.raises(ValidationError):
+                llm_generate(vocab, per_class, [], config)
         with pytest.raises(ValidationError):
-            PromptTemplate("a", "", 3)
-        with pytest.raises(ValidationError):
-            PromptTemplate("a", "d", 0)
-        with pytest.raises(ValidationError):
-            PromptTemplate(" ", "d", 3)
+            LabelVocabulary(labels=(" ",), descriptions={" ": "d"})
 
 
 class TestParseGeneration:
@@ -117,13 +115,9 @@ class TestCompose:
         rng = np.random.default_rng(5)
         for _ in range(20):
             segments = {l: f"seg-{l}-{rng.integers(100)}" for l in small_vocab.labels}
-            sample = compose_multilabel(
-                segments, frozenset(small_vocab.labels), small_vocab, separator=" | "
-            )
-            assert sample.text.count(" | ") == 2
-            assert [p.split("-")[1] for p in sample.text.split(" | ")] == list(
-                small_vocab.labels
-            )
+            sample = compose_multilabel(segments, frozenset(small_vocab.labels), small_vocab)
+            assert sample.text.count(" ") == 2
+            assert [p.split("-")[1] for p in sample.text.split(" ")] == list(small_vocab.labels)
 
     def test_missing_segment(self, small_vocab):
         with pytest.raises(ValidationError, match="fuel"):
@@ -290,9 +284,8 @@ class TestLLMGenerate:
         script = (
             "import sys\n"
             "from intentclf import datagen, default_taxonomy, save_dataset, two_label_combos\n"
-            "def answer(template, config):\n"
-            "    texts = tuple(f'{template.class_label} {i}' for i in range(template.sample_count))\n"
-            "    return datagen.GenerationResult(template.class_label, texts, template.sample_count)\n"
+            "def answer(label, description, n, config):\n"
+            "    return [f'{label} {i}' for i in range(n)]\n"
             "datagen.generate_class = answer\n"
             "vocab = default_taxonomy()\n"
             "config = datagen.LLMClientConfig(endpoint_url='http://127.0.0.1:9', model_name='m')\n"

@@ -14,17 +14,16 @@ from intentclf import (
     TextSample,
     ValidationError,
     default_taxonomy,
-    encode_labels,
     label_matrix,
     load_dataset,
     load_vocabulary,
     offline_generate,
     save_dataset,
     save_vocabulary,
-    split,
     split_indices,
     two_label_combos,
 )
+from intentclf.dataset import encode_labels
 
 
 def _write(path, lines):
@@ -153,38 +152,25 @@ class TestEncoding:
 
 
 class TestSplit:
-    def _dataset(self, small_vocab, n):
-        return Dataset(
-            vocabulary=small_vocab,
-            samples=tuple(
-                TextSample(f"query {i}", frozenset({small_vocab.labels[i % 3]}))
-                for i in range(n)
-            ),
-        )
-
-    def test_sizes_and_repeatability(self, small_vocab):
-        ds = self._dataset(small_vocab, 10)
-        train1, hold1 = split(ds, 0.2, seed=7)
-        train2, hold2 = split(ds, 0.2, seed=7)
+    def test_sizes_and_repeatability(self):
+        train1, hold1 = split_indices(10, 0.2, seed=7)
+        train2, hold2 = split_indices(10, 0.2, seed=7)
         assert (len(train1), len(hold1)) == (8, 2)
         assert train1 == train2 and hold1 == hold2
 
-    def test_two_samples_half(self, small_vocab):
-        ds = self._dataset(small_vocab, 2)
-        train, hold = split(ds, 0.5, seed=0)
+    def test_two_samples_half(self):
+        train, hold = split_indices(2, 0.5, seed=0)
         assert (len(train), len(hold)) == (1, 1)
 
-    def test_different_seed_same_sizes(self, small_vocab):
-        ds = self._dataset(small_vocab, 10)
-        _, hold_a = split(ds, 0.3, seed=1)
-        _, hold_b = split(ds, 0.3, seed=2)
+    def test_different_seed_same_sizes(self):
+        _, hold_a = split_indices(10, 0.3, seed=1)
+        _, hold_b = split_indices(10, 0.3, seed=2)
         assert len(hold_a) == len(hold_b) == 3
 
-    def test_fraction_out_of_range(self, small_vocab):
-        ds = self._dataset(small_vocab, 4)
+    def test_fraction_out_of_range(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValidationError):
-                split(ds, bad, seed=0)
+                split_indices(4, bad, seed=0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError):

@@ -18,13 +18,11 @@ from intentclf import (
     TextSample,
     ValidationError,
     embed_dataset,
-    embed_remote,
     embed_texts,
-    l2_normalize,
     load_embeddings,
     save_embeddings,
-    toy_embed,
 )
+from intentclf.embedding import l2_normalize, toy_embed
 from bf_oracles import toy_acc_loop, toy_embed_loop
 from stubs import npy_bytes, stub_server
 
@@ -230,13 +228,13 @@ class TestRemoteProvider:
 
     def test_empty_batch_makes_no_call(self):
         with stub_server([(200, {"vectors": []})]) as (url, state):
-            assert embed_remote([], self._config(url)) == []
+            assert embed_texts([], self._config(url)) == []
         assert state.calls == []
 
     def test_order_preserving(self):
         body = {"vectors": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}
         with stub_server([(200, body)]) as (url, state):
-            vectors = embed_remote(["a", "b", "c"], self._config(url))
+            vectors = embed_texts(["a", "b", "c"], self._config(url))
         assert state.calls[0]["body"] == {"texts": ["a", "b", "c"]}
         assert [int(np.argmax(v)) for v in vectors] == [0, 1, 2]
         assert all(abs(np.linalg.norm(v) - 1.0) < 1e-9 for v in vectors)
@@ -245,18 +243,18 @@ class TestRemoteProvider:
         body = {"vectors": [[1, 0, 0], [0, 1]]}
         with stub_server([(200, body)]) as (url, _):
             with pytest.raises(ValidationError, match="row 1"):
-                embed_remote(["a", "b"], self._config(url))
+                embed_texts(["a", "b"], self._config(url))
 
     def test_wrong_count_rejected(self):
         with stub_server([(200, {"vectors": [[1, 0, 0]]})]) as (url, _):
             with pytest.raises(ValidationError, match="1 vectors for 2 texts"):
-                embed_remote(["a", "b"], self._config(url))
+                embed_texts(["a", "b"], self._config(url))
 
     def test_server_error_after_retries(self):
         with stub_server([(503, "nope")]) as (url, _):
             config = ProviderConfig(kind="http", dim=3, endpoint=url, max_retries=1)
             with pytest.raises(RemoteServiceError, match="HTTP 503"):
-                embed_remote(["a"], config)
+                embed_texts(["a"], config)
 
 
 class TestProviderConfig:

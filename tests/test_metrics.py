@@ -3,12 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from intentclf import (
-    DegenerateAucError,
+from intentclf import DegenerateAucError, ValidationError, evaluate
+from intentclf.metrics import (
     MicroCounts,
-    ValidationError,
     auc,
-    evaluate,
     hamming_loss,
     jaccard,
     mcc,

@@ -5,15 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from intentclf import (
-    MiningConfig,
-    SimilarityTable,
-    ValidationError,
-    batch_similarity_table,
-    build_pairs,
-    mine,
-    select_top,
-)
+from intentclf import MiningConfig, ValidationError
+from intentclf.mining import SimilarityTable, batch_similarity_table, build_pairs, mine
 from bf_oracles import entries, mine_bruteforce, multi_hot, pair_sims, random_similarity_batch
 
 
@@ -47,24 +40,32 @@ class TestBuildPairs:
 
 
 class TestSelectTop:
+    """Top-p selection, seen through ``mine``: with no negatives nothing is
+    hard, so every positive is refined and only the top-p step selects."""
+
+    @staticmethod
+    def _selected(d_pos, p: float) -> list:
+        mined = mine(_table(d_pos=d_pos, d_neg=()), MiningConfig(p=p))
+        return entries(mined.pos_final)
+
     def test_everything_at_100(self):
         seq = [(0, 0.5), (1, 0.4)]
-        assert select_top(seq, 100.0) == seq
+        assert self._selected(seq, 100.0) == seq
 
     def test_nothing_at_0(self):
-        assert select_top([(0, 0.5)], 0.0) == []
+        assert self._selected([(0, 0.5)], 0.0) == []
 
     def test_single_element_half(self):
-        assert select_top([(0, 0.5)], 50.0) == [(0, 0.5)]
+        assert self._selected([(0, 0.5)], 50.0) == [(0, 0.5)]
 
     def test_integer_percentage_is_exact(self):
         # 37% of 100 must select exactly 37, not a float-rounding 38
-        seq = [(i, float(i)) for i in range(100)]
-        assert len(select_top(seq, 37.0)) == 37
+        seq = [(i, i / 100) for i in range(100)]
+        assert len(self._selected(seq, 37.0)) == 37
 
     def test_p_validation(self):
         with pytest.raises(ValidationError):
-            select_top([], 101.0)
+            MiningConfig(p=101.0)
 
 
 class TestMineHandTraces:

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from intentclf import (
-    LossOutput,
-    MiningConfig,
-    TrainConfig,
-    batch_similarity_table,
-    build_pairs,
-    mine,
-)
+from intentclf import MiningConfig, TrainConfig
+from intentclf.losses import LossOutput
+from intentclf.mining import batch_similarity_table, build_pairs, mine
 from intentclf.trainer import _mining_for_loss, _pair_loss, _sim_grads_to_z
 from bf_oracles import build_pairs_loop, multi_hot, sim_grads_to_z_loop
 
