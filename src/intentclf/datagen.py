@@ -19,7 +19,7 @@ import numpy as np
 from .config import JsonConfig
 from .dataset import Dataset, LabelSet, LabelVocabulary, TextSample, validate_labels
 from .errors import GenerationError, RemoteServiceError, ValidationError
-from .httpclient import post_json
+from .httpclient import check_remote, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -60,10 +60,7 @@ class LLMClientConfig(JsonConfig):
     temperature: float = 0.7
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValidationError(f"timeout must be > 0, got {self.timeout}")
-        if self.max_retries < 0:
-            raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
+        check_remote(self, "endpoint_url")
 
 
 def build_prompt(label: str, description: str, n: int) -> str:

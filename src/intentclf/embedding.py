@@ -34,7 +34,7 @@ from .errors import (
     FileFormatError,
     ValidationError,
 )
-from .httpclient import post_json
+from .httpclient import check_remote, post_json
 
 # An embedding is a 1-D float64 numpy array of unit Euclidean norm.
 EmbeddingVector = np.ndarray
@@ -62,8 +62,8 @@ class ProviderConfig(JsonConfig):
             raise ValidationError(f"provider kind must be one of {_PROVIDER_KINDS}, got {self.kind!r}")
         if self.dim < 2:
             raise ValidationError(f"embedding dim must be >= 2, got {self.dim}")
-        if self.kind == "http" and not self.endpoint:
-            raise ValidationError("http provider needs an endpoint")
+        if self.kind == "http":
+            check_remote(self, "endpoint")
         if self.kind == "file" and not self.path:
             raise ValidationError("file provider needs a path")
 
@@ -150,14 +150,15 @@ def _embed_remote(texts: Sequence[str], config: ProviderConfig) -> list[Embeddin
         )
     out: list[EmbeddingVector] = []
     for row, vec in enumerate(vectors):
+        # numpy would read "1.5" and true as numbers; a JSON reply holds int or float
+        if not isinstance(vec, list) or not all(type(v) in (int, float) for v in vec):
+            raise ValidationError(f"encoder row {row} is not a vector of JSON numbers")
         try:
             arr = np.asarray(vec, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"encoder row {row} is not a numeric vector") from None
-        if arr.ndim != 1 or arr.shape[0] != config.dim:
-            raise ValidationError(
-                f"encoder row {row} has dim {arr.shape} but config.dim={config.dim}"
-            )
+        except OverflowError:
+            raise ValidationError(f"encoder row {row} has an entry beyond float range") from None
+        if len(arr) != config.dim:
+            raise ValidationError(f"encoder row {row} has dim {len(arr)} but config.dim={config.dim}")
         out.append(l2_normalize(arr))
     return out
 

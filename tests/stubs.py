@@ -1,14 +1,25 @@
 """Test doubles: a tiny scriptable HTTP server for exercising the remote-client
-paths, and hand-built ``.npy`` files for the embeddings loader."""
+paths, a raw-socket peer that writes scripted bytes, and hand-built ``.npy``
+files for the embeddings loader."""
 
 from __future__ import annotations
 
 import json
+import re
+import socket
+import ssl
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
+
+# A self-signed certificate for localhost and 127.0.0.1, valid until 2126,
+# made with `openssl req -x509 -newkey rsa:2048 -nodes -days 36500`; the key
+# guards nothing but these tests.
+TLS_CERT = Path(__file__).parent / "data" / "tls_cert.pem"
+TLS_KEY = Path(__file__).parent / "data" / "tls_key.pem"
 
 
 class StubState:
@@ -63,7 +74,8 @@ def stub_server(responses):
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits up to one poll interval; the default 0.5 s added that to every test
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}", state
@@ -71,6 +83,107 @@ def stub_server(responses):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+class RawPeer:
+    """What :func:`raw_server` sends and has seen.
+
+    ``script`` is what every connection gets once its request has been read:
+    ``bytes`` are sent, a ``float`` is a pause in seconds, and the connection
+    closes after the last item. Tests may replace it between requests.
+    ``heads`` holds each request head, in arrival order.
+    """
+
+    def __init__(self, script, url: str):
+        self.script = list(script)
+        self.url = url
+        self.heads: list[bytes] = []
+
+
+def http_reply(status: int, body: bytes, *headers: str, length: bool = True) -> bytes:
+    """An HTTP/1.1 reply; ``length`` adds the matching Content-Length."""
+    lines = [f"HTTP/1.1 {status} Scripted", *headers]
+    if length:
+        lines.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def trickle(data: bytes, gap: float) -> list:
+    """A script sending ``data`` one byte at a time, ``gap`` seconds apart."""
+    return [item for byte in data for item in (bytes([byte]), gap)]
+
+
+def _read_request(conn: socket.socket) -> bytes | None:
+    """The head of one request, after reading its Content-Length body."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return None
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    match = re.search(rb"(?im)^content-length:\s*(\d+)", head)
+    length = int(match.group(1)) if match else 0
+    while len(body) < length:
+        chunk = conn.recv(65536)
+        if not chunk:
+            break
+        body += chunk
+    return head
+
+
+@contextmanager
+def raw_server(script=(), tls: bool = False):
+    """Answer each connection on a loopback port with ``script``; yields a
+    :class:`RawPeer`. With ``tls`` the peer speaks HTTPS with ``TLS_CERT``.
+    Pauses end early when the context exits."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)  # the accept loop polls ``stop``
+    scheme = "https" if tls else "http"
+    peer = RawPeer(script, f"{scheme}://127.0.0.1:{listener.getsockname()[1]}/v1")
+    stop = threading.Event()
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS_CERT, TLS_KEY)
+
+    def answer(conn: socket.socket):
+        try:
+            conn.settimeout(10)
+            if tls:
+                conn = context.wrap_socket(conn, server_side=True)
+            head = _read_request(conn)
+            if head is None:
+                return
+            peer.heads.append(head)
+            for item in list(peer.script):
+                if isinstance(item, bytes):
+                    conn.sendall(item)
+                elif stop.wait(item):
+                    return
+        except OSError:  # the client gave up first
+            pass
+        finally:
+            conn.close()
+
+    def accept_loop():
+        workers = []
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            workers.append(threading.Thread(target=answer, args=(conn,), daemon=True))
+            workers[-1].start()
+        for worker in workers:
+            worker.join(timeout=5)
+
+    thread = threading.Thread(target=accept_loop, daemon=True)
+    thread.start()
+    try:
+        yield peer
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
 
 
 def npy_bytes(descr, shape, fortran_order=False, payload: bytes = b"", version=(1, 0)) -> bytes:

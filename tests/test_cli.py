@@ -403,8 +403,8 @@ class TestRemoteReplies:
     with a documented code and one error line, never a traceback."""
 
     @pytest.mark.parametrize(
-        "vector", [["a", 1], {"x": 1}, [[1.0, 0.0]], [10**400, 1]],
-        ids=["string-entry", "object", "nested", "int-overflow"],
+        "vector", [["a", 1], {"x": 1}, [[1.0, 0.0]], [10**400, 1], ["1.5", True], [1.0, True], ["1", "0"]],
+        ids=["string-entry", "object", "nested", "int-overflow", "numeric-string", "boolean", "numeric-strings"],
     )
     def test_encoder_reply_without_numeric_vectors_exits_2(
         self, workspace, tmp_path, monkeypatch, capsys, vector
@@ -444,8 +444,68 @@ class TestRemoteReplies:
         assert not out.exists()
 
 
+_GOOD_URL = "http://127.0.0.1:9/v1"
+
+
+class TestRemoteSettings:
+    """A bad endpoint, timeout or retry count exits 2 naming the field, before
+    any connection is tried."""
+
+    @pytest.mark.parametrize(
+        "command, flags, cfg_obj, field",
+        [
+            ("embed", ["--endpoint", "foo"], {}, "ProviderConfig.endpoint"),
+            ("embed", ["--endpoint", "ftp://h/x"], {}, "ProviderConfig.endpoint"),
+            ("embed", ["--endpoint", "http://"], {}, "ProviderConfig.endpoint"),
+            ("embed", ["--endpoint", "http://h:99999/x"], {}, "ProviderConfig.endpoint"),
+            ("embed", [], {"provider": {"endpoint": "foo"}}, "ProviderConfig.endpoint"),
+            ("embed", [], {"provider": {"endpoint": _GOOD_URL, "timeout": -1}}, "ProviderConfig.timeout"),
+            ("embed", [], {"provider": {"endpoint": _GOOD_URL, "timeout": 0}}, "ProviderConfig.timeout"),
+            ("embed", [], {"provider": {"endpoint": _GOOD_URL, "timeout": 1e10}}, "ProviderConfig.timeout"),
+            ("embed", [], {"provider": {"endpoint": _GOOD_URL, "max_retries": -1}}, "ProviderConfig.max_retries"),
+            ("generate", ["--endpoint", "foo"], {}, "LLMClientConfig.endpoint_url"),
+            ("generate", ["--endpoint", "ftp://h/x"], {}, "LLMClientConfig.endpoint_url"),
+            ("generate", ["--endpoint", "http://"], {}, "LLMClientConfig.endpoint_url"),
+            ("generate", ["--endpoint", _GOOD_URL, "--timeout", "0"], {}, "LLMClientConfig.timeout"),
+            ("generate", ["--endpoint", _GOOD_URL, "--timeout", "-1"], {}, "LLMClientConfig.timeout"),
+            ("generate", ["--endpoint", _GOOD_URL, "--max-retries", "-1"], {}, "LLMClientConfig.max_retries"),
+            ("generate", [], {"llm": {"endpoint_url": "ftp://h/x"}}, "LLMClientConfig.endpoint_url"),
+            ("generate", [], {"llm": {"endpoint_url": _GOOD_URL, "timeout": -1}}, "LLMClientConfig.timeout"),
+            ("generate", [], {"llm": {"endpoint_url": _GOOD_URL, "max_retries": -1}}, "LLMClientConfig.max_retries"),
+        ],
+        ids=[
+            "embed-flag-foo", "embed-flag-ftp", "embed-flag-no-host", "embed-flag-bad-port", "embed-config-foo",
+            "embed-config-timeout-minus-1", "embed-config-timeout-0", "embed-config-timeout-1e10",
+            "embed-config-max_retries-minus-1",
+            "generate-flag-foo", "generate-flag-ftp", "generate-flag-no-host", "generate-flag-timeout-0",
+            "generate-flag-timeout-minus-1", "generate-flag-max-retries-minus-1", "generate-config-ftp",
+            "generate-config-timeout-minus-1", "generate-config-max_retries-minus-1",
+        ],
+    )
+    def test_bad_remote_setting_exits_2_before_connecting(
+        self, workspace, tmp_path, monkeypatch, capsys, command, flags, cfg_obj, field
+    ):
+        calls = []
+        for module in (embedding, datagen):
+            monkeypatch.setattr(module, "post_json", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_obj))
+        common = ["--config", str(cfg), "--taxonomy", str(workspace["taxonomy"])]
+        if command == "embed":
+            argv = ["embed", *common, "--dataset", str(workspace["dataset"]), "--provider", "http",
+                    "--dim", "2", "--out", str(tmp_path / "e.npy"), *flags]
+        else:
+            argv = ["generate", *common, "--model-name", "m", "--per-class", "1",
+                    "--out", str(tmp_path / "d.jsonl"), *flags]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field} must be "), err
+        assert calls == []
+
+
 class TestServe:
-    @pytest.mark.parametrize("provider", [{"kind": "file", "dim": 64, "path": "e.npy"}, None])
+    @pytest.mark.parametrize("provider",[{"kind": "file", "dim": 64, "path": "e.npy"}, None])
     def test_model_that_cannot_embed_text_exits_2_before_binding(
         self, workspace, tmp_path, monkeypatch, capsys, provider
     ):
