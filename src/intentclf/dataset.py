@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ class LabelVocabulary:
         for label in self.labels:
             if not isinstance(label, str) or not label.strip():
                 raise ValidationError(f"label must be a non-empty string, got {label!r}")
+            check_utf8([label], "label")
             if label in seen:
                 raise ValidationError(f"duplicate label {label!r}")
             seen.add(label)
@@ -144,6 +145,25 @@ def save_vocabulary(vocabulary: LabelVocabulary, path: str | Path) -> None:
     Path(path).write_text(json.dumps(vocabulary.to_json(), indent=2) + "\n", encoding="utf-8")
 
 
+def check_utf8(texts: Sequence[str], what: str = "text") -> None:
+    """Raise :class:`ValidationError` unless every text encodes as UTF-8.
+
+    A ``str`` can hold lone surrogates (``"\\ud800"``, or a byte that is not
+    UTF-8 in ``sys.argv``), which no encoder or file format accepts.
+    """
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        for index, text in enumerate(texts):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                name = what if len(texts) == 1 else f"{what} {index}"
+                raise ValidationError(
+                    f"{name} is not valid UTF-8: lone surrogate {text[exc.start]!r} at index {exc.start}"
+                ) from None
+
+
 @dataclass(frozen=True)
 class TextSample:
     """A query string with its (non-empty) label subset."""
@@ -154,6 +174,7 @@ class TextSample:
     def __post_init__(self):
         if not self.text.strip():
             raise ValidationError("sample text is empty")
+        check_utf8([self.text], "sample text")
         object.__setattr__(self, "labels", frozenset(self.labels))
         if not self.labels:
             raise ValidationError("sample needs at least one label")
@@ -207,10 +228,14 @@ def encode_labels(labels: Iterable[str], vocabulary: LabelVocabulary) -> np.ndar
 def label_matrix(dataset: Dataset) -> np.ndarray:
     """Multi-hot label rows (n x m) of ``dataset``, columns in vocabulary order.
 
-    Row ``i`` is ``encode_labels`` of sample ``i``.
+    Row ``i`` is ``encode_labels`` of sample ``i``; the dataset has checked
+    every label against its vocabulary already.
     """
-    rows = [encode_labels(s.labels, dataset.vocabulary) for s in dataset.samples]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), len(dataset.vocabulary))
+    column = {label: i for i, label in enumerate(dataset.vocabulary.labels)}
+    cells = [(row, column[label]) for row, s in enumerate(dataset.samples) for label in s.labels]
+    y = np.zeros((len(dataset), len(dataset.vocabulary)), dtype=np.float64)
+    y[tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)] = 1.0
+    return y
 
 
 def _sample_to_record(sample: TextSample, vocabulary: LabelVocabulary) -> dict:
@@ -238,10 +263,9 @@ def load_dataset(path: str | Path, vocabulary: LabelVocabulary) -> Dataset:
         if not isinstance(labels, list) or not labels:
             raise ValidationError(f"line {lineno}: 'labels' must be a non-empty array")
         try:
-            members = validate_labels(labels, vocabulary)
+            samples.append(TextSample(text=text, labels=validate_labels(labels, vocabulary)))
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
-        samples.append(TextSample(text=text, labels=members))
     return Dataset(vocabulary=vocabulary, samples=tuple(samples))
 
 

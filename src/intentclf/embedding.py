@@ -15,7 +15,6 @@ a plain dot product.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import os
@@ -28,12 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from .config import JsonConfig
-from .dataset import Dataset
+from .dataset import Dataset, check_utf8
 from .errors import (
     DegenerateEmbeddingError,
     FileFormatError,
     ValidationError,
 )
+from . import httpclient
 from .httpclient import check_remote, post_json
 
 # An embedding is a 1-D float64 numpy array of unit Euclidean norm.
@@ -68,46 +68,168 @@ class ProviderConfig(JsonConfig):
             raise ValidationError("file provider needs a path")
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``x``, as an n x 1 column.
+
+    Row ``i`` gets exactly ``np.linalg.norm(x[i])``: the stacked matmul takes
+    each sum of squares through the same dot product as ``norm``, whereas
+    ``einsum`` and ``norm(axis=1)`` round some rows differently.
+    """
+    return np.sqrt(x[:, None, :] @ x[:, :, None]).reshape(len(x), 1)
+
+
+def _normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Scale each row of the float64 matrix ``x`` to unit length, in place.
+
+    Row ``i`` becomes exactly ``row / np.linalg.norm(row)``. A row whose peak
+    lies outside (1e-150, 1e150) is first divided by its peak, since its sum
+    of squares would overflow to inf or underflow towards 0. Raises
+    :class:`ValidationError` for the first row with a non-finite entry and
+    :class:`DegenerateEmbeddingError` for the first zero row, each naming
+    the row.
+    """
+    peak = np.maximum(x.max(axis=1), -x.min(axis=1))  # NaN when a row holds one
+    usable = (peak > 0.0) & (peak < np.inf)
+    if not usable.all():
+        row = int(np.argmin(usable))
+        if math.isfinite(peak[row]):
+            raise DegenerateEmbeddingError(f"row {row} is a zero vector")
+        raise ValidationError(f"row {row} has non-finite entries")
+    extreme = (peak <= 1e-150) | (peak >= 1e150)
+    if extreme.any():
+        x[extreme] /= peak[extreme, None]
+    x /= _row_norms(x)
+    return x
+
+
 def l2_normalize(v: Sequence[float] | np.ndarray) -> EmbeddingVector:
     """Scale ``v`` to unit Euclidean norm, preserving direction.
 
     Raises :class:`DegenerateEmbeddingError` for the zero vector and
     :class:`ValidationError` for non-finite entries.
     """
-    arr = np.asarray(v, dtype=np.float64)
+    arr = np.array(v, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"expected a non-empty 1-D vector, got shape {arr.shape}")
-    peak = np.abs(arr).max()  # NaN when an entry is NaN
-    if not math.isfinite(peak):
-        raise ValidationError("vector has non-finite entries")
-    if peak == 0.0:
-        raise DegenerateEmbeddingError("cannot normalize a zero vector")
-    if not 1e-150 < peak < 1e150:
-        # the sum of squares would overflow to inf or underflow towards 0
-        arr = arr / peak
-    return arr / float(np.linalg.norm(arr))
+    return _normalize_rows(arr[None, :])[0]
 
 
-def _trigrams(text: str) -> list[str]:
-    padded = _TEXT_START + text + _TEXT_END
-    while len(padded) < 3:
-        padded += _TEXT_END
-    return [padded[i : i + 3] for i in range(len(padded) - 2)]
-
-
-# Entries of the trigram memo: about 240 B each, so at most about 2 MB.
-_TRIGRAM_MEMO_SIZE = 8192
-
-
-@functools.lru_cache(maxsize=_TRIGRAM_MEMO_SIZE)
 def _hash_trigram(trigram: str, seed: int) -> tuple[int, float]:
-    # A pure function of its arguments, so one process-wide memo serves every
-    # caller; real text reuses a few thousand trigrams over and over.
     key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     digest = hashlib.blake2b(trigram.encode("utf-8"), key=key, digest_size=9).digest()
     bucket = int.from_bytes(digest[:8], "little")
     sign = 1.0 if digest[8] & 1 else -1.0
     return bucket, sign
+
+
+# A trigram's key packs its three code points, 21 bits each, into 63 bits,
+# so this sentinel, which ends every table, is above every key.
+_END_KEY = np.uint64(2**64 - 1)
+_HIGH, _MID = np.uint64(42), np.uint64(21)
+
+
+@dataclass(frozen=True)
+class _TrigramTable:
+    """Hashed trigrams of one (seed, dim): sorted keys, their columns and signs.
+
+    A snapshot is never changed once published, so threads read it without a
+    lock; a writer publishes a new one, and an update lost to a concurrent
+    writer only costs a later miss.
+    """
+
+    seed: int
+    dim: int
+    keys: np.ndarray  # uint64, ascending, ending in _END_KEY
+    columns: np.ndarray  # intp: the trigram's bucket modulo dim
+    signs: np.ndarray  # float64: +-1.0
+
+
+def _empty_table(seed: int, dim: int) -> _TrigramTable:
+    return _TrigramTable(seed, dim, np.array([_END_KEY]), np.zeros(1, dtype=np.intp), np.zeros(1))
+
+
+# Trigrams kept per process, about 24 B each, so about 400 KB; real text
+# reuses a few thousand (3,139 in 3,800 generated queries).
+_TRIGRAM_TABLE_SIZE = 1 << 14
+_trigram_table = _empty_table(0, 2)
+# Texts per bincount, which bounds a block's temporaries.
+_TOY_BLOCK = 256
+
+
+def _lookup(keys: np.ndarray, seed: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column and sign of each trigram key; only keys the table lacks are hashed."""
+    global _trigram_table
+    table = _trigram_table
+    if (table.seed, table.dim) != (seed, dim):
+        table = _empty_table(seed, dim)
+    at = np.searchsorted(table.keys, keys)
+    columns, signs = table.columns[at], table.signs[at]
+    missing = table.keys[at] != keys
+    if not missing.any():
+        return columns, signs
+    unseen = keys[missing]
+    # sorted distinct keys; np.unique would import numpy.ma, 1.5 MB of RSS
+    new_keys = np.sort(unseen)
+    first = np.ones(len(new_keys), dtype=bool)
+    first[1:] = new_keys[1:] != new_keys[:-1]
+    new_keys = new_keys[first]
+    hashed = [
+        _hash_trigram(chr(k >> 42) + chr((k >> 21) & 0x1FFFFF) + chr(k & 0x1FFFFF), seed)
+        for k in new_keys.tolist()
+    ]
+    new_columns = np.array([bucket % dim for bucket, _ in hashed], dtype=np.intp)
+    new_signs = np.array([sign for _, sign in hashed])
+    slot = np.searchsorted(new_keys, unseen)
+    columns[missing], signs[missing] = new_columns[slot], new_signs[slot]
+    if len(table.keys) - 1 + len(new_keys) > _TRIGRAM_TABLE_SIZE:
+        # full: start over with what this call saw
+        table = _empty_table(seed, dim)
+        new_keys, new_columns, new_signs = (a[:_TRIGRAM_TABLE_SIZE] for a in (new_keys, new_columns, new_signs))
+    order = np.argsort(np.concatenate([table.keys, new_keys]), kind="stable")
+    _trigram_table = _TrigramTable(
+        seed,
+        dim,
+        *(np.concatenate([old, new])[order] for old, new in (
+            (table.keys, new_keys), (table.columns, new_columns), (table.signs, new_signs)
+        )),
+    )
+    return columns, signs
+
+
+def _toy_block(texts: Sequence[str], dim: int, seed: int, out: np.ndarray) -> None:
+    """Write the unit toy vectors of ``texts`` into the rows of ``out``."""
+    # each text padded to at least three characters, so it has a trigram
+    padded = [_TEXT_START + t + _TEXT_END if t else _TEXT_START + _TEXT_END * 2 for t in texts]
+    codes = np.frombuffer("".join(padded).encode("utf-32-le"), dtype=np.uint32).astype(np.uint64)
+    keys = codes[:-2] << _HIGH
+    keys |= codes[1:-1] << _MID
+    keys |= codes[2:]
+    cells = 0  # offset of each window's row in the flattened block
+    if len(texts) > 1:
+        lengths = np.fromiter(map(len, padded), dtype=np.intp, count=len(texts))
+        ends = np.cumsum(lengths)[:-1]
+        inside = np.ones(len(keys), dtype=bool)
+        inside[ends - 2] = inside[ends - 1] = False  # the windows straddling two texts
+        keys = keys[inside]
+        cells = np.repeat(np.arange(0, len(texts) * dim, dim), lengths - 2)
+    columns, signs = _lookup(keys, seed, dim)
+    # sums of +-1.0 are exact integers, so the order of addition is immaterial
+    acc = np.bincount(columns + cells, weights=signs, minlength=len(texts) * dim).reshape(len(texts), dim)
+    norms = _row_norms(acc)  # exact: the sums of squares are integers
+    for row in np.flatnonzero(norms == 0.0).tolist():
+        # All buckets cancelled (vanishingly rare); fall back to a one-hot
+        # bucket derived from the whole text so the map stays total.
+        bucket, sign = _hash_trigram(_TEXT_START + texts[row] + _TEXT_END, seed)
+        acc[row, bucket % dim] = sign
+        norms[row] = 1.0
+    np.divide(acc, norms, out=out)
+
+
+def _toy_embed(texts: Sequence[str], dim: int, seed: int) -> np.ndarray:
+    out = np.empty((len(texts), dim), dtype=np.float64)
+    for start in range(0, len(texts), _TOY_BLOCK):
+        _toy_block(texts[start : start + _TOY_BLOCK], dim, seed, out[start : start + _TOY_BLOCK])
+    return out
 
 
 def toy_embed(text: str, dim: int, seed: int = 0) -> EmbeddingVector:
@@ -119,48 +241,41 @@ def toy_embed(text: str, dim: int, seed: int = 0) -> EmbeddingVector:
     """
     if dim < 2:
         raise ValidationError(f"embedding dim must be >= 2, got {dim}")
-    buckets, signs = zip(*[_hash_trigram(t, seed) for t in _trigrams(text)])
-    # sums of +-1.0 are exact integers, so the order of addition is immaterial
-    index = (np.array(buckets, dtype=np.uint64) % np.uint64(dim)).astype(np.intp)
-    acc = np.bincount(index, weights=signs, minlength=dim)
-    if not acc.any():
-        # All buckets cancelled (vanishingly rare); fall back to a one-hot
-        # bucket derived from the whole text so the map stays total. The
-        # whole text is no trigram, so it bypasses the memo.
-        bucket, sign = _hash_trigram.__wrapped__(_TEXT_START + text + _TEXT_END, seed)
-        acc[bucket % dim] = sign
-    return l2_normalize(acc)
+    check_utf8([text])
+    return _toy_embed([text], dim, seed)[0]
 
 
-def _embed_remote(texts: Sequence[str], config: ProviderConfig) -> list[EmbeddingVector]:
-    """Encode a batch through the configured HTTP endpoint, order-preserving."""
-    if not texts:
-        return []
-    body = post_json(
-        config.endpoint,
-        {"texts": list(texts)},
-        timeout=config.timeout,
-        max_retries=config.max_retries,
-    )
-    vectors = body.get("vectors")
-    if not isinstance(vectors, list) or len(vectors) != len(texts):
-        got = len(vectors) if isinstance(vectors, list) else "none"
-        raise ValidationError(
-            f"encoder returned {got} vectors for {len(texts)} texts"
-        )
-    out: list[EmbeddingVector] = []
-    for row, vec in enumerate(vectors):
-        # numpy would read "1.5" and true as numbers; a JSON reply holds int or float
-        if not isinstance(vec, list) or not all(type(v) in (int, float) for v in vec):
-            raise ValidationError(f"encoder row {row} is not a vector of JSON numbers")
-        try:
-            arr = np.asarray(vec, dtype=np.float64)
-        except OverflowError:
-            raise ValidationError(f"encoder row {row} has an entry beyond float range") from None
-        if len(arr) != config.dim:
-            raise ValidationError(f"encoder row {row} has dim {len(arr)} but config.dim={config.dim}")
-        out.append(l2_normalize(arr))
-    return out
+def _embed_remote(texts: Sequence[str], config: ProviderConfig) -> np.ndarray:
+    """Encode texts through the configured HTTP endpoint, order-preserving.
+
+    Texts go out in consecutive requests of at most ``MAX_REPLY_BYTES //
+    (2 * 25 * dim)`` each: a float64 in shortest form takes at most 26 bytes
+    with its separator, so no reply reaches the cap. Each request is retried
+    on its own.
+    """
+    out = np.empty((len(texts), config.dim), dtype=np.float64)
+    per_request = max(1, httpclient.MAX_REPLY_BYTES // (2 * 25 * config.dim))
+    for start in range(0, len(texts), per_request):
+        batch = list(texts[start : start + per_request])
+        body = post_json(config.endpoint, {"texts": batch}, timeout=config.timeout, max_retries=config.max_retries)
+        vectors = body.get("vectors")
+        if not isinstance(vectors, list) or len(vectors) != len(batch):
+            got = len(vectors) if isinstance(vectors, list) else "none"
+            raise ValidationError(f"encoder returned {got} vectors for {len(batch)} texts")
+        for row, vec in enumerate(vectors, start=start):
+            # numpy would read "1.5" and true as numbers; a JSON reply holds int or float
+            if not isinstance(vec, list) or not all(type(v) in (int, float) for v in vec):
+                raise ValidationError(f"encoder row {row} is not a vector of JSON numbers")
+            if len(vec) != config.dim:
+                raise ValidationError(f"encoder row {row} has dim {len(vec)} but config.dim={config.dim}")
+            try:
+                out[row] = vec
+            except OverflowError:
+                raise ValidationError(f"encoder row {row} has an entry beyond float range") from None
+    try:
+        return _normalize_rows(out)
+    except (DegenerateEmbeddingError, ValidationError) as exc:
+        raise type(exc)(f"encoder {exc}") from None
 
 
 def check_embeds_text(config: ProviderConfig | None) -> None:
@@ -175,11 +290,15 @@ def check_embeds_text(config: ProviderConfig | None) -> None:
         )
 
 
-def embed_texts(texts: Sequence[str], config: ProviderConfig) -> list[EmbeddingVector]:
-    """Embed arbitrary texts with a provider able to do so (toy or http)."""
+def embed_texts(texts: Sequence[str], config: ProviderConfig) -> np.ndarray:
+    """Embed arbitrary texts with a provider able to do so (toy or http).
+
+    Returns one unit row per text, an n x dim float64 matrix.
+    """
     check_embeds_text(config)
+    check_utf8(texts)
     if config.kind == "toy":
-        return [toy_embed(t, config.dim, config.seed) for t in texts]
+        return _toy_embed(texts, config.dim, config.seed)
     return _embed_remote(texts, config)
 
 
@@ -187,8 +306,7 @@ def embed_dataset(dataset: Dataset, config: ProviderConfig) -> np.ndarray:
     """Embed every sample of a dataset (toy/http) or load the aligned file, one row each."""
     if config.kind == "file":
         return load_embeddings(config.path, dataset)
-    vectors = embed_texts([s.text for s in dataset.samples], config)
-    return np.array(vectors, dtype=np.float64).reshape(len(vectors), config.dim)
+    return embed_texts([s.text for s in dataset.samples], config)
 
 
 # numpy's .npy header readers, by format version; 3.0 only adds UTF-8 field
@@ -250,7 +368,7 @@ def load_embeddings(path: str | Path, dataset: Dataset) -> np.ndarray:
         flat = np.fromfile(fh, dtype=dtype, count=rows * cols)
     x = flat.reshape(shape, order="F" if fortran_order else "C")
     x = x.astype(np.float64, order="C", copy=False)
-    # per row: a batched norm over axis 1 rounds differently on some rows
-    for row in x:
-        row[:] = l2_normalize(row)
-    return x
+    try:
+        return _normalize_rows(x)
+    except (DegenerateEmbeddingError, ValidationError) as exc:
+        raise type(exc)(f"{exc} [{path}]") from None

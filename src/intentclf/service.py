@@ -6,7 +6,8 @@ Endpoints:
   [..], "scores": {label: probability, ..}, "model_version": <int>}``.
 * ``GET /health`` returns 200 with the model version.
 
-Status codes: 400 for a malformed body or for a Content-Length that is not a
+Status codes: 400 for a malformed body, a text that is not valid UTF-8 (a
+lone surrogate escape such as ``"\\ud800"``) or a Content-Length that is not a
 non-negative integer, 413 for a Content-Length above ``MAX_BODY_BYTES`` (in
 both cases the body is not read), 422 for empty text, 500 for internal
 failures, 404 for unknown paths. The classify body is rendered by the same
@@ -42,6 +43,7 @@ import time
 from email.utils import formatdate
 from http import HTTPStatus
 
+from .dataset import check_utf8
 from .embedding import embed_texts
 from .errors import PipelineError, ValidationError
 from .trainer import ModelArtifact, predict
@@ -166,6 +168,10 @@ def _classify(artifact: ModelArtifact, raw: bytes) -> tuple[int, str]:
         return 400, _error_body("body is not valid JSON")
     if not isinstance(request, dict) or not isinstance(request.get("text"), str):
         return 400, _error_body("body must be an object with a string 'text'")
+    try:
+        check_utf8([request["text"]])
+    except ValidationError as exc:
+        return 400, _error_body(str(exc))
     if not request["text"].strip():
         return 422, _error_body("text is empty")
     return 200, classification_body(artifact, request["text"])

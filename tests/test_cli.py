@@ -364,6 +364,21 @@ class TestPredict:
         assert set(body["scores"]) == set(default_taxonomy().labels)
         assert body["model_version"] == 1
 
+    def test_text_that_is_not_utf8_exits_2(self, workspace, capsys):
+        # a byte that is not UTF-8 reaches sys.argv as a lone surrogate
+        assert main(["predict", "--model", str(workspace["model"]), "--text", "ETA \udcff"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: text is not valid UTF-8: lone surrogate '\\udcff' at index 4"], err
+
+    def test_argv_byte_that_is_not_utf8_exits_2(self, workspace):
+        env = {**os.environ, "PYTHONPATH": str(Path(intentclf.__file__).parent.parent), "PYTHONUTF8": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "intentclf.cli", "predict", "--model", str(workspace["model"]), "--text", b"ETA \xff"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.decode().splitlines() == ["error: text is not valid UTF-8: lone surrogate '\\udcff' at index 4"]
+
     def test_missing_model_exits_3(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "nope.json"), "--text", "x"]) == 3
 
@@ -794,9 +809,13 @@ _BAD_INPUTS = [
     pytest.param("config", b"[" * 200_000, 3, id="config-too-deep"),
     pytest.param("dataset", b'{"text": "eta?", "labels": [["x"]]}', 2, id="dataset-nested-label"),
     pytest.param("dataset", b'{"text": "eta?", "labels": [1, null]}', 2, id="dataset-non-string-labels"),
+    # json.loads turns the escape into a str that no encoder accepts
+    pytest.param("dataset", json.dumps({"text": "eta \ud800?", "labels": [default_taxonomy().labels[0]]}).encode(),
+                 2, id="dataset-lone-surrogate"),
     pytest.param("combos", b'[[["a"]]]', 3, id="combos-nested-label"),
     pytest.param("combos", b"[[1, null]]", 3, id="combos-non-string-labels"),
     pytest.param("taxonomy", b'{"labels": ["a", "b"], "descriptions": {"a": 5}}', 3, id="taxonomy-description"),
+    pytest.param("taxonomy", b'{"labels": ["eta \\ud800", "b"]}', 3, id="taxonomy-lone-surrogate"),
     pytest.param("model", b'{"format_version": 1, "vocabulary": {"labels": ["a"]}, "embed_dim": 1e400}', 3,
                  id="model-embed-dim-overflow"),
     # .npy embeddings that np.load would allocate for, warn on, fail on with
@@ -847,6 +866,20 @@ _FILE_BYTES = st.one_of(
     _JSON_VALUES.map(lambda value: json.dumps(value).encode()),
     st.lists(_JSON_VALUES, max_size=4).map(lambda rows: "\n".join(map(json.dumps, rows)).encode()),
 )
+# dataset lines with known and unknown labels, whose text may hold lone
+# surrogate escapes ("\\ud800"), which json.loads accepts and UTF-8 does not
+_DATASET_TEXT = st.text(
+    st.characters(max_codepoint=0x7F) | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()),
+    max_size=8,
+)
+_DATASET_BYTES = st.lists(
+    st.fixed_dictionaries({
+        "text": _DATASET_TEXT,
+        "labels": st.lists(st.sampled_from([*default_taxonomy().labels, "nope"]), max_size=2),
+    }),
+    min_size=1,
+    max_size=4,
+).map(lambda rows: "\n".join(map(json.dumps, rows)).encode())
 _NPY_DTYPES = st.sampled_from(["<f8", ">f4", "<f2", "<i4", "|u1", "|b1", "<c16", "<U3", "<M8[s]"])
 
 
@@ -892,6 +925,8 @@ def test_any_input_file_exits_with_a_documented_code(workspace, fuzz_dir, kind, 
     if kind == "embeddings":
         rows = len(load_dataset(workspace["dataset"], default_taxonomy()))
         content = data.draw(_npy_files(rows), label="content")
+    elif kind == "dataset":
+        content = data.draw(_FILE_BYTES | _DATASET_BYTES, label="content")
     else:
         content = data.draw(_FILE_BYTES, label="content")
     path = fuzz_dir / f"{kind}.input"

@@ -116,6 +116,19 @@ class TestLoadDataset:
         assert load_dataset(path, small_vocab) == ds
 
 
+class TestTextSample:
+    @pytest.mark.parametrize("text", ["\ud800", "eta \udcff?", "\udfff\ud800"])
+    def test_lone_surrogate_refused(self, text):
+        with pytest.raises(ValidationError, match="sample text is not valid UTF-8: lone surrogate"):
+            TextSample(text, frozenset({"eta"}))
+
+    def test_dataset_line_with_a_lone_surrogate_names_the_line(self, tmp_path, small_vocab):
+        path = tmp_path / "d.jsonl"
+        _write(path, ['{"text": "eta?", "labels": ["eta"]}', '{"text": "eta \\ud800?", "labels": ["eta"]}'])
+        with pytest.raises(ValidationError, match=r"^line 2: sample text is not valid UTF-8: lone surrogate '\\ud800' at index 4$"):
+            load_dataset(path, small_vocab)
+
+
 class TestEncoding:
     def test_empty_member_set_gives_zeros(self, small_vocab):
         assert encode_labels(frozenset(), small_vocab).tolist() == [0.0, 0.0, 0.0]
@@ -146,6 +159,13 @@ class TestEncoding:
         for row, sample in zip(y, ds.samples):
             assert row.tobytes() == encode_labels(sample.labels, vocab).tobytes()
         assert (y.sum(axis=1) == 2).any(), "the combos give multi-label rows"
+
+    @given(sets=st.lists(st.sets(st.sampled_from(["eta", "berth", "fuel"]), min_size=1), max_size=12))
+    def test_label_matrix_equals_stacked_encode_labels(self, sets):
+        vocab = LabelVocabulary(labels=("eta", "berth", "fuel"))
+        ds = Dataset(vocab, tuple(TextSample(f"q{i}", frozenset(labels)) for i, labels in enumerate(sets)))
+        want = np.array([encode_labels(labels, vocab) for labels in sets]).reshape(len(sets), 3)
+        assert label_matrix(ds).tobytes() == want.tobytes()
 
     def test_label_matrix_of_empty_dataset(self, small_vocab):
         assert label_matrix(Dataset(small_vocab, ())).shape == (0, 3)

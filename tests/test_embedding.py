@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from intentclf import (
     Dataset,
     DegenerateEmbeddingError,
     FileFormatError,
+    LabelVocabulary,
+    PipelineError,
     ProviderConfig,
     RemoteServiceError,
     TextSample,
@@ -141,15 +146,79 @@ class TestToyEmbedOracle:
             cancelled += not toy_acc_loop(text, dim, seed).any()
         assert cancelled > 0, "no text reached the all-cancelled fallback"
 
-    def test_memo_stays_within_its_bound(self):
-        bound = embedding._TRIGRAM_MEMO_SIZE
-        assert embedding._hash_trigram.cache_info().maxsize == bound
-        misses = embedding._hash_trigram.cache_info().misses
+    def test_batches_match_loop_bit_for_bit(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(600):
+            texts = [_random_text(rng) for _ in range(int(rng.integers(1, 7)))]
+            dim = int(rng.choice([2, 3, 7, 256]))
+            seed = int(rng.choice([0, 1, 42, -1, 2**64 - 1]))
+            got = embed_texts(texts, ProviderConfig(kind="toy", dim=dim, seed=seed))
+            assert got.shape == (len(texts), dim)
+            for text, row in zip(texts, got):
+                assert row.tobytes() == toy_embed_loop(text, dim, seed).tobytes(), (texts, dim, seed)
+
+    def test_blocks_of_a_long_batch_match_loop(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_TOY_BLOCK", 4)
+        rng = np.random.default_rng(7)
+        texts = [_random_text(rng) for _ in range(11)]
+        got = embed_texts(texts, ProviderConfig(kind="toy", dim=16, seed=3))
+        want = np.array([toy_embed_loop(text, 16, 3) for text in texts])
+        assert got.tobytes() == want.tobytes()
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        bound = embedding._TRIGRAM_TABLE_SIZE
+        hashed = []
+
+        def counting(trigram, seed):
+            hashed.append(trigram)
+            return hash_trigram(trigram, seed)
+
+        hash_trigram = embedding._hash_trigram
+        monkeypatch.setattr(embedding, "_hash_trigram", counting)
         # every 3-letter text brings a new inner trigram: more than the bound
         for letters in itertools.product("abcdefghijklmnopqrstuvwxy", repeat=3):
-            toy_embed("".join(letters), 8, seed=11)
-            assert embedding._hash_trigram.cache_info().currsize <= bound
-        assert embedding._hash_trigram.cache_info().misses - misses > bound
+            text = "".join(letters)
+            assert toy_embed(text, 8, seed=11).tobytes() == toy_embed_loop(text, 8, 11).tobytes()
+            assert len(embedding._trigram_table.keys) - 1 <= bound
+        assert len(hashed) > bound
+
+    def test_threads_sharing_the_table_agree(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        texts = [_random_text(rng) for _ in range(48)]
+        batches = [texts[k : k + 24] for k in range(0, 24, 3)]  # 8 overlapping batches
+        config = ProviderConfig(kind="toy", dim=32, seed=5)
+        want = [np.array([toy_embed_loop(t, 32, 5) for t in batch]) for batch in batches]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave between any two bytecodes
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(embedding, "_trigram_table", embedding._empty_table(0, 2))
+                start = threading.Barrier(len(batches))
+
+                def embed(batch):
+                    start.wait(timeout=30)
+                    return embed_texts(batch, config)
+
+                with ThreadPoolExecutor(len(batches)) as pool:
+                    got = list(pool.map(embed, batches, timeout=60))
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+                # whichever snapshot won holds sorted, distinct, correctly hashed keys
+                table = embedding._trigram_table
+                keys = table.keys[:-1].tolist()
+                assert keys == sorted(set(keys)) and table.keys[-1] == embedding._END_KEY
+                for key, column, sign in zip(keys, table.columns.tolist(), table.signs.tolist()):
+                    trigram = chr(key >> 42) + chr((key >> 21) & 0x1FFFFF) + chr(key & 0x1FFFFF)
+                    bucket, want_sign = embedding._hash_trigram(trigram, 5)
+                    assert (column, sign) == (bucket % 32, want_sign)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_lone_surrogate_refused(self):
+        config = ProviderConfig(kind="toy", dim=8)
+        with pytest.raises(ValidationError, match=r"text 1 is not valid UTF-8: lone surrogate '\\ud800'"):
+            embed_texts(["eta", "eta \ud800?"], config)
+        with pytest.raises(ValidationError, match="not valid UTF-8"):
+            toy_embed("\udcff", 8)
 
 
 class TestEmbeddingFile:
@@ -193,6 +262,35 @@ class TestEmbeddingFile:
         with pytest.raises(error):
             load_embeddings(path, tiny_dataset)
 
+    @pytest.mark.parametrize("bad, message", [(np.nan, "row 1 has non-finite entries"), (0.0, "row 1 is a zero vector")])
+    def test_bad_row_named_with_the_file(self, tmp_path, tiny_dataset, bad, message):
+        path = tmp_path / "e.npy"
+        save_embeddings([np.ones(4), np.full(4, bad), np.zeros(4)], path)
+        with pytest.raises(PipelineError) as caught:
+            load_embeddings(path, tiny_dataset)
+        assert str(caught.value) == f"{message} [{path}]"
+
+    def test_rows_equal_per_row_norm_bit_for_bit(self, tmp_path):
+        # toy rows, dense rows and rows whose peak is far outside (1e-150, 1e150)
+        rng = np.random.default_rng(11)
+        rows = [toy_embed_loop(_random_text(rng), 64, 0) * rng.integers(1, 9) for _ in range(40)]
+        rows += list(rng.normal(size=(40, 64)))
+        rows += [rng.normal(size=64) * scale for scale in (1e-200, 1e200, 1e-100, 1e100, 5e-324) for _ in range(8)]
+        order = rng.permutation(len(rows))
+        matrix = np.array([rows[i] for i in order])
+        path = tmp_path / "e.npy"
+        save_embeddings(matrix, path)
+        dataset = Dataset(
+            vocabulary=LabelVocabulary(labels=("a",)),
+            samples=tuple(TextSample(f"t{i}", frozenset({"a"})) for i in range(len(matrix))),
+        )
+        loaded = load_embeddings(path, dataset)
+        for got, row in zip(loaded, matrix):
+            peak = np.abs(row).max()
+            if not 1e-150 < peak < 1e150:
+                row = row / peak
+            assert got.tobytes() == (row / float(np.linalg.norm(row))).tobytes()
+
     @pytest.mark.parametrize("array", [
         np.asfortranarray(np.arange(1.0, 13.0).reshape(3, 4)),
         np.arange(1, 13, dtype=">i2").reshape(3, 4),
@@ -228,7 +326,7 @@ class TestRemoteProvider:
 
     def test_empty_batch_makes_no_call(self):
         with stub_server([(200, {"vectors": []})]) as (url, state):
-            assert embed_texts([], self._config(url)) == []
+            assert embed_texts([], self._config(url)).shape == (0, 3)
         assert state.calls == []
 
     def test_order_preserving(self):
@@ -238,6 +336,38 @@ class TestRemoteProvider:
         assert state.calls[0]["body"] == {"texts": ["a", "b", "c"]}
         assert [int(np.argmax(v)) for v in vectors] == [0, 1, 2]
         assert all(abs(np.linalg.norm(v) - 1.0) < 1e-9 for v in vectors)
+
+    def test_requests_sized_so_no_reply_reaches_the_cap(self, monkeypatch):
+        # 2 * 25 bytes per entry of a 3-wide row: 2 texts per request
+        monkeypatch.setattr(httpclient, "MAX_REPLY_BYTES", 2 * 25 * 3 * 2 + 149)
+        replies = [
+            (200, {"vectors": [[1, 0, 0], [0, 2, 0]]}),
+            (200, {"vectors": [[0, 0, 3], [4, 4, 0]]}),
+            (200, {"vectors": [[0, 5, 5]]}),
+        ]
+        with stub_server(replies) as (url, state):
+            vectors = embed_texts(["a", "b", "c", "d", "e"], self._config(url))
+        assert [call["body"] for call in state.calls] == [
+            {"texts": ["a", "b"]}, {"texts": ["c", "d"]}, {"texts": ["e"]},
+        ]
+        rows = np.array([[1, 0, 0], [0, 2, 0], [0, 0, 3], [4, 4, 0], [0, 5, 5]], dtype=float)
+        assert vectors.tobytes() == (rows / np.linalg.norm(rows, axis=1, keepdims=True)).tobytes()
+
+    def test_each_request_retried_on_its_own(self, monkeypatch):
+        monkeypatch.setattr(httpclient, "MAX_REPLY_BYTES", 2 * 25 * 3)  # one text per request
+        replies = [(200, {"vectors": [[1, 0, 0]]}), (503, "busy"), (200, {"vectors": [[0, 1, 0]]})]
+        with stub_server(replies) as (url, state):
+            config = ProviderConfig(kind="http", dim=3, endpoint=url, max_retries=1)
+            vectors = embed_texts(["a", "b"], config)
+        assert [call["body"]["texts"] for call in state.calls] == [["a"], ["b"], ["b"]]
+        assert vectors.tolist() == [[1, 0, 0], [0, 1, 0]]
+
+    def test_bad_row_named_by_its_place_in_the_batch(self, monkeypatch):
+        monkeypatch.setattr(httpclient, "MAX_REPLY_BYTES", 2 * 25 * 3)
+        replies = [(200, {"vectors": [[1, 0, 0]]}), (200, {"vectors": [[0, 0, 0]]})]
+        with stub_server(replies) as (url, _):
+            with pytest.raises(DegenerateEmbeddingError, match="^encoder row 1 is a zero vector$"):
+                embed_texts(["a", "b"], self._config(url))
 
     def test_inconsistent_dims_rejected(self):
         body = {"vectors": [[1, 0, 0], [0, 1]]}

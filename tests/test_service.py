@@ -117,6 +117,13 @@ class TestClassify:
         )
         assert response.status_code == 400
 
+    def test_text_that_is_not_utf8_400(self, server, caplog):
+        # the escape parses as a str that holds a lone surrogate
+        response = requests.post(f"{server}/classify", json={"text": "eta \ud800"}, timeout=5)
+        assert response.status_code == 400
+        assert response.json() == {"error": "text is not valid UTF-8: lone surrogate '\\ud800' at index 4"}
+        assert not caplog.records
+
     def test_missing_text_400(self, server):
         assert requests.post(f"{server}/classify", json={"q": "x"}, timeout=5).status_code == 400
 
