@@ -1,10 +1,12 @@
 """Command-line entry points for the full pipeline.
 
 Subcommands: ``generate``, ``embed``, ``train``, ``eval``, ``predict``,
-``serve``. Every subcommand accepts ``--config cfg.json`` supplying defaults
-for its flags (explicit flags win). The ``train``, ``mining``, ``ofc`` and
-``provider`` sections hold fields of the matching config dataclass; a flag
-whose ``dest`` is ``<section>.<field>`` overrides that field. Exit codes:
+``serve``. ``generate``, ``embed``, ``train`` and ``eval`` accept
+``--config cfg.json``, a JSON object of settings: a flag's ``dest`` is the
+key it sets (``taxonomy``, ``generate.per_class``, ``train.lr_pretrain``),
+a given flag wins over the file and the file over the defaults. The
+``train``, ``mining``, ``ofc``, ``provider`` and ``llm`` sections hold
+fields of the matching config dataclass. Exit codes:
 0 success, 2 validation, 3 file/I-O, 4 remote service, 130 interrupted
 (Ctrl-C), 143 terminated (SIGTERM to ``serve``).
 """
@@ -26,28 +28,21 @@ from .dataset import (
     save_dataset,
     split_indices,
 )
-from .datagen import (
-    LLMClientConfig,
-    llm_generate,
-    offline_generate,
-)
+from .datagen import LLMClientConfig, llm_generate, offline_generate
 from .embedding import (
+    _PROVIDER_KINDS,
     ProviderConfig,
     check_embeds_text,
     embed_dataset,
     load_embeddings,
     save_embeddings,
 )
-from .errors import (
-    FileFormatError,
-    GenerationError,
-    PipelineError,
-    RemoteServiceError,
-    ValidationError,
-)
+from .errors import FileFormatError, GenerationError, PipelineError, RemoteServiceError, ValidationError
 from .metrics import EvalReport, evaluate, save_report
+from .mining import _MODES, _POSITIVE_RULES
 from .service import classification_body, serve_forever
 from .trainer import (
+    _LOSS_KINDS,
     TrainConfig,
     finetune,
     load_artifact,
@@ -79,34 +74,6 @@ _TABLE_COLUMNS = (
 )
 
 
-class _Cfg:
-    """Optional JSON config file backing flag defaults."""
-
-    def __init__(self, path: str | None):
-        self.data: dict = read_json(path, "config") if path else {}
-
-    def section(self, name: str) -> dict:
-        return _as_section(self.data.get(name, {}), name)
-
-    def pick(self, cli_value, *keys, default=None, kind=None):
-        """The flag if given, else the config value at ``keys``, else ``default``.
-
-        With ``kind`` the value is coerced to it; a value that cannot be is a
-        :class:`ValidationError` naming ``keys``, and so is a section on the
-        way to it that is not an object, even when the flag is given.
-        """
-        node = self.data
-        for depth in range(1, len(keys)):
-            node = _as_section(node.get(keys[depth - 1], {}), ".".join(keys[:depth]))
-        value = node.get(keys[-1], default) if cli_value is None else cli_value
-        return value if kind is None else coerce(value, kind, ".".join(keys))
-
-    def path(self, cli_value, *keys) -> str | None:
-        """The flag if given, else the config string at ``keys``, else None."""
-        value = self.pick(cli_value, *keys)
-        return None if value is None else coerce(value, str, ".".join(keys))
-
-
 class _Terminated(BaseException):
     """SIGTERM, raised in the main thread as Ctrl-C raises KeyboardInterrupt."""
 
@@ -115,10 +82,43 @@ def _raise_terminated(signum, frame):
     raise _Terminated
 
 
-def _require(value, what: str):
-    if value is None:
-        raise ValidationError(f"missing required value: {what}")
-    return value
+def _settings(args) -> dict:
+    """The ``--config`` object with each given flag set at its ``dest`` key.
+
+    A ``dest`` is a top-level key (``taxonomy``) or ``<section>.<key>``
+    (``train.lr_pretrain``); the section must be a JSON object.
+    """
+    tree = read_json(args.config, "config") if args.config else {}
+    for key, value in vars(args).items():
+        if value is None or key in ("command", "handler", "config"):
+            continue
+        section, _, name = key.rpartition(".")
+        if section:
+            tree[section] = {**_get(tree, section, dict, {}), name: value}
+        else:
+            tree[name] = value
+    return tree
+
+
+def _get(tree: dict, key: str, kind: type, default=None, required: str | None = None):
+    """The value at dotted ``key`` of ``tree``, or ``default`` where it is absent.
+
+    Each section on the way, and the value itself when ``kind`` is ``dict``,
+    must be a JSON object. Any other value is coerced to ``kind``, except a
+    None where ``default`` is None: that is returned, or refused naming the
+    ``required`` flag.
+    """
+    parts = key.split(".")
+    value = tree
+    for depth, part in enumerate(parts, 1):
+        value = value.get(part, default if depth == len(parts) else {})
+        if (depth < len(parts) or kind is dict) and not isinstance(value, dict):
+            raise ValidationError(f"config section {'.'.join(parts[:depth])!r} must be a JSON object")
+    if value is None and default is None:
+        if required:
+            raise ValidationError(f"missing required value: {required}")
+        return None
+    return value if kind is dict else coerce(value, kind, key)
 
 
 def _load_combos(path: str | None) -> list[frozenset[str]]:
@@ -130,30 +130,14 @@ def _load_combos(path: str | None) -> list[frozenset[str]]:
     return [frozenset(c) for c in obj]
 
 
-def _as_section(node, name: str) -> dict:
-    if not isinstance(node, dict):
-        raise ValidationError(f"config section {name!r} must be a JSON object")
-    return node
-
-
-def _layered(args, cfg: _Cfg, name: str) -> dict:
-    """Config section ``name`` with explicit ``name.<field>`` flags laid over it."""
-    merged = dict(cfg.section(name))
-    prefix = name + "."
-    for dest, value in vars(args).items():
-        if dest.startswith(prefix) and value is not None:
-            merged[dest[len(prefix):]] = value
-    return merged
-
-
-def _train_config(args, cfg: _Cfg) -> TrainConfig:
-    train = _layered(args, cfg, "train")
+def _train_config(s: dict) -> TrainConfig:
     # train may nest mining/ofc, as the artifact's config snapshot does;
     # the top-level sections win key by key
-    for name in ("mining", "ofc"):
-        nested = _as_section(train.get(name, {}), f"train.{name}")
-        train[name] = {**nested, **_layered(args, cfg, name)}
-    return TrainConfig.from_json(train)
+    nested = {
+        name: {**_get(s, f"train.{name}", dict, {}), **_get(s, name, dict, {})}
+        for name in ("mining", "ofc")
+    }
+    return TrainConfig.from_json({**_get(s, "train", dict, {}), **nested})
 
 
 # ---------------------------------------------------------------------------
@@ -161,74 +145,69 @@ def _train_config(args, cfg: _Cfg) -> TrainConfig:
 
 
 def run_generate(args) -> int:
-    cfg = _Cfg(args.config)
-    taxonomy_path = _require(cfg.path(args.taxonomy, "taxonomy"), "--taxonomy")
-    out_path = _require(cfg.path(args.out, "dataset"), "--out")
-    per_class = cfg.pick(args.per_class, "generate", "per_class", default=40, kind=int)
-    seed = cfg.pick(args.seed, "generate", "seed", default=0, kind=int)
-    offline = cfg.pick(args.offline or None, "generate", "offline", default=False, kind=bool)
+    s = _settings(args)
+    taxonomy_path = _get(s, "taxonomy", str, required="--taxonomy")
+    out_path = _get(s, "dataset", str, required="--out")
+    per_class = _get(s, "generate.per_class", int, 40)
+    seed = _get(s, "generate.seed", int, 0)
+    offline = _get(s, "generate.offline", bool, False)
     vocabulary = load_vocabulary(taxonomy_path)
-    combos = _load_combos(cfg.path(args.combos, "generate", "combos"))
+    combos = _load_combos(_get(s, "generate.combos", str))
     if offline:
         dataset = offline_generate(vocabulary, per_class, combos, seed)
-    else:
-        llm = _layered(args, cfg, "llm")
-        _require(llm.get("endpoint_url"), "--endpoint")
-        _require(llm.get("model_name"), "--model-name")
-        client = LLMClientConfig.from_json(llm)
+    else:  # LLMClientConfig has no default for these two
+        _get(s, "llm.endpoint_url", str, required="--endpoint")
+        _get(s, "llm.model_name", str, required="--model-name")
+        client = LLMClientConfig.from_json(_get(s, "llm", dict, {}))
         dataset = llm_generate(vocabulary, per_class, combos, client, seed)
     save_dataset(dataset, out_path)
     for label in vocabulary.labels:
-        count = sum(1 for s in dataset.samples if label in s.labels)
+        count = sum(1 for sample in dataset.samples if label in sample.labels)
         print(f"{label}: {count}")
     print(f"total: {len(dataset)} samples -> {out_path}")
     return _EXIT_OK
 
 
 def run_embed(args) -> int:
-    cfg = _Cfg(args.config)
-    out_path = _require(cfg.path(args.out, "embeddings"), "--out")
-    _, dataset = _load_dataset(cfg, args)
-    provider = ProviderConfig.from_json(_layered(args, cfg, "provider"))
+    s = _settings(args)
+    out_path = _get(s, "embeddings", str, required="--out")
+    _, dataset = _load_dataset(s)
+    provider = ProviderConfig.from_json(_get(s, "provider", dict, {}))
     x = embed_dataset(dataset, provider)
     save_embeddings(x, out_path)
     print(f"embedded {len(x)} samples at dim {provider.dim} -> {out_path}")
     return _EXIT_OK
 
 
-def _load_dataset(cfg: _Cfg, args):
-    taxonomy_path = _require(cfg.path(args.taxonomy, "taxonomy"), "--taxonomy")
-    dataset_path = _require(cfg.path(args.dataset, "dataset"), "--dataset")
+def _load_dataset(s: dict):
+    taxonomy_path = _get(s, "taxonomy", str, required="--taxonomy")
+    dataset_path = _get(s, "dataset", str, required="--dataset")
     vocabulary = load_vocabulary(taxonomy_path)
     return vocabulary, load_dataset(dataset_path, vocabulary)
 
 
-def _load_embedded(cfg: _Cfg, args):
-    embeddings_path = _require(cfg.path(args.embeddings, "embeddings"), "--embeddings")
-    vocabulary, dataset = _load_dataset(cfg, args)
+def _load_embedded(s: dict):
+    embeddings_path = _get(s, "embeddings", str, required="--embeddings")
+    vocabulary, dataset = _load_dataset(s)
     return vocabulary, load_embeddings(embeddings_path, dataset), label_matrix(dataset)
 
 
-def _split(args, cfg: _Cfg, n: int) -> tuple[list[int], list[int]]:
-    fraction = cfg.pick(args.holdout_fraction, "split", "holdout_fraction", default=0.2, kind=float)
-    seed = cfg.pick(args.split_seed, "split", "seed", default=0, kind=int)
-    return split_indices(n, fraction, seed)
+def _split(s: dict, n: int) -> tuple[list[int], list[int]]:
+    return split_indices(n, _get(s, "split.holdout_fraction", float, 0.2), _get(s, "split.seed", int, 0))
 
 
 def run_train(args) -> int:
-    cfg = _Cfg(args.config)
-    vocabulary, x, y = _load_embedded(cfg, args)
-    out_path = _require(cfg.path(args.out, "model"), "--out")
-    loss_log = cfg.path(args.loss_log, "loss_log")
-    train_idx, _ = _split(args, cfg, len(x))
+    s = _settings(args)
+    vocabulary, x, y = _load_embedded(s)
+    out_path = _get(s, "model", str, required="--out")
+    loss_log = _get(s, "loss_log", str)
+    train_idx, _ = _split(s, len(x))
     x, y = x[train_idx], y[train_idx]
 
-    config = _train_config(args, cfg)
-    provider = ProviderConfig.from_json(_layered(args, cfg, "provider"))
+    config = _train_config(s)
+    provider = ProviderConfig.from_json(_get(s, "provider", dict, {}))
     if provider.kind != "file" and provider.dim != x.shape[1]:
-        raise ValidationError(
-            f"provider dim {provider.dim} does not match embedding file dim {x.shape[1]}"
-        )
+        raise ValidationError(f"provider dim {provider.dim} does not match embedding file dim {x.shape[1]}")
 
     head, pretrain_losses = pretrain(x, y, config)
     for epoch, value in enumerate(pretrain_losses):
@@ -238,24 +217,21 @@ def run_train(args) -> int:
         print(f"finetune epoch {epoch}: loss {value:.6f}")
     save_artifact(artifact, out_path)
     if loss_log:
-        Path(loss_log).write_text(
-            json.dumps({"pretrain": pretrain_losses, "finetune": finetune_losses}, indent=2)
-            + "\n",
-            encoding="utf-8",
-        )
+        log = {"pretrain": pretrain_losses, "finetune": finetune_losses}
+        Path(loss_log).write_text(json.dumps(log, indent=2) + "\n", encoding="utf-8")
     print(f"model -> {out_path}")
     return _EXIT_OK
 
 
 def run_eval(args) -> int:
-    cfg = _Cfg(args.config)
-    vocabulary, x, y = _load_embedded(cfg, args)
-    model_path = _require(cfg.path(args.model, "model"), "--model")
-    out_path = _require(cfg.path(args.out, "report"), "--out")
+    s = _settings(args)
+    vocabulary, x, y = _load_embedded(s)
+    model_path = _get(s, "model", str, required="--model")
+    out_path = _get(s, "report", str, required="--out")
     artifact = load_artifact(model_path)
     if artifact.vocabulary.labels != vocabulary.labels:
         raise ValidationError("model vocabulary does not match the taxonomy file")
-    _, holdout_idx = _split(args, cfg, len(x))
+    _, holdout_idx = _split(s, len(x))
     scores = score_samples(x[holdout_idx], artifact)
     report = evaluate(scores, artifact.decision_threshold, y[holdout_idx])
     save_report(report, out_path)
@@ -296,32 +272,39 @@ def run_serve(args) -> int:
 # parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file supplying flag defaults")
+def _add_config(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", help="JSON settings file; a flag's key is its metavar in lower case")
 
 
 def _add_provider(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--provider", dest="provider.kind", choices=["toy", "http", "file"])
+    sub.add_argument("--provider", dest="provider.kind", choices=_PROVIDER_KINDS)
     sub.add_argument("--dim", dest="provider.dim", type=int)
     sub.add_argument("--embed-seed", dest="provider.seed", type=int)
     sub.add_argument("--endpoint", dest="provider.endpoint")
     sub.add_argument("--path", dest="provider.path", help="precomputed vectors (file provider)")
 
 
+def _add_split(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--holdout-fraction", dest="split.holdout_fraction", type=float)
+    sub.add_argument("--split-seed", dest="split.seed", type=int)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; a settings flag's ``dest`` is the ``--config`` key it sets."""
     parser = argparse.ArgumentParser(
         prog="intentclf", description="Multi-label intent classification pipeline"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     p = subparsers.add_parser("generate", help="synthesize a labelled dataset")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--taxonomy")
-    p.add_argument("--out")
-    p.add_argument("--per-class", dest="per_class", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--offline", action="store_true", help="use the deterministic offline generator")
-    p.add_argument("--combos", help="JSON file: array of label arrays")
+    p.add_argument("--out", dest="dataset")
+    p.add_argument("--per-class", dest="generate.per_class", type=int)
+    p.add_argument("--seed", dest="generate.seed", type=int)
+    p.add_argument("--offline", dest="generate.offline", action="store_const", const=True,
+                   help="use the deterministic offline generator")
+    p.add_argument("--combos", dest="generate.combos", help="JSON file: array of label arrays")
     p.add_argument("--endpoint", dest="llm.endpoint_url", help="chat-completion endpoint URL")
     p.add_argument("--model-name", dest="llm.model_name")
     p.add_argument("--auth-token-env", dest="llm.auth_token_env")
@@ -331,20 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=run_generate)
 
     p = subparsers.add_parser("embed", help="embed a dataset into vectors")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--taxonomy")
     p.add_argument("--dataset")
-    p.add_argument("--out")
+    p.add_argument("--out", dest="embeddings")
     _add_provider(p)
     p.set_defaults(handler=run_embed)
 
     p = subparsers.add_parser("train", help="pretrain and fine-tune a model")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--taxonomy")
     p.add_argument("--dataset")
     p.add_argument("--embeddings")
-    p.add_argument("--out")
-    p.add_argument("--loss", dest="train.loss_kind", choices=["ofc", "oc", "cs"])
+    p.add_argument("--out", dest="model")
+    p.add_argument("--loss", dest="train.loss_kind", choices=_LOSS_KINDS)
     p.add_argument("--seed", dest="train.seed", type=int)
     p.add_argument("--epochs-pretrain", dest="train.epochs_pretrain", type=int)
     p.add_argument("--epochs-finetune", dest="train.epochs_finetune", type=int)
@@ -356,26 +339,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-hidden", dest="train.d_hidden", type=int)
     p.add_argument("--d-proj", dest="train.d_proj", type=int)
     p.add_argument("--mining-p", dest="mining.p", type=float)
-    p.add_argument("--mining-mode", dest="mining.mode", choices=["literal", "standard"])
-    p.add_argument("--positive-rule", dest="mining.positive_rule", choices=["exact", "overlap"])
+    p.add_argument("--mining-mode", dest="mining.mode", choices=_MODES)
+    p.add_argument("--positive-rule", dest="mining.positive_rule", choices=_POSITIVE_RULES)
     p.add_argument("--alpha", dest="ofc.alpha", type=float)
     p.add_argument("--gamma", dest="ofc.gamma", type=float)
     p.add_argument("--margin", dest="ofc.margin", type=float)
-    p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
-    p.add_argument("--split-seed", dest="split_seed", type=int)
+    _add_split(p)
     _add_provider(p)
     p.add_argument("--loss-log", dest="loss_log")
     p.set_defaults(handler=run_train)
 
     p = subparsers.add_parser("eval", help="score the holdout and write a report")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--taxonomy")
     p.add_argument("--dataset")
     p.add_argument("--embeddings")
     p.add_argument("--model")
-    p.add_argument("--out")
-    p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
-    p.add_argument("--split-seed", dest="split_seed", type=int)
+    p.add_argument("--out", dest="report")
+    _add_split(p)
     p.set_defaults(handler=run_eval)
 
     p = subparsers.add_parser("predict", help="classify one text on stdout")

@@ -78,6 +78,8 @@ def build_prompt(label: str, description: str, n: int) -> str:
 _NUMBER_MARKER = re.compile(r"^\d{1,4}[.)](\s+|$)")
 _BULLET_MARKER = re.compile(r"^[-*•]\s+")
 _QUOTE_CHARS = "\"'“”‘’"
+# the one kind of str that UTF-8 cannot encode
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _clean_line(line: str) -> str:
@@ -94,14 +96,15 @@ def _clean_line(line: str) -> str:
 
 def parse_generation(raw: str, requested: int) -> list[str]:
     """Split a completion into queries: strip list markers and quotes, drop
-    empties, dedupe case-insensitively keeping first occurrences, cap at
+    empties and lines that are not valid UTF-8 (a lone surrogate escape),
+    dedupe case-insensitively keeping first occurrences, cap at
     ``requested``. Raises :class:`GenerationError` when nothing parses.
     """
     texts: list[str] = []
     seen: set[str] = set()
     for line in raw.splitlines():
         cleaned = _clean_line(line)
-        if not cleaned:
+        if not cleaned or _SURROGATE.search(cleaned):
             continue
         key = cleaned.lower()
         if key in seen:

@@ -281,7 +281,7 @@ class PooledHTTPServer(socketserver.TCPServer):
                 pass
 
 
-def make_server(artifact: ModelArtifact, host: str = "127.0.0.1", port: int = 8080) -> PooledHTTPServer:
+def make_server(artifact: ModelArtifact, host: str, port: int) -> PooledHTTPServer:
     """Build (without starting) a worker-pool server bound to host:port.
 
     The artifact is immutable, so concurrent request handling needs no locks.
@@ -289,7 +289,7 @@ def make_server(artifact: ModelArtifact, host: str = "127.0.0.1", port: int = 80
     return PooledHTTPServer((host, port), artifact)
 
 
-def serve_forever(artifact: ModelArtifact, host: str = "127.0.0.1", port: int = 8080) -> None:
+def serve_forever(artifact: ModelArtifact, host: str, port: int) -> None:
     server = make_server(artifact, host, port)
     logger.info("serving on %s:%d", *server.server_address)
     try:

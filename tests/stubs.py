@@ -1,15 +1,19 @@
 """Test doubles: a tiny scriptable HTTP server for exercising the remote-client
-paths, a raw-socket peer that writes scripted bytes, and hand-built ``.npy``
-files for the embeddings loader."""
+paths, a raw-socket peer that writes scripted bytes, hand-built ``.npy`` files
+for the embeddings loader, and an ``http.client`` caller that checks the
+service with a client other than its own code."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
 import socket
 import ssl
 import threading
+import urllib.parse
 from contextlib import contextmanager
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -83,6 +87,40 @@ def stub_server(responses):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+@dataclass(frozen=True)
+class Reply:
+    """One HTTP reply, as :func:`http_get` and :func:`http_post` read it."""
+
+    status_code: int
+    headers: http.client.HTTPMessage
+    content: bytes
+
+    def json(self):
+        return json.loads(self.content)
+
+
+def _call(method: str, url: str, body=None, headers=None, timeout: float = 5.0) -> Reply:
+    parts = urllib.parse.urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=timeout)
+    try:
+        conn.request(method, parts.path or "/", body=body, headers=headers or {})
+        response = conn.getresponse()
+        return Reply(response.status, response.headers, response.read())
+    finally:
+        conn.close()
+
+
+def http_get(url: str, timeout: float = 5.0) -> Reply:
+    return _call("GET", url, timeout=timeout)
+
+
+def http_post(url: str, payload=None, *, data=None, headers=None, timeout: float = 5.0) -> Reply:
+    """POST ``payload`` as JSON, or else the raw ``data`` with ``headers``."""
+    if payload is not None:
+        data, headers = json.dumps(payload).encode("utf-8"), {"Content-Type": "application/json"}
+    return _call("POST", url, data, headers, timeout)
 
 
 class RawPeer:

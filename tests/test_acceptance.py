@@ -16,7 +16,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-import requests
 
 from intentclf import (
     MiningConfig,
@@ -61,6 +60,7 @@ from bf_oracles import (
     random_similarity_batch,
     subset_accuracy_bf,
 )
+from stubs import http_post
 
 SEED = 42
 PER_CLASS = 40
@@ -300,7 +300,7 @@ def test_criterion_serve_parity(toy_run, capsys):
             for text in texts:
                 assert main(["predict", "--model", str(toy_run["model"]), "--text", text]) == 0
                 printed = capsys.readouterr().out.rstrip("\n").encode("utf-8")
-                response = requests.post(f"{base}/classify", json={"text": text}, timeout=10)
+                response = http_post(f"{base}/classify", {"text": text}, timeout=10)
                 assert response.status_code == 200
                 assert response.content == printed, text
         finally:

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -37,7 +36,7 @@ import intentclf.service as service
 from intentclf.cli import main
 from intentclf.metrics import load_report
 from intentclf import evaluate, label_matrix, save_artifact, score_samples
-from stubs import npy_bytes
+from stubs import http_get, npy_bytes
 
 _DATA = Path(__file__).parent / "data"
 
@@ -458,6 +457,31 @@ class TestRemoteReplies:
         assert len(err) == 1 and err[0].startswith("error: completion response for "), err
         assert not out.exists()
 
+    def _generate_from(self, workspace, monkeypatch, out, content) -> int:
+        monkeypatch.setattr(datagen, "post_json", lambda *a, **k: {"choices": [{"message": {"content": content}}]})
+        return main([
+            "generate", "--taxonomy", str(workspace["taxonomy"]),
+            "--endpoint", "http://127.0.0.1:9/v1/chat", "--model-name", "m", "--per-class", "3",
+            "--out", str(out),
+        ])
+
+    def test_completion_line_that_is_not_utf8_is_dropped(self, workspace, tmp_path, monkeypatch, caplog):
+        # json.loads turns a "\\ud800" escape in a reply into a lone surrogate
+        out = tmp_path / "d.jsonl"
+        content = "1. eta of the ship \ud800?\n2. eta of the tanker ACHERON\n3. fuel burned today"
+        assert self._generate_from(workspace, monkeypatch, out, content) == 0
+        texts = {json.loads(line)["text"] for line in out.read_text(encoding="utf-8").splitlines()}
+        assert texts == {"eta of the tanker ACHERON", "fuel burned today"}
+        assert "requested 3 queries, parsed 2" in caplog.text
+
+    def test_completion_without_a_utf8_line_exits_4(self, workspace, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "d.jsonl"
+        capsys.readouterr()
+        assert self._generate_from(workspace, monkeypatch, out, "1. eta \ud800?\n2. \udfff") == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
+
 
 _GOOD_URL = "http://127.0.0.1:9/v1"
 
@@ -551,9 +575,9 @@ class TestServe:
         deadline = time.monotonic() + 20
         while True:
             try:
-                if requests.get(f"http://127.0.0.1:{port}/health", timeout=1).status_code == 200:
+                if http_get(f"http://127.0.0.1:{port}/health", timeout=1).status_code == 200:
                     return proc, port
-            except requests.ConnectionError:
+            except OSError:  # not listening yet
                 pass
             if proc.poll() is not None or time.monotonic() > deadline:
                 proc.kill()

@@ -92,6 +92,16 @@ class TestNegativeLoss:
         values = [negative_loss(pair_sims([(0, float(s))]), config).value for s in grid]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: a negative with s >= margin sits at q = epsilon and gets no gradient",
+    )
+    def test_gradient_nonzero_until_the_pair_is_free(self):
+        config = OFCConfig(margin=0.5)
+        grid = np.linspace(config.margin - 1.0, 1.0 - 1e-3, 301)[1:]  # (m - 1, 1 - 1e-3]
+        out = negative_loss(pair_sims(enumerate(grid.tolist())), config)
+        assert np.all(out.grad != 0.0), grid[out.grad == 0.0]
+
 
 class TestLossSurface:
     def test_finite_and_nonnegative_everywhere(self):

@@ -10,7 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import pytest
-import requests
 
 from intentclf import (
     ProviderConfig,
@@ -32,6 +31,7 @@ from intentclf.service import (
     health_body,
     make_server,
 )
+from stubs import Reply, http_get, http_post
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +63,8 @@ def _running(artifact):
         assert not thread.is_alive()
 
 
-def _post(port: int, text: str) -> requests.Response:
-    return requests.post(f"http://127.0.0.1:{port}/classify", json={"text": text}, timeout=5)
+def _post(port: int, text: str) -> Reply:
+    return http_post(f"http://127.0.0.1:{port}/classify", {"text": text})
 
 
 @pytest.fixture(scope="module")
@@ -75,24 +75,22 @@ def server(artifact):
 
 class TestHealth:
     def test_ok_with_model_version(self, server):
-        response = requests.get(f"{server}/health", timeout=5)
+        response = http_get(f"{server}/health")
         assert response.status_code == 200
         assert response.json() == {"status": "ok", "model_version": 1}
 
     def test_reply_has_date_and_no_server_header(self, server):
-        headers = requests.get(f"{server}/health", timeout=5).headers
+        headers = http_get(f"{server}/health").headers
         assert "Date" in headers and "Server" not in headers
         assert headers["Content-Type"] == "application/json"
 
     def test_unknown_path_404(self, server):
-        assert requests.get(f"{server}/nope", timeout=5).status_code == 404
+        assert http_get(f"{server}/nope").status_code == 404
 
 
 class TestClassify:
     def test_happy_path(self, server, small_vocab):
-        response = requests.post(
-            f"{server}/classify", json={"text": "estimated arrival time please"}, timeout=5
-        )
+        response = http_post(f"{server}/classify", {"text": "estimated arrival time please"})
         assert response.status_code == 200
         body = response.json()
         assert body["labels"], "labels must never be empty"
@@ -101,34 +99,31 @@ class TestClassify:
 
     def test_body_matches_renderer_byte_for_byte(self, server, artifact):
         text = "how much fuel was burned yesterday"
-        response = requests.post(f"{server}/classify", json={"text": text}, timeout=5)
+        response = http_post(f"{server}/classify", {"text": text})
         assert response.content == classification_body(artifact, text).encode("utf-8")
 
     def test_empty_text_422(self, server):
-        response = requests.post(f"{server}/classify", json={"text": "   "}, timeout=5)
+        response = http_post(f"{server}/classify", {"text": "   "})
         assert response.status_code == 422
 
     def test_malformed_json_400(self, server):
-        response = requests.post(
-            f"{server}/classify",
-            data="{not json",
-            headers={"Content-Type": "application/json"},
-            timeout=5,
+        response = http_post(
+            f"{server}/classify", data="{not json", headers={"Content-Type": "application/json"}
         )
         assert response.status_code == 400
 
     def test_text_that_is_not_utf8_400(self, server, caplog):
         # the escape parses as a str that holds a lone surrogate
-        response = requests.post(f"{server}/classify", json={"text": "eta \ud800"}, timeout=5)
+        response = http_post(f"{server}/classify", {"text": "eta \ud800"})
         assert response.status_code == 400
         assert response.json() == {"error": "text is not valid UTF-8: lone surrogate '\\ud800' at index 4"}
         assert not caplog.records
 
     def test_missing_text_400(self, server):
-        assert requests.post(f"{server}/classify", json={"q": "x"}, timeout=5).status_code == 400
+        assert http_post(f"{server}/classify", {"q": "x"}).status_code == 400
 
     def test_non_string_text_400(self, server):
-        assert requests.post(f"{server}/classify", json={"text": 7}, timeout=5).status_code == 400
+        assert http_post(f"{server}/classify", {"text": 7}).status_code == 400
 
     @staticmethod
     def _status_without_body(server, length) -> bytes:
@@ -152,13 +147,11 @@ class TestClassify:
     def test_body_of_exactly_the_cap_is_read(self, server):
         body = json.dumps({"text": "fuel burned"}).encode("ascii")
         body += b" " * (MAX_BODY_BYTES - len(body))
-        response = requests.post(
-            f"{server}/classify", data=body, headers={"Content-Type": "application/json"}, timeout=5
-        )
+        response = http_post(f"{server}/classify", data=body, headers={"Content-Type": "application/json"})
         assert response.status_code == 200
 
     def test_unknown_post_path_404(self, server):
-        assert requests.post(f"{server}/other", json={"text": "x"}, timeout=5).status_code == 404
+        assert http_post(f"{server}/other", {"text": "x"}).status_code == 404
 
     def test_internal_failure_returns_500(self, artifact):
         from dataclasses import replace
@@ -168,9 +161,7 @@ class TestClassify:
 
     def test_concurrent_requests_agree(self, server):
         def call(_):
-            return requests.post(
-                f"{server}/classify", json={"text": "berthing delay estimate"}, timeout=5
-            )
+            return http_post(f"{server}/classify", {"text": "berthing delay estimate"})
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             responses = list(pool.map(call, range(16)))
@@ -321,7 +312,7 @@ class TestRawRequests:
 
     def test_head_without_terminator_is_closed_unanswered(self, server):
         assert self._exchange(server, b"GET /health HTTP/1.0\r\nHost: x") == b""
-        assert requests.get(f"{server}/health", timeout=5).status_code == 200
+        assert http_get(f"{server}/health").status_code == 200
 
     @pytest.mark.parametrize(
         "head",
@@ -369,7 +360,7 @@ class TestRendererContract:
         text = "waiting time at the anchorage for the tanker"
         assert main(["predict", "--model", str(model_path), "--text", text]) == 0
         printed = capsys.readouterr().out
-        response = requests.post(f"{server}/classify", json={"text": text}, timeout=5)
+        response = http_post(f"{server}/classify", {"text": text})
         assert printed.rstrip("\n").encode("utf-8") == response.content
 
     def test_health_body_shape(self, artifact):
