@@ -163,7 +163,10 @@ def generate_class(label: str, description: str, n: int, config: LLMClientConfig
         raise RemoteServiceError(
             f"completion response for {label!r} lacks a string choices[0].message.content"
         )
-    texts = parse_generation(content, n)
+    try:
+        texts = parse_generation(content, n)
+    except GenerationError as exc:
+        raise GenerationError(f"completion for {label!r} from {config.endpoint_url}: {exc}") from None
     if len(texts) < n:
         logger.warning("class %r: requested %d queries, parsed %d", label, n, len(texts))
     return texts

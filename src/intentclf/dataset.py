@@ -54,12 +54,6 @@ class LabelVocabulary:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown label {label!r}") from None
-
     def sorted_members(self, labels: Iterable[str]) -> list[str]:
         """Return ``labels`` ordered by vocabulary position."""
         members = set(labels)
@@ -213,23 +207,11 @@ def validate_labels(labels: Iterable[str], vocabulary: LabelVocabulary) -> Label
     return members
 
 
-def encode_labels(labels: Iterable[str], vocabulary: LabelVocabulary) -> np.ndarray:
-    """Multi-hot encode a label subset as a float vector of length ``len(vocabulary)``.
-
-    Position ``i`` is 1.0 iff vocabulary label ``i`` is a member.
-    """
-    members = validate_labels(labels, vocabulary)
-    vec = np.zeros(len(vocabulary), dtype=np.float64)
-    for label in members:
-        vec[vocabulary.index_of(label)] = 1.0
-    return vec
-
-
 def label_matrix(dataset: Dataset) -> np.ndarray:
     """Multi-hot label rows (n x m) of ``dataset``, columns in vocabulary order.
 
-    Row ``i`` is ``encode_labels`` of sample ``i``; the dataset has checked
-    every label against its vocabulary already.
+    Cell ``(i, j)`` is 1.0 iff vocabulary label ``j`` is a member of sample
+    ``i``; the dataset has checked every label against its vocabulary already.
     """
     column = {label: i for i, label in enumerate(dataset.vocabulary.labels)}
     cells = [(row, column[label]) for row, s in enumerate(dataset.samples) for label in s.labels]

@@ -254,33 +254,11 @@ def _pair_loss(table, config: TrainConfig) -> LossOutput:
 
 
 def _sim_grads_to_z(out: LossOutput, pair_set: PairSet, z: np.ndarray) -> np.ndarray:
-    """Chain dL/ds through s = z_a . z_b to the pair endpoints.
-
-    Row r of the result adds g * z[other end] for each loss entry whose pair
-    touches r, one term at a time in entry order: the float additions of a
-    plain loop over the entries, so the trained weights do not depend on how
-    the scatter is vectorised. Each row's terms are laid out in that order
-    along a padded axis, and step k adds every row's k-th term at once.
-    Padding adds g = 0, which leaves the sums unchanged bit for bit: they
-    start at +0.0 and so never become -0.0.
-    """
-    ends = pair_set.pairs[out.index]
-    rows = ends.ravel()
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    others = ends[:, ::-1].ravel()[order]
-    grads = np.repeat(out.grad, 2)[order]
-    counts = np.bincount(rows, minlength=len(z))
-    step = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-    width = int(counts.max(initial=0))
-    g = np.zeros((width, len(z)))
-    src = np.zeros((width, len(z)), dtype=np.intp)
-    g[step, rows] = grads
-    src[step, rows] = others
-    d_z = np.zeros_like(z)
-    for k in range(width):
-        d_z += g[k][:, None] * z[src[k]]
-    return d_z
+    """dL/dZ = (G + G^T) Z, where G[a, b] sums dL/ds over the entries naming pair (a, b)."""
+    n = len(z)
+    a, b = pair_set.pairs[out.index].T
+    g = np.bincount(a * n + b, weights=out.grad, minlength=n * n).reshape(n, n)
+    return (g + g.T) @ z
 
 
 def _aligned(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -507,6 +485,8 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         train_config = TrainConfig.from_json(config_obj["train"])
         provider_obj = config_obj.get("provider")
         provider = ProviderConfig.from_json(provider_obj) if provider_obj else None
+        if provider is not None and provider.kind != "file" and provider.dim != embed_dim:
+            raise FileFormatError(f"provider dim {provider.dim} does not match embed_dim {embed_dim}")
     except FileFormatError as exc:
         raise FileFormatError(str(exc), path=str(path)) from exc
     except (KeyError, TypeError, ValueError) as exc:

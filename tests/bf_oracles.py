@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from intentclf.dataset import validate_labels
 from intentclf.mining import PairSims
 
 
@@ -143,6 +144,19 @@ def sim_grads_to_z_loop(grads, pairs, z: np.ndarray) -> np.ndarray:
         d_z[a] += g * z[b]
         d_z[b] += g * z[a]
     return d_z
+
+
+# ---------------------------------------------------------------------------
+# label encoding, one sample at a time
+
+
+def encode_labels(labels, vocabulary) -> np.ndarray:
+    """Multi-hot encode a label subset as a float vector of length ``len(vocabulary)``.
+
+    Position ``i`` is 1.0 iff vocabulary label ``i`` is a member.
+    """
+    members = validate_labels(labels, vocabulary)
+    return np.array([float(label in members) for label in vocabulary.labels])
 
 
 # ---------------------------------------------------------------------------

@@ -479,7 +479,10 @@ class TestRemoteReplies:
         capsys.readouterr()
         assert self._generate_from(workspace, monkeypatch, out, "1. eta \ud800?\n2. \udfff") == 4
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert err == [
+            f"error: completion for {default_taxonomy().labels[0]!r} from http://127.0.0.1:9/v1/chat:"
+            " response contained no parseable queries"
+        ], err
         assert not out.exists()
 
 

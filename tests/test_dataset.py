@@ -23,7 +23,7 @@ from intentclf import (
     split_indices,
     two_label_combos,
 )
-from intentclf.dataset import encode_labels
+from bf_oracles import encode_labels
 
 
 def _write(path, lines):

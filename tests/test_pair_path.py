@@ -1,10 +1,14 @@
-"""The array pair path against the original per-pair loops, byte for byte.
+"""The array pair path against the original per-pair loops.
 
-Training is bit-reproducible only if pair building, the similarity table and
-the gradient scatter produce exactly the floats the per-pair loops in
-``bf_oracles`` produce. Each random batch runs all three loss kinds, so the
-scatter sees the gradient orders of ofc (mined positives, then negatives), oc
-(hard pairs only) and cs (every pair in table order).
+Pair building and the similarity table must produce exactly the pairs and
+floats of the per-pair loops in ``bf_oracles``. The gradient scatter,
+``d_z = (G + G^T) Z``, adds the same terms in another order, so it must agree
+with the loop to rounding: elementwise within the standard bound for a sum
+of k terms, ``k * eps * S``, where k is the number of loss entries and S is
+the loop run on |dL/ds| and |z| (exactly equal where S is 0). Each random
+batch runs all three loss kinds, so the scatter sees the gradients of ofc
+(mined positives, then negatives), oc (hard pairs only) and cs (every pair
+in table order).
 """
 
 from __future__ import annotations
@@ -56,7 +60,15 @@ def _loop_table(z: np.ndarray, pairs) -> tuple[list, list]:
     return d_pos, d_neg
 
 
-def test_array_path_matches_loops_byte_for_byte():
+def _assert_scatter_matches_loop(out: LossOutput, pair_set, pairs, z: np.ndarray, case) -> None:
+    grads = list(zip(out.index.tolist(), out.grad.tolist()))
+    expected = sim_grads_to_z_loop(grads, pairs, z)
+    scale = sim_grads_to_z_loop([(i, abs(g)) for i, g in grads], pairs, np.abs(z))
+    error = np.abs(_sim_grads_to_z(out, pair_set, z) - expected)
+    assert (error <= len(grads) * np.finfo(np.float64).eps * scale).all(), case
+
+
+def test_array_path_matches_loops():
     rng = np.random.default_rng(20240611)
     shapes = ("mixed", "all-positive", "all-negative", "separated")
     seen = {"overlap": 0, "exact": 0, "one-polarity": 0, "kept-nothing": 0}
@@ -92,22 +104,16 @@ def test_array_path_matches_loops_byte_for_byte():
             assert out.index.tolist() == expected_order.tolist(), (case, loss_kind)
             seen["kept-nothing"] += out.index.size == 0
 
-            d_z = _sim_grads_to_z(out, pair_set, z)
-            loop_grads = list(zip(out.index.tolist(), out.grad.tolist()))
-            expected = sim_grads_to_z_loop(loop_grads, loop_pairs, z)
-            assert d_z.tobytes() == expected.tobytes(), (case, loss_kind)
+            _assert_scatter_matches_loop(out, pair_set, loop_pairs, z, (case, loss_kind))
     assert all(count > 0 for count in seen.values()), seen
 
 
-def test_scatter_sums_repeated_pairs_in_entry_order():
-    # a loss may name a pair more than once; each entry still adds in order
+def test_scatter_adds_every_entry_of_a_repeated_pair():
+    # a loss may name a pair more than once; each entry still adds
     rng = np.random.default_rng(5)
     labels = [frozenset({"a"}), frozenset({"a"}), frozenset({"b"}), frozenset({"a"})]
     z = rng.normal(size=(4, 3))
     index = np.array([3, 0, 3, 5, 0, 1])
-    grad = rng.normal(size=index.size)
-    out = LossOutput(value=0.0, index=index, grad=grad)
-    expected = sim_grads_to_z_loop(
-        list(zip(index.tolist(), grad.tolist())), build_pairs_loop(labels, "exact"), z
-    )
-    assert _sim_grads_to_z(out, build_pairs(multi_hot(labels)), z).tobytes() == expected.tobytes()
+    out = LossOutput(value=0.0, index=index, grad=rng.normal(size=index.size))
+    pairs = build_pairs_loop(labels, "exact")
+    _assert_scatter_matches_loop(out, build_pairs(multi_hot(labels)), pairs, z, "repeated")

@@ -173,6 +173,21 @@ class TestPretrain:
             _, history = pretrain(*separable_samples, _fast_config(loss_kind=kind, epochs_pretrain=3))
             assert len(history) == 3
 
+    def test_trailing_single_row_batch_is_left_out(self, monkeypatch, separable_samples):
+        x, y = (a[::4] for a in separable_samples)  # 9 rows across all three labels
+        sizes = []
+        step = trainer._pretrain_step
+
+        def recording(xb, yb, head, config):
+            sizes.append(len(xb))
+            return step(xb, yb, head, config)
+
+        monkeypatch.setattr(trainer, "_pretrain_step", recording)
+        _, history = pretrain(x, y, _fast_config(batch_size=4, epochs_pretrain=3))
+        assert len(x) == 9
+        assert sizes == [4, 4] * 3
+        assert len(history) == 3 and all(math.isfinite(v) for v in history)
+
 
 class TestFinetune:
     def test_zero_epochs_keeps_seeded_classifier(self, small_vocab, separable_samples):
@@ -374,6 +389,9 @@ class TestArtifactPersistence:
             ("projection", "b1", lambda b: {"values": b}),
             ("projection", "w1", lambda w: w[0]),  # wrong ndim
             ("classifier", "b", lambda b: [b]),
+            # a provider that cannot produce embed_dim-long inputs
+            ("config", "provider", lambda p: {**p, "dim": 32}),
+            ("config", "provider", lambda p: {**p, "kind": "http", "dim": 32, "endpoint": "http://127.0.0.1:9/e"}),
         ],
     )
     def test_each_shape_and_value_rule(self, tmp_path, small_vocab, separable_samples, head, name, edit):
@@ -384,6 +402,14 @@ class TestArtifactPersistence:
         path.write_text(json.dumps(obj))
         with pytest.raises(FileFormatError):
             load_artifact(path)
+
+    def test_file_provider_dim_is_not_checked(self, tmp_path, small_vocab, separable_samples):
+        # the file's rows fix the model's input dim, so the snapshot's dim is not used
+        _, path = self._trained(small_vocab, separable_samples, tmp_path)
+        obj = json.loads(path.read_text())
+        obj["config"]["provider"] = {"kind": "file", "dim": 32, "path": "vectors.npy"}
+        path.write_text(json.dumps(obj))
+        assert load_artifact(path).provider.kind == "file"
 
 
 class TestMarginGap:
