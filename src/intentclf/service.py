@@ -3,8 +3,11 @@
 Endpoints:
 
 * ``POST /classify`` with body ``{"text": "..."}`` returns ``{"labels":
-  [..], "scores": {label: probability, ..}, "model_version": <int>}``.
+  [..], "scores": {label: probability, ..}, "model_version": 2}``.
 * ``GET /health`` returns 200 with the model version.
+
+``model_version`` is the loaded artifact's ``format_version``: 2 for every
+model ``save_artifact`` writes, 1 for one written before format 2.
 
 Status codes: 400 for a malformed body, a text that is not valid UTF-8 (a
 lone surrogate escape such as ``"\\ud800"``) or a Content-Length that is not a

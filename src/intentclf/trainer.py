@@ -9,8 +9,11 @@ plain SGD with momentum, single-threaded, and are bit-reproducible from
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import os
+import secrets
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -40,7 +43,7 @@ from .mining import (
     mine,
 )
 
-ARTIFACT_FORMAT_VERSION = 1
+ARTIFACT_FORMAT_VERSION = 2  # what save_artifact writes; load_artifact also reads 1
 _LOSS_KINDS = ("ofc", "oc", "cs")
 
 
@@ -429,14 +432,49 @@ _HEAD_SHAPES = {
 }
 
 
+_DTYPE = "<f8"  # every format-2 array: little-endian float64
+
+
+def _array_json(arr: np.ndarray) -> dict:
+    """Format 2's form of ``arr``: its shape, dtype and base64 little-endian bytes."""
+    data = np.asarray(arr, dtype=_DTYPE).tobytes()
+    return {"shape": list(arr.shape), "dtype": _DTYPE, "data": base64.b64encode(data).decode("ascii")}
+
+
 def _head_json(head: ProjectionHead | ClassifierHead) -> dict:
-    return {f.name: getattr(head, f.name).tolist() for f in fields(head)}
+    return {f.name: _array_json(getattr(head, f.name)) for f in fields(head)}
+
+
+def _replace_file(path: str | Path, text: str) -> None:
+    """Write ``text`` beside ``path`` under a temporary name, then rename it onto ``path``.
+
+    A write that fails or is interrupted removes the temporary file and
+    leaves what ``path`` held before.
+    """
+    path = Path(os.path.realpath(path))  # a symlink keeps pointing at the new file
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    # not tempfile, whose files are private (0600): the model keeps the
+    # permissions any new file gets
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
-    """Serialize the artifact as one JSON object with row-major float arrays."""
+    """Write the artifact as one format-2 JSON object, replacing ``path`` whole.
+
+    Every head array is stored as ``{"shape", "dtype": "<f8", "data"}`` with
+    ``data`` the base64 of its row-major little-endian bytes, so the weights
+    round-trip bit for bit. Whatever version ``artifact`` was loaded from,
+    the file is written as :data:`ARTIFACT_FORMAT_VERSION`.
+    """
     obj = {
-        "format_version": artifact.format_version,
+        "format_version": ARTIFACT_FORMAT_VERSION,
         "vocabulary": artifact.vocabulary.to_json(),
         "embed_dim": artifact.embed_dim,
         "projection": _head_json(artifact.projection),
@@ -447,37 +485,80 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
             "provider": artifact.provider.to_json() if artifact.provider else None,
         },
     }
-    Path(path).write_text(json.dumps(obj, indent=1) + "\n", encoding="utf-8")
+    _replace_file(path, json.dumps(obj, indent=1) + "\n")
+
+
+def _check_dims(key: str, shape, dims: tuple[str, ...], sizes: dict[str, int]) -> None:
+    """Refuse ``shape`` unless it has one entry per named dimension, each agreeing with ``sizes``."""
+    if len(shape) != len(dims):
+        raise FileFormatError(f"field {key!r} must be {len(dims)}-dimensional")
+    for dim, size in zip(dims, shape):
+        if sizes.setdefault(dim, size) != size:
+            raise FileFormatError(f"field {key!r} has shape {tuple(shape)}, but the {dim} is {sizes[dim]}")
+
+
+def _finite(arr: np.ndarray, key: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise FileFormatError(f"field {key!r} has non-finite entries")
+    return arr
+
+
+def _array_from_lists(value, key: str, dims: tuple[str, ...], sizes: dict[str, int]) -> np.ndarray:
+    """A format-1 array: nested lists of JSON numbers."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(f"field {key!r} is not a numeric array") from exc
+    _check_dims(key, arr.shape, dims, sizes)
+    return _finite(arr, key)
+
+
+def _array_from_base64(value, key: str, dims: tuple[str, ...], sizes: dict[str, int]) -> np.ndarray:
+    """A format-2 array, its dtype, shape and data length checked before ``data`` is decoded."""
+    if not isinstance(value, dict):
+        raise FileFormatError(f"field {key!r} must be an object with shape, dtype and data")
+    shape, dtype, data = value.get("shape"), value.get("dtype"), value.get("data")
+    if dtype != _DTYPE:
+        raise FileFormatError(f"field {key!r} has dtype {dtype!r}, not {_DTYPE!r}")
+    # exactly JSON integers: true compares equal to 1
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise FileFormatError(f"field {key!r} shape must be a list of non-negative integers, got {shape!r}")
+    _check_dims(key, shape, dims, sizes)
+    # Python integers, so a shape that lies about the data allocates nothing
+    nbytes = 8 * math.prod(shape)
+    length = 4 * -(-nbytes // 3)
+    if not isinstance(data, str) or len(data) != length:
+        raise FileFormatError(f"field {key!r} data must be {length} base64 characters for shape {tuple(shape)}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise FileFormatError(f"field {key!r} data is not valid base64: {exc}") from exc
+    if len(raw) != nbytes:
+        raise FileFormatError(f"field {key!r} data decodes to {len(raw)} bytes, not {nbytes}")
+    # astype copies: the heads get owned, writable, native-order arrays
+    return _finite(np.frombuffer(raw, dtype=_DTYPE).reshape(shape).astype(np.float64), key)
+
+
+# how each artifact format stores one head array
+_ARRAY_READERS = {1: _array_from_lists, 2: _array_from_base64}
 
 
 def load_artifact(path: str | Path) -> ModelArtifact:
-    """Load and validate a model artifact file."""
+    """Load and validate a model artifact file of any supported format."""
     obj = read_json(path, "artifact")
     try:
         version = obj.get("format_version")
         # exactly the JSON integer: true and 1.0 compare equal to 1
-        if type(version) is not int or version != ARTIFACT_FORMAT_VERSION:
-            raise FileFormatError(
-                f"unknown artifact format_version {version!r} (supported: {ARTIFACT_FORMAT_VERSION})"
-            )
+        if type(version) is not int or version not in _ARRAY_READERS:
+            supported = ", ".join(map(str, _ARRAY_READERS))
+            raise FileFormatError(f"unknown artifact format_version {version!r} (supported: {supported})")
+        read_array = _ARRAY_READERS[version]
         vocabulary = LabelVocabulary.from_json(obj["vocabulary"])
         embed_dim = coerce(obj["embed_dim"], int, "embed_dim")
         sizes = {"embed_dim": embed_dim, "label count": len(vocabulary)}
         heads: dict[str, dict[str, np.ndarray]] = {}
         for (head, name), dims in _HEAD_SHAPES.items():
-            key, value = f"{head}.{name}", obj[head][name]
-            try:
-                arr = np.asarray(value, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise FileFormatError(f"field {key!r} is not a numeric array") from exc
-            if not np.all(np.isfinite(arr)):
-                raise FileFormatError(f"field {key!r} has non-finite entries")
-            if arr.ndim != len(dims):
-                raise FileFormatError(f"field {key!r} must be {len(dims)}-dimensional")
-            for dim, size in zip(dims, arr.shape):
-                if sizes.setdefault(dim, size) != size:
-                    raise FileFormatError(f"field {key!r} has shape {arr.shape}, but the {dim} is {sizes[dim]}")
-            heads.setdefault(head, {})[name] = arr
+            heads.setdefault(head, {})[name] = read_array(obj[head][name], f"{head}.{name}", dims, sizes)
         decision_threshold = coerce(obj["decision_threshold"], float, "decision_threshold")
         if not 0.0 < decision_threshold < 1.0:
             raise FileFormatError(f"decision_threshold must be in (0,1), got {decision_threshold!r}")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import base64
 import contextlib
+import errno
 import io
 import json
 import math
@@ -33,9 +35,11 @@ from intentclf import (
 import intentclf.datagen as datagen
 import intentclf.embedding as embedding
 import intentclf.service as service
+import intentclf.trainer as trainer
 from intentclf.cli import main
 from intentclf.metrics import load_report
 from intentclf import evaluate, label_matrix, save_artifact, score_samples
+from intentclf.trainer import ARTIFACT_FORMAT_VERSION
 from stubs import http_get, npy_bytes
 
 _DATA = Path(__file__).parent / "data"
@@ -270,6 +274,46 @@ class TestTrain:
         logged = json.loads(log.read_text())
         assert len(logged["pretrain"]) == 2 and len(logged["finetune"]) == 3
 
+    @pytest.mark.parametrize("exc, code", [
+        (OSError(errno.ENOSPC, "No space left on device"), 3),
+        (KeyboardInterrupt(), 130),
+    ], ids=["disk-full", "ctrl-c"])
+    def test_failed_write_keeps_the_previous_model(self, workspace, tmp_path, monkeypatch, capsys, exc, code):
+        out = tmp_path / "model.json"
+        out.write_bytes(workspace["model"].read_bytes())
+
+        class HalfWritten:
+            """A text file that stores half of what it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise exc
+
+        monkeypatch.setattr(trainer, "open", lambda *a, **k: HalfWritten(open(*a, **k)), raising=False)
+        capsys.readouterr()
+        assert main([
+            "train", "--taxonomy", str(workspace["taxonomy"]),
+            "--dataset", str(workspace["dataset"]),
+            "--embeddings", str(workspace["embeddings"]), "--out", str(out),
+            "--seed", "4", "--epochs-pretrain", "1", "--epochs-finetune", "1",
+            "--batch-size", "16", "--d-hidden", "32", "--d-proj", "32",
+            "--provider", "toy", "--dim", "64", "--embed-seed", "3",
+        ]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err == (["error: [Errno 28] No space left on device"] if code == 3 else []), err
+        assert out.read_bytes() == workspace["model"].read_bytes()
+        assert [path.name for path in tmp_path.iterdir()] == ["model.json"]
+
 
 class TestEval:
     def test_report_matches_recomputation(self, workspace):
@@ -361,7 +405,7 @@ class TestPredict:
         body = json.loads(capsys.readouterr().out)
         assert body["labels"]
         assert set(body["scores"]) == set(default_taxonomy().labels)
-        assert body["model_version"] == 1
+        assert body["model_version"] == ARTIFACT_FORMAT_VERSION
 
     def test_text_that_is_not_utf8_exits_2(self, workspace, capsys):
         # a byte that is not UTF-8 reaches sys.argv as a lone surrogate
@@ -405,11 +449,20 @@ class TestPredict:
             capsys.readouterr()
             assert main(["predict", "--model", str(model), "--text", record["text"]]) == 0
             assert capsys.readouterr().out == record["stdout"]
+        # saving writes format 2 with the same weights, and drops the key
         resaved = tmp_path / "model.json"
         save_artifact(load_artifact(model), resaved)
-        old = model.read_text()
-        assert old.count('"reduction": "mean"') == 1
-        assert resaved.read_text() == old.replace(',\n    "reduction": "mean"', "")
+        old, new = json.loads(model.read_text()), json.loads(resaved.read_text())
+        assert (old["format_version"], new["format_version"]) == (1, 2)
+        for head in ("projection", "classifier"):
+            for name, rows in old[head].items():
+                field = new[head][name]
+                assert field["dtype"] == "<f8" and field["shape"] == list(np.shape(rows))
+                assert base64.b64decode(field["data"]) == np.asarray(rows, dtype="<f8").tobytes()
+        assert old["config"]["train"]["ofc"].pop("reduction") == "mean"
+        assert new["config"] == old["config"]
+        rest = ("vocabulary", "embed_dim", "decision_threshold")
+        assert [new[key] for key in rest] == [old[key] for key in rest]
 
 
 class TestRemoteReplies:
@@ -845,6 +898,15 @@ _BAD_INPUTS = [
     pytest.param("taxonomy", b'{"labels": ["eta \\ud800", "b"]}', 3, id="taxonomy-lone-surrogate"),
     pytest.param("model", b'{"format_version": 1, "vocabulary": {"labels": ["a"]}, "embed_dim": 1e400}', 3,
                  id="model-embed-dim-overflow"),
+    # format-2 arrays whose shape lies about the data, or whose data is not base64
+    pytest.param("model", json.dumps({
+        "format_version": 2, "vocabulary": {"labels": ["a"]}, "embed_dim": 1,
+        "projection": {"w1": {"shape": [1, 2**40], "dtype": "<f8", "data": "AAAAAAAAAAA="}},
+    }).encode(), 3, id="model-lying-shape"),
+    pytest.param("model", json.dumps({
+        "format_version": 2, "vocabulary": {"labels": ["a"]}, "embed_dim": 1,
+        "projection": {"w1": {"shape": [1, 1], "dtype": "<f8", "data": "AAAA AAAAAA="}},
+    }).encode(), 3, id="model-not-base64"),
     # .npy embeddings that np.load would allocate for, warn on, fail on with
     # another exception, or load
     pytest.param("embeddings", npy_bytes("<f8", (10**9, 10**9)), 3, id="embeddings-huge-shape"),
@@ -882,6 +944,7 @@ _FORMAT_KEYS = st.sampled_from([
     "labels", "descriptions", "text", "index", "vector", "format_version", "vocabulary",
     "embed_dim", "projection", "classifier", "w1", "b1", "w2", "b2", "w", "b",
     "decision_threshold", "config", "train", "provider", "generate", "split", "mining", "ofc",
+    "shape", "dtype", "data",
 ])
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),

@@ -31,6 +31,7 @@ from intentclf.service import (
     health_body,
     make_server,
 )
+from intentclf.trainer import ARTIFACT_FORMAT_VERSION
 from stubs import Reply, http_get, http_post
 
 
@@ -77,7 +78,7 @@ class TestHealth:
     def test_ok_with_model_version(self, server):
         response = http_get(f"{server}/health")
         assert response.status_code == 200
-        assert response.json() == {"status": "ok", "model_version": 1}
+        assert response.json() == {"status": "ok", "model_version": ARTIFACT_FORMAT_VERSION}
 
     def test_reply_has_date_and_no_server_header(self, server):
         headers = http_get(f"{server}/health").headers
@@ -95,7 +96,7 @@ class TestClassify:
         body = response.json()
         assert body["labels"], "labels must never be empty"
         assert list(body["scores"]) == list(small_vocab.labels)
-        assert body["model_version"] == 1
+        assert body["model_version"] == ARTIFACT_FORMAT_VERSION
 
     def test_body_matches_renderer_byte_for_byte(self, server, artifact):
         text = "how much fuel was burned yesterday"
@@ -364,7 +365,7 @@ class TestRendererContract:
         assert printed.rstrip("\n").encode("utf-8") == response.content
 
     def test_health_body_shape(self, artifact):
-        assert json.loads(health_body(artifact)) == {"status": "ok", "model_version": 1}
+        assert json.loads(health_body(artifact)) == {"status": "ok", "model_version": ARTIFACT_FORMAT_VERSION}
 
     def test_artifact_without_provider_is_rejected(self, artifact):
         from dataclasses import replace

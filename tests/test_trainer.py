@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import base64
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from intentclf import (
 )
 from intentclf import trainer
 from intentclf.trainer import (
+    ARTIFACT_FORMAT_VERSION,
     ClassifierHead,
     ModelArtifact,
     ProjectionHead,
@@ -324,6 +327,28 @@ class TestGradCheck:
         assert not grad_check(component, points=2).passed
 
 
+def _decoded(field: dict) -> np.ndarray:
+    """A format-2 array field as an array."""
+    return np.frombuffer(base64.b64decode(field["data"]), dtype="<f8").reshape(field["shape"])
+
+
+def _encoded(array) -> dict:
+    """``array`` as a format-2 array field."""
+    array = np.asarray(array, dtype="<f8")
+    return {"shape": list(array.shape), "dtype": "<f8", "data": base64.b64encode(array.tobytes()).decode()}
+
+
+def _as_format_1(obj: dict) -> dict:
+    """The same model as a format-1 object, every array as nested lists."""
+    lists = {head: {name: _decoded(field).tolist() for name, field in obj[head].items()}
+             for head in ("projection", "classifier")}
+    return {**obj, "format_version": 1, **lists}
+
+
+def _head_arrays(artifact: ModelArtifact) -> list[np.ndarray]:
+    return [*artifact.projection.params(), *artifact.classifier.params()]
+
+
 class TestArtifactPersistence:
     def _trained(self, small_vocab, separable_samples, tmp_path):
         config = _fast_config(epochs_pretrain=2, epochs_finetune=2)
@@ -395,13 +420,129 @@ class TestArtifactPersistence:
         ],
     )
     def test_each_shape_and_value_rule(self, tmp_path, small_vocab, separable_samples, head, name, edit):
+        # an array edit applies to the decoded nested lists; an edited array
+        # that is not finite and numeric ("x", an object, NaN, inf) has no
+        # format-2 form, so it is written into a format-1 copy of the model
         _, path = self._trained(small_vocab, separable_samples, tmp_path)
         obj = json.loads(path.read_text())
-        parent = obj if head is None else obj[head]
-        parent[name] = edit(parent[name])
+        if head in ("projection", "classifier"):
+            edited = edit(_decoded(obj[head][name]).tolist())
+            try:
+                array = np.asarray(edited, dtype=np.float64)
+            except (TypeError, ValueError):
+                array = np.array(math.nan)
+            if np.isfinite(array).all():
+                obj[head][name] = _encoded(array)
+            else:
+                obj = _as_format_1(obj)
+                obj[head][name] = edited
+        else:
+            parent = obj if head is None else obj[head]
+            parent[name] = edit(parent[name])
         path.write_text(json.dumps(obj))
         with pytest.raises(FileFormatError):
             load_artifact(path)
+
+    def test_round_trip_is_bit_exact(self, tmp_path, small_vocab, separable_samples):
+        artifact, path = self._trained(small_vocab, separable_samples, tmp_path)
+        obj = json.loads(path.read_text())
+        assert obj["format_version"] == ARTIFACT_FORMAT_VERSION == 2
+        loaded = load_artifact(path)
+        for want, got in zip(_head_arrays(artifact), _head_arrays(loaded), strict=True):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.owndata and got.flags.writeable
+        again = tmp_path / "again.json"
+        save_artifact(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_format_1_file_loads_the_same_weights(self, tmp_path, small_vocab, separable_samples):
+        # decimal repr round-trips every float64, so a format-1 copy is the same model
+        artifact, path = self._trained(small_vocab, separable_samples, tmp_path)
+        path.write_text(json.dumps(_as_format_1(json.loads(path.read_text()))))
+        loaded = load_artifact(path)
+        assert loaded.format_version == 1
+        for want, got in zip(_head_arrays(artifact), _head_arrays(loaded), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def _edited(self, path, name, **changes):
+        obj = json.loads(path.read_text())
+        obj["projection"][name].update(changes)
+        path.write_text(json.dumps(obj))
+
+    @pytest.mark.parametrize("dtype", ["<f4", ">f8", "float64", "f8", None, ["<f8"]])
+    def test_dtype_other_than_little_endian_float64(self, tmp_path, small_vocab, separable_samples, dtype):
+        _, path = self._trained(small_vocab, separable_samples, tmp_path)
+        self._edited(path, "b1", dtype=dtype)
+        with pytest.raises(FileFormatError, match="'projection.b1' has dtype") as caught:
+            load_artifact(path)
+        assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize("size", [-1, True, 1.5, 10**9, 2**63, "8"])
+    def test_shape_entry_that_is_not_a_fitting_non_negative_integer(
+        self, tmp_path, small_vocab, separable_samples, size
+    ):
+        # the hidden width is first read from w1, so only the data length can
+        # tell that 10**9 or 2**63 is a lie
+        artifact, path = self._trained(small_vocab, separable_samples, tmp_path)
+        self._edited(path, "w1", shape=[artifact.embed_dim, size])
+        with pytest.raises(FileFormatError, match="'projection.w1' (shape must be|data must be)") as caught:
+            load_artifact(path)
+        assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize("char", ["!", "-", "_", " ", "\u00e9", "="])
+    def test_base64_alphabet_error(self, tmp_path, small_vocab, separable_samples, char):
+        _, path = self._trained(small_vocab, separable_samples, tmp_path)
+        data = json.loads(path.read_text())["projection"]["w2"]["data"]
+        self._edited(path, "w2", data=char + data[1:])
+        with pytest.raises(FileFormatError, match="'projection.w2' data is not valid base64") as caught:
+            load_artifact(path)
+        assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize("cut", [1, 4])
+    def test_data_shorter_than_its_shape(self, tmp_path, small_vocab, separable_samples, cut):
+        _, path = self._trained(small_vocab, separable_samples, tmp_path)
+        data = json.loads(path.read_text())["projection"]["w2"]["data"]
+        self._edited(path, "w2", data=data[:-cut])
+        with pytest.raises(FileFormatError, match="'projection.w2' data must be"):
+            load_artifact(path)
+
+    def test_lying_shape_is_refused_before_decoding(self, tmp_path, small_vocab, separable_samples, monkeypatch):
+        # a 2**31 x 2**31 claim (2**65 bytes) over the real, short payload;
+        # only what is allocated after the JSON parse counts
+        _, path = self._trained(small_vocab, separable_samples, tmp_path)
+        obj = json.loads(path.read_text())
+        obj["embed_dim"] = 2**31
+        obj["projection"]["w1"]["shape"] = [2**31, 2**31]
+        path.write_text(json.dumps(obj))
+        parse, parsed_at = trainer.read_json, []
+
+        def parse_then_reset_peak(*args):
+            parsed = parse(*args)
+            tracemalloc.reset_peak()
+            parsed_at.append(tracemalloc.get_traced_memory()[0])
+            return parsed
+
+        monkeypatch.setattr(trainer, "read_json", parse_then_reset_peak)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError, match="'projection.w1' data must be") as caught:
+                load_artifact(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(caught.value)
+        assert peak - parsed_at[0] < path.stat().st_size
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bytes(self, tmp_path, small_vocab, separable_samples, value):
+        artifact, path = self._trained(small_vocab, separable_samples, tmp_path)
+        w1 = artifact.projection.w1.copy()
+        w1[0, 0] = value
+        self._edited(path, "w1", **_encoded(w1))
+        with pytest.raises(FileFormatError, match="'projection.w1' has non-finite entries") as caught:
+            load_artifact(path)
+        assert str(path) in str(caught.value)
 
     def test_file_provider_dim_is_not_checked(self, tmp_path, small_vocab, separable_samples):
         # the file's rows fix the model's input dim, so the snapshot's dim is not used
