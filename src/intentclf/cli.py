@@ -256,6 +256,8 @@ def run_predict(args) -> int:
 
 
 def run_serve(args) -> int:
+    if not 0 <= args.port <= 65535:
+        raise ValidationError(f"--port must be in 0-65535, got {args.port}")
     artifact = load_artifact(args.model)
     # refuse before binding: such a model would answer 500 to every request
     check_embeds_text(artifact.provider)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .config import JsonConfig
 from .errors import ValidationError
-from .mining import MinedPairs, PairSims
 
 _SIM_SLACK = 1e-6
 
@@ -50,14 +49,13 @@ class OFCConfig(JsonConfig):
 
 @dataclass(frozen=True)
 class LossOutput:
-    """A scalar loss plus dL/ds for every contributing pair.
+    """A scalar loss plus dL/ds for every pair of the batch.
 
     ``grad[k]`` is the derivative with respect to the similarity of pair
-    ``index[k]``; entries follow the order of the pairs the loss was given.
+    ``k``, in the batch's pair order; it is 0 for a pair the loss did not use.
     """
 
     value: float
-    index: np.ndarray
     grad: np.ndarray
 
 
@@ -92,25 +90,28 @@ def _mean(terms: np.ndarray, dterm_ds: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.mean(terms)), dterm_ds / terms.size
 
 
-def positive_loss(pairs: PairSims, config: OFCConfig) -> LossOutput:
-    """Focal loss over positive-pair similarities: q = max(s^2, epsilon)."""
-    s = _check_sims(pairs.sim)
+def positive_loss(sims: np.ndarray, config: OFCConfig) -> tuple[float, np.ndarray]:
+    """Focal loss over positive-pair similarities: q = max(s^2, epsilon).
+
+    Returns the loss and dL/ds for each entry of ``sims``.
+    """
+    s = _check_sims(sims)
     q_raw = s * s
     clamped = q_raw < config.epsilon
     q = np.maximum(q_raw, config.epsilon)
     term, dterm_dq = _focal(q, config.alpha, config.gamma)
     dq_ds = np.where(clamped, 0.0, 2.0 * s)
-    value, grad = _mean(term, dterm_dq * dq_ds)
-    return LossOutput(value=value, index=pairs.index, grad=grad)
+    return _mean(term, dterm_dq * dq_ds)
 
 
-def negative_loss(pairs: PairSims, config: OFCConfig) -> LossOutput:
+def negative_loss(sims: np.ndarray, config: OFCConfig) -> tuple[float, np.ndarray]:
     """Focal loss over negative-pair similarities: q = max(clip(m-s,0,1)^2, epsilon).
 
     The upper clip caps the incentive at s = margin - 1; without it the raw
-    formula would reward pushing negatives apart without bound.
+    formula would reward pushing negatives apart without bound. Returns the
+    loss and dL/ds for each entry of ``sims``.
     """
-    s = _check_sims(pairs.sim)
+    s = _check_sims(sims)
     u_raw = config.margin - s
     u = np.clip(u_raw, 0.0, 1.0)
     du_ds = np.where((u_raw > 0.0) & (u_raw < 1.0), -1.0, 0.0)
@@ -119,25 +120,33 @@ def negative_loss(pairs: PairSims, config: OFCConfig) -> LossOutput:
     q = np.maximum(q_raw, config.epsilon)
     term, dterm_dq = _focal(q, config.alpha, config.gamma)
     dq_du = np.where(clamped, 0.0, 2.0 * u)
-    value, grad = _mean(term, dterm_dq * dq_du * du_ds)
-    return LossOutput(value=value, index=pairs.index, grad=grad)
+    return _mean(term, dterm_dq * dq_du * du_ds)
 
 
-def ofc_loss(mined: MinedPairs, config: OFCConfig) -> LossOutput:
-    """Positive plus negative focal loss over the mined pair sets.
+def _on_batch(sims: np.ndarray, mined, pos: tuple, neg: tuple) -> LossOutput:
+    """The sum of the mined positives' and negatives' (value, dL/ds), as a batch loss.
 
-    When mining kept nothing the loss is 0 with no gradient entries.
+    Mining names each pair at most once, so each dL/ds lands on its own pair.
     """
-    pos = positive_loss(mined.pos_final, config)
-    neg = negative_loss(mined.neg_final, config)
-    return LossOutput(
-        value=pos.value + neg.value,
-        index=np.concatenate((pos.index, neg.index)),
-        grad=np.concatenate((pos.grad, neg.grad)),
-    )
+    (pos_value, pos_grad), (neg_value, neg_grad) = pos, neg
+    grad = np.zeros(sims.size)
+    grad[mined.pos_final] = pos_grad
+    grad[mined.neg_final] = neg_grad
+    return LossOutput(value=pos_value + neg_value, grad=grad)
 
 
-def oc_loss(mined: MinedPairs, margin: float = 0.5) -> LossOutput:
+def ofc_loss(sims: np.ndarray, mined, config: OFCConfig) -> LossOutput:
+    """Positive plus negative focal loss over the mined pairs of ``sims``.
+
+    ``mined`` (mining's result) names the kept pairs by index into ``sims``.
+    When mining kept nothing the loss and its gradient are 0.
+    """
+    pos = positive_loss(sims[mined.pos_final], config)
+    neg = negative_loss(sims[mined.neg_final], config)
+    return _on_batch(sims, mined, pos, neg)
+
+
+def oc_loss(sims: np.ndarray, mined, margin: float = 0.5) -> LossOutput:
     """Hinge-style baseline over mined pairs.
 
     Mean of (1-s)^2 over retained positives plus mean of max(0, s-margin)^2
@@ -145,36 +154,18 @@ def oc_loss(mined: MinedPairs, margin: float = 0.5) -> LossOutput:
     retained sets are exactly the hard pairs; once every pair is separated
     the hinges go inactive and the loss is 0.
     """
-    value = 0.0
-    pos_grad = neg_grad = np.zeros(0)
-    if mined.pos_final:
-        s = _check_sims(mined.pos_final.sim)
-        value += float(np.mean((1.0 - s) ** 2))
-        pos_grad = -2.0 * (1.0 - s) / s.size
-    if mined.neg_final:
-        s = _check_sims(mined.neg_final.sim)
-        hinge = np.maximum(0.0, s - margin)
-        value += float(np.mean(hinge**2))
-        neg_grad = 2.0 * hinge / s.size
-    return LossOutput(
-        value=value,
-        index=np.concatenate((mined.pos_final.index, mined.neg_final.index)),
-        grad=np.concatenate((pos_grad, neg_grad)),
-    )
+    s = _check_sims(sims[mined.pos_final])
+    pos = _mean((1.0 - s) ** 2, -2.0 * (1.0 - s))
+    hinge = np.maximum(0.0, _check_sims(sims[mined.neg_final]) - margin)
+    neg = _mean(hinge**2, 2.0 * hinge)
+    return _on_batch(sims, mined, pos, neg)
 
 
-def cs_loss(pos_pairs: PairSims, neg_pairs: PairSims) -> LossOutput:
+def cs_loss(sims: np.ndarray, positive: np.ndarray) -> LossOutput:
     """Cosine-regression baseline over all pairs: mean (s - t)^2.
 
     Targets are 1 for positive pairs, 0 for negative pairs. No mining.
     """
-    if not pos_pairs and not neg_pairs:
-        return LossOutput(value=0.0, index=np.zeros(0, dtype=np.intp), grad=np.zeros(0))
-    sims = _check_sims(np.concatenate((pos_pairs.sim, neg_pairs.sim)))
-    targets = np.concatenate([np.ones(len(pos_pairs)), np.zeros(len(neg_pairs))])
-    residual = sims - targets
-    value = float(np.mean(residual**2))
-    grad = 2.0 * residual / residual.size
-    return LossOutput(
-        value=value, index=np.concatenate((pos_pairs.index, neg_pairs.index)), grad=grad
-    )
+    residual = _check_sims(sims) - positive
+    value, grad = _mean(residual**2, 2.0 * residual)
+    return LossOutput(value=value, grad=grad)

@@ -2,11 +2,11 @@
 
 A batch of n samples has P = C(n,2) unordered pairs. A :class:`PairSet`
 holds their endpoints in ``np.triu_indices(n, 1)`` order, so a pair's index
-is its row in that order: (0,1), (0,2), ..., (1,2), ... Every later table
-(similarities, mined sets, loss gradients) names pairs by that index, as
-parallel index and value arrays.
+is its row in that order: (0,1), (0,2), ..., (1,2), ... The batch's
+similarities are one length-P vector in that order, and mining names the
+pairs it keeps by their index into it.
 
-Mining runs in five steps over the positive/negative similarity tables of a
+Mining runs in five steps over the positive and the negative pairs of a
 batch:
 
 1. hard extraction: pairs whose similarity falls on the wrong side of the
@@ -52,45 +52,6 @@ class PairSet:
 
 
 @dataclass(frozen=True)
-class PairSims:
-    """Similarities of some pairs of one batch, as parallel arrays.
-
-    ``sim[k]`` is the similarity of the pair whose index into the
-    originating :class:`PairSet` is ``index[k]``. ``len()`` is the number of
-    entries.
-    """
-
-    index: np.ndarray
-    sim: np.ndarray
-
-    def __post_init__(self):
-        index = np.asarray(self.index, dtype=np.intp)
-        sim = np.asarray(self.sim, dtype=np.float64)
-        if index.ndim != 1 or index.shape != sim.shape:
-            raise ValidationError(
-                f"pair indices and similarities must be equal-length 1-D arrays, "
-                f"got shapes {index.shape} and {sim.shape}"
-            )
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "sim", sim)
-
-    def __len__(self) -> int:
-        return self.index.size
-
-    def take(self, rows: np.ndarray) -> "PairSims":
-        """The entries at ``rows`` (positions or a boolean mask), in that order."""
-        return PairSims(self.index[rows], self.sim[rows])
-
-
-@dataclass(frozen=True)
-class SimilarityTable:
-    """Pairwise similarities split by polarity, each in pair-index order."""
-
-    d_pos: PairSims
-    d_neg: PairSims
-
-
-@dataclass(frozen=True)
 class MiningConfig(JsonConfig):
     p: float = 10.0
     mode: str = "literal"
@@ -119,18 +80,14 @@ class MinedCounts:
 
 @dataclass(frozen=True)
 class MinedPairs:
-    """Retained pair similarities after mining, with provenance indices.
+    """The pairs mining kept, as indices into the batch's pair order.
 
     ``pos_final`` is the selected refined prefix followed by the hard
-    positives (in table order); ``neg_final`` likewise. ``t_neg`` is the
-    threshold derived from the negative table that gated hard positives,
-    ``t_pos`` the converse; either is None when its source table was empty.
+    positives (in pair-index order); ``neg_final`` likewise.
     """
 
-    pos_final: PairSims
-    neg_final: PairSims
-    t_neg: float | None
-    t_pos: float | None
+    pos_final: np.ndarray
+    neg_final: np.ndarray
     counts: MinedCounts
 
 
@@ -161,18 +118,15 @@ def build_pairs(labels: np.ndarray, rule: str = "exact") -> PairSet:
     return PairSet(pairs=np.stack((a, b), axis=1), positive=positive, batch_size=n)
 
 
-def batch_similarity_table(z: np.ndarray, pair_set: PairSet) -> SimilarityTable:
-    """Similarities of every pair from row-normalized projections ``z``."""
+def batch_similarity_table(z: np.ndarray, pair_set: PairSet) -> np.ndarray:
+    """Similarity of every pair, in pair order, from row-normalized projections ``z``."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != pair_set.batch_size:
         raise ValidationError(
             f"expected {pair_set.batch_size} projection rows, got shape {z.shape}"
         )
     gram = np.clip(z @ z.T, -1.0, 1.0)
-    sims = gram[pair_set.pairs[:, 0], pair_set.pairs[:, 1]]
-    pos = np.flatnonzero(pair_set.positive)
-    neg = np.flatnonzero(~pair_set.positive)
-    return SimilarityTable(d_pos=PairSims(pos, sims[pos]), d_neg=PairSims(neg, sims[neg]))
+    return gram[pair_set.pairs[:, 0], pair_set.pairs[:, 1]]
 
 
 def _top_count(p: float, size: int) -> int:
@@ -183,48 +137,47 @@ def _top_count(p: float, size: int) -> int:
     return int(math.ceil(Fraction(p) * size / 100))
 
 
-def _hard_mask(side: PairSims, threshold: float | None, above: bool) -> np.ndarray:
+def _hard_mask(sims: np.ndarray, threshold: float | None, above: bool) -> np.ndarray:
     if threshold is None:
-        return np.zeros(len(side), dtype=bool)
-    return side.sim > threshold if above else side.sim < threshold
+        return np.zeros(sims.size, dtype=bool)
+    return sims > threshold if above else sims < threshold
 
 
-def _refined_order(side: PairSims, hard: np.ndarray, descending: bool) -> np.ndarray:
-    """Positions of the non-hard entries, sorted by similarity then pair index."""
-    rest = np.flatnonzero(~hard)
-    sims = side.sim[rest]
-    return rest[np.lexsort((side.index[rest], -sims if descending else sims))]
+def _refined_order(index: np.ndarray, sims: np.ndarray, descending: bool) -> np.ndarray:
+    """Pair indices ``index`` sorted by their similarities ``sims``, then by index."""
+    return index[np.lexsort((index, -sims if descending else sims))]
 
 
-def mine(table: SimilarityTable, config: MiningConfig) -> MinedPairs:
+def mine(sims: np.ndarray, positive: np.ndarray, config: MiningConfig) -> MinedPairs:
     """Run hard extraction, refinement, sorting, top-p selection and concat.
 
-    Degenerate rule: an empty negative table leaves ``t_neg`` unset and the
-    hard-positive set empty (and symmetrically for positives).
+    ``sims`` holds the similarity of every pair of the batch, in pair order,
+    and ``positive`` their polarities. Degenerate rule: a batch with no
+    negative pair has no hard positive (and symmetrically).
     """
-    d_pos, d_neg = table.d_pos, table.d_neg
+    pos = np.flatnonzero(positive)
+    neg = np.flatnonzero(~positive)
+    s_pos, s_neg = sims[pos], sims[neg]
     literal = config.mode == "literal"
-    t_neg = float((np.min if literal else np.max)(d_neg.sim)) if len(d_neg) else None
-    t_pos = float((np.max if literal else np.min)(d_pos.sim)) if len(d_pos) else None
-    hard_pos = _hard_mask(d_pos, t_neg, above=literal)
-    hard_neg = _hard_mask(d_neg, t_pos, above=not literal)
+    t_neg = (np.min if literal else np.max)(s_neg) if neg.size else None
+    t_pos = (np.max if literal else np.min)(s_pos) if pos.size else None
+    hard_pos = _hard_mask(s_pos, t_neg, above=literal)
+    hard_neg = _hard_mask(s_neg, t_pos, above=not literal)
 
-    refined_pos = _refined_order(d_pos, hard_pos, descending=True)
-    refined_neg = _refined_order(d_neg, hard_neg, descending=False)
-    selected_pos = refined_pos[: _top_count(config.p, len(refined_pos))]
-    selected_neg = refined_neg[: _top_count(config.p, len(refined_neg))]
+    refined_pos = _refined_order(pos[~hard_pos], s_pos[~hard_pos], descending=True)
+    refined_neg = _refined_order(neg[~hard_neg], s_neg[~hard_neg], descending=False)
+    selected_pos = refined_pos[: _top_count(config.p, refined_pos.size)]
+    selected_neg = refined_neg[: _top_count(config.p, refined_neg.size)]
 
     return MinedPairs(
-        pos_final=d_pos.take(np.concatenate((selected_pos, np.flatnonzero(hard_pos)))),
-        neg_final=d_neg.take(np.concatenate((selected_neg, np.flatnonzero(hard_neg)))),
-        t_neg=t_neg,
-        t_pos=t_pos,
+        pos_final=np.concatenate((selected_pos, pos[hard_pos])),
+        neg_final=np.concatenate((selected_neg, neg[hard_neg])),
         counts=MinedCounts(
             h_pos=int(np.count_nonzero(hard_pos)),
             h_neg=int(np.count_nonzero(hard_neg)),
-            o_pos=len(refined_pos),
-            o_neg=len(refined_neg),
-            selected_pos=len(selected_pos),
-            selected_neg=len(selected_neg),
+            o_pos=refined_pos.size,
+            o_neg=refined_neg.size,
+            selected_pos=selected_pos.size,
+            selected_neg=selected_neg.size,
         ),
     )

@@ -247,20 +247,20 @@ def _mining_for_loss(config: TrainConfig) -> MiningConfig:
     return config.mining
 
 
-def _pair_loss(table, config: TrainConfig) -> LossOutput:
+def _pair_loss(sims: np.ndarray, positive: np.ndarray, config: TrainConfig) -> LossOutput:
     if config.loss_kind == "cs":
-        return cs_loss(table.d_pos, table.d_neg)
-    mined = mine(table, _mining_for_loss(config))
+        return cs_loss(sims, positive)
+    mined = mine(sims, positive, _mining_for_loss(config))
     if config.loss_kind == "oc":
-        return oc_loss(mined, config.ofc.margin)
-    return ofc_loss(mined, config.ofc)
+        return oc_loss(sims, mined, config.ofc.margin)
+    return ofc_loss(sims, mined, config.ofc)
 
 
-def _sim_grads_to_z(out: LossOutput, pair_set: PairSet, z: np.ndarray) -> np.ndarray:
-    """dL/dZ = (G + G^T) Z, where G[a, b] sums dL/ds over the entries naming pair (a, b)."""
+def _sim_grads_to_z(grad: np.ndarray, pair_set: PairSet, z: np.ndarray) -> np.ndarray:
+    """dL/dZ = (G + G^T) Z, where G[a, b] is dL/ds of pair (a, b) and G is 0 below the diagonal."""
     n = len(z)
-    a, b = pair_set.pairs[out.index].T
-    g = np.bincount(a * n + b, weights=out.grad, minlength=n * n).reshape(n, n)
+    g = np.zeros((n, n))
+    g[pair_set.pairs[:, 0], pair_set.pairs[:, 1]] = grad
     return (g + g.T) @ z
 
 
@@ -287,9 +287,9 @@ def _pretrain_step(
     """Pair loss of one batch and its gradients [dw1, db1, dw2, db2] in ``head``."""
     z, cache = _project_batch(x, head)
     pair_set = build_pairs(y, config.mining.positive_rule)
-    table = batch_similarity_table(z, pair_set)
-    out = _pair_loss(table, config)
-    d_z = _sim_grads_to_z(out, pair_set, z)
+    sims = batch_similarity_table(z, pair_set)
+    out = _pair_loss(sims, pair_set.positive, config)
+    d_z = _sim_grads_to_z(out.grad, pair_set, z)
     return out, _projection_backward(d_z, cache, head)
 
 

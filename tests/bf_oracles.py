@@ -3,7 +3,9 @@
 Everything here is written against the documented behavior, in a different
 style from the package (pure-python sets/loops, integer-search ceilings), so
 the two sides do not share arithmetic shortcuts. The oracles speak tuple
-lists; ``pair_sims`` and ``entries`` convert at the package's array boundary.
+lists; ``pair_sims`` and ``entries`` convert at the package's array boundary,
+where a batch is one similarity vector in pair order and mining names pairs
+by their index into it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 import numpy as np
 
 from intentclf.dataset import validate_labels
-from intentclf.mining import PairSims
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +102,25 @@ def random_similarity_batch(rng: np.random.Generator):
     return labels, rule, d_pos, d_neg
 
 
-def pair_sims(entries):
-    """Tuple list [(pair_index, sim), ...] -> the package's parallel arrays."""
-    entries = list(entries)
-    return PairSims([i for i, _ in entries], [s for _, s in entries])
+def pair_sims(d_pos, d_neg=()) -> tuple[np.ndarray, np.ndarray]:
+    """Tuple lists [(pair_index, sim), ...] per polarity -> the package's (sims, positive).
+
+    Pair indices the lists leave out get similarity 0 and negative polarity.
+    """
+    size = 1 + max((i for i, _ in [*d_pos, *d_neg]), default=-1)
+    sims = np.zeros(size)
+    positive = np.zeros(size, dtype=bool)
+    for i, s in d_pos:
+        sims[i], positive[i] = s, True
+    for i, s in d_neg:
+        sims[i] = s
+    return sims, positive
 
 
-def entries(pairs) -> list:
-    """The package's PairSims -> tuple list [(pair_index, sim), ...]."""
-    return list(zip(pairs.index.tolist(), pairs.sim.tolist()))
+def entries(index: np.ndarray, sims: np.ndarray) -> list:
+    """The package's pair indices -> tuple list [(pair_index, sim), ...]."""
+    assert index.dtype.kind == "i", index.dtype
+    return list(zip(index.tolist(), sims[index].tolist()))
 
 
 # ---------------------------------------------------------------------------

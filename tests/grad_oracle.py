@@ -17,7 +17,7 @@ import numpy as np
 
 from intentclf import trainer
 from intentclf.errors import ValidationError
-from intentclf.mining import MiningConfig, PairSims, batch_similarity_table, build_pairs
+from intentclf.mining import MiningConfig, batch_similarity_table, build_pairs, mine
 from intentclf.trainer import ClassifierHead, ProjectionHead, TrainConfig
 
 
@@ -67,11 +67,23 @@ def _central_difference(f, params: list[np.ndarray], step_scale: float = 1e-5) -
 _GRAD_COMPONENTS = ("projection+ofc", "projection+oc", "projection+cs", "classifier+bce", "classifier")
 
 
-def _away_from_kinks(pos: PairSims, neg: PairSims, margin: float, delta: float = 1e-3) -> bool:
-    s = np.abs(pos.sim)
+def _away_from_kinks(pos: np.ndarray, neg: np.ndarray, margin: float, delta: float = 1e-3) -> bool:
+    s = np.abs(pos)
     if np.any((s < delta) | (np.abs(s - 1.0) < 1e-9)):
         return False
-    return not np.any((np.abs(neg.sim - margin) < delta) | (np.abs(neg.sim - (margin - 1.0)) < delta))
+    return not np.any((np.abs(neg - margin) < delta) | (np.abs(neg - (margin - 1.0)) < delta))
+
+
+def _used_pairs(x, labels, head: ProjectionHead, config: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch's pair similarities, polarities, and a mask of the pairs its loss uses."""
+    z, _ = trainer._project_batch(x, head)
+    pair_set = build_pairs(labels, config.mining.positive_rule)
+    sims = batch_similarity_table(z, pair_set)
+    used = np.full(sims.size, config.loss_kind == "cs")
+    if config.loss_kind != "cs":
+        mined = mine(sims, pair_set.positive, trainer._mining_for_loss(config))
+        used[mined.pos_final] = used[mined.neg_final] = True
+    return sims, pair_set.positive, used
 
 
 def _check_projection_point(loss_kind: str, rng: np.random.Generator) -> float | None:
@@ -88,25 +100,18 @@ def _check_projection_point(loss_kind: str, rng: np.random.Generator) -> float |
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     labels = pool[rng.integers(0, len(pool), size=batch)]
     head = ProjectionHead.init(d_in, d_hidden, d_proj, rng)
-    z, _ = trainer._project_batch(x, head)
-    table = batch_similarity_table(z, build_pairs(labels, config.mining.positive_rule))
-    if not table.d_pos or not table.d_neg:
+    sims, positive, used = _used_pairs(x, labels, head, config)
+    if positive.all() or not positive.any() or not used.any():
         return None
-    out, analytic = trainer._pretrain_step(x, labels, head, config)
-    kept = np.sort(out.index)
-    if not kept.size:
-        return None
-    pos = table.d_pos.take(np.isin(table.d_pos.index, kept))
-    neg = table.d_neg.take(np.isin(table.d_neg.index, kept))
-    if not _away_from_kinks(pos, neg, config.ofc.margin):
+    _, analytic = trainer._pretrain_step(x, labels, head, config)
+    if not _away_from_kinks(sims[used & positive], sims[used & ~positive], config.ofc.margin):
         return None
     same_pairs = True
 
     def f() -> float:
         nonlocal same_pairs
-        perturbed, _ = trainer._pretrain_step(x, labels, head, config)
-        same_pairs &= np.array_equal(np.sort(perturbed.index), kept)
-        return perturbed.value
+        same_pairs &= np.array_equal(_used_pairs(x, labels, head, config)[2], used)
+        return trainer._pretrain_step(x, labels, head, config)[0].value
 
     numeric = _central_difference(f, head.params())
     if not same_pairs:
@@ -172,9 +177,8 @@ def projection_margin_gap(
     x, y = trainer._aligned(x, y)
     pair_set = build_pairs(y, rule)  # rejects fewer than 2 rows
     z, _ = trainer._project_batch(x, head)
-    table = batch_similarity_table(z, pair_set)
-    if not table.d_pos or not table.d_neg:
+    sims = batch_similarity_table(z, pair_set)
+    positive = pair_set.positive
+    if positive.all() or not positive.any():
         raise ValueError("margin gap needs both pair polarities")
-    pos = np.mean(table.d_pos.sim)
-    neg = np.mean(table.d_neg.sim)
-    return float(pos - neg)
+    return float(np.mean(sims[positive]) - np.mean(sims[~positive]))

@@ -42,7 +42,7 @@ from intentclf.metrics import (
     subset_accuracy,
     threshold_scores,
 )
-from intentclf.mining import SimilarityTable, mine
+from intentclf.mining import mine
 from intentclf.service import make_server
 from intentclf import score_samples
 from intentclf.trainer import ProjectionHead, predict
@@ -186,14 +186,11 @@ def test_criterion_mining_oracle():
             _, _, d_pos, d_neg = random_similarity_batch(rng)
             p = p_grid[(case // 2) % len(p_grid)]
             mode = "literal" if case % 2 == 0 else "standard"
-            mined = mine(
-                SimilarityTable(d_pos=pair_sims(d_pos), d_neg=pair_sims(d_neg)),
-                MiningConfig(p=p, mode=mode),
-            )
+            sims, positive = pair_sims(d_pos, d_neg)
+            mined = mine(sims, positive, MiningConfig(p=p, mode=mode))
             expected = mine_bruteforce(d_pos, d_neg, p, mode)
-            assert entries(mined.pos_final) == expected["pos_final"], (case, p, mode)
-            assert entries(mined.neg_final) == expected["neg_final"], (case, p, mode)
-            assert mined.t_neg == expected["t_neg"] and mined.t_pos == expected["t_pos"]
+            assert entries(mined.pos_final, sims) == expected["pos_final"], (case, p, mode)
+            assert entries(mined.neg_final, sims) == expected["neg_final"], (case, p, mode)
             assert (
                 mined.counts.h_pos, mined.counts.h_neg,
                 mined.counts.o_pos, mined.counts.o_neg,

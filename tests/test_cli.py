@@ -616,6 +616,16 @@ class TestServe:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "cannot embed new text" in err[0], err
 
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_out_of_range_exits_2_before_binding(self, workspace, monkeypatch, capsys, port):
+        bound = []
+        monkeypatch.setattr(service, "PooledHTTPServer", lambda *a, **k: bound.append(a))
+        capsys.readouterr()
+        assert main(["serve", "--model", str(workspace["model"]), "--port", port]) == 2
+        assert bound == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --port") and port in err[0], err
+
     def _start_serve(self, workspace) -> tuple[subprocess.Popen, int]:
         """``intentclf serve`` in a child process, once it answers /health."""
         with socket.socket() as probe:

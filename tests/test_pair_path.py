@@ -1,14 +1,13 @@
 """The array pair path against the original per-pair loops.
 
-Pair building and the similarity table must produce exactly the pairs and
+Pair building and the similarity vector must produce exactly the pairs and
 floats of the per-pair loops in ``bf_oracles``. The gradient scatter,
 ``d_z = (G + G^T) Z``, adds the same terms in another order, so it must agree
 with the loop to rounding: elementwise within the standard bound for a sum
-of k terms, ``k * eps * S``, where k is the number of loss entries and S is
-the loop run on |dL/ds| and |z| (exactly equal where S is 0). Each random
-batch runs all three loss kinds, so the scatter sees the gradients of ofc
-(mined positives, then negatives), oc (hard pairs only) and cs (every pair
-in table order).
+of k terms, ``k * eps * S``, where k is the number of pairs with a nonzero
+dL/ds and S is the loop run on |dL/ds| and |z| (exactly equal where S is 0).
+Each random batch runs all three loss kinds, so the scatter sees the
+gradients of ofc (mined pairs), oc (hard pairs only) and cs (every pair).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from intentclf import MiningConfig, TrainConfig
-from intentclf.losses import LossOutput
 from intentclf.mining import batch_similarity_table, build_pairs, mine
 from intentclf.trainer import _mining_for_loss, _pair_loss, _sim_grads_to_z
 from bf_oracles import build_pairs_loop, multi_hot, sim_grads_to_z_loop
@@ -52,20 +50,18 @@ def _random_batch(rng: np.random.Generator, shape: str):
     return labels, rule, z
 
 
-def _loop_table(z: np.ndarray, pairs) -> tuple[list, list]:
+def _loop_sims(z: np.ndarray, pairs) -> list:
     gram = np.clip(z @ z.T, -1.0, 1.0)
-    d_pos, d_neg = [], []
-    for index, (a, b, positive) in enumerate(pairs):
-        (d_pos if positive else d_neg).append((index, float(gram[a, b])))
-    return d_pos, d_neg
+    return [float(gram[a, b]) for a, b, _ in pairs]
 
 
-def _assert_scatter_matches_loop(out: LossOutput, pair_set, pairs, z: np.ndarray, case) -> None:
-    grads = list(zip(out.index.tolist(), out.grad.tolist()))
+def _assert_scatter_matches_loop(grad: np.ndarray, pair_set, pairs, z: np.ndarray, case) -> None:
+    grads = list(enumerate(grad.tolist()))
     expected = sim_grads_to_z_loop(grads, pairs, z)
     scale = sim_grads_to_z_loop([(i, abs(g)) for i, g in grads], pairs, np.abs(z))
-    error = np.abs(_sim_grads_to_z(out, pair_set, z) - expected)
-    assert (error <= len(grads) * np.finfo(np.float64).eps * scale).all(), case
+    error = np.abs(_sim_grads_to_z(grad, pair_set, z) - expected)
+    terms = np.count_nonzero(grad)
+    assert (error <= terms * np.finfo(np.float64).eps * scale).all(), case
 
 
 def test_array_path_matches_loops():
@@ -82,12 +78,9 @@ def test_array_path_matches_loops():
         assert pair_set.pairs.tolist() == [[a, b] for a, b, _ in loop_pairs], case
         assert pair_set.positive.tolist() == [positive for _, _, positive in loop_pairs], case
 
-        loop_pos, loop_neg = _loop_table(z, loop_pairs)
-        table = batch_similarity_table(z, pair_set)
-        for side, loop_side in ((table.d_pos, loop_pos), (table.d_neg, loop_neg)):
-            assert side.index.tolist() == [i for i, _ in loop_side], case
-            assert side.sim.tobytes() == np.array([s for _, s in loop_side]).tobytes(), case
-        seen["one-polarity"] += not loop_pos or not loop_neg
+        sims = batch_similarity_table(z, pair_set)
+        assert sims.tobytes() == np.array(_loop_sims(z, loop_pairs)).tobytes(), case
+        seen["one-polarity"] += pair_set.positive.all() or not pair_set.positive.any()
 
         p = 0.0 if shape == "separated" else float(rng.choice([0.0, 10.0, 37.0, 100.0]))
         mode = "standard" if shape == "separated" or rng.integers(0, 2) else "literal"
@@ -95,25 +88,11 @@ def test_array_path_matches_loops():
             config = TrainConfig(
                 loss_kind=loss_kind, mining=MiningConfig(p=p, mode=mode, positive_rule=rule)
             )
-            out = _pair_loss(table, config)
-            if loss_kind == "cs":
-                expected_order = np.concatenate((table.d_pos.index, table.d_neg.index))
-            else:
-                mined = mine(table, _mining_for_loss(config))
-                expected_order = np.concatenate((mined.pos_final.index, mined.neg_final.index))
-            assert out.index.tolist() == expected_order.tolist(), (case, loss_kind)
-            seen["kept-nothing"] += out.index.size == 0
+            out = _pair_loss(sims, pair_set.positive, config)
+            if loss_kind != "cs":
+                mined = mine(sims, pair_set.positive, _mining_for_loss(config))
+                seen["kept-nothing"] += mined.pos_final.size + mined.neg_final.size == 0
 
-            _assert_scatter_matches_loop(out, pair_set, loop_pairs, z, (case, loss_kind))
+            _assert_scatter_matches_loop(out.grad, pair_set, loop_pairs, z, (case, loss_kind))
     assert all(count > 0 for count in seen.values()), seen
 
-
-def test_scatter_adds_every_entry_of_a_repeated_pair():
-    # a loss may name a pair more than once; each entry still adds
-    rng = np.random.default_rng(5)
-    labels = [frozenset({"a"}), frozenset({"a"}), frozenset({"b"}), frozenset({"a"})]
-    z = rng.normal(size=(4, 3))
-    index = np.array([3, 0, 3, 5, 0, 1])
-    out = LossOutput(value=0.0, index=index, grad=rng.normal(size=index.size))
-    pairs = build_pairs_loop(labels, "exact")
-    _assert_scatter_matches_loop(out, build_pairs(multi_hot(labels)), pairs, z, "repeated")
