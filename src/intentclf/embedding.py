@@ -36,9 +36,6 @@ from .errors import (
 from . import httpclient
 from .httpclient import check_remote, post_json
 
-# An embedding is a 1-D float64 numpy array of unit Euclidean norm.
-EmbeddingVector = np.ndarray
-
 _PROVIDER_KINDS = ("file", "http", "toy")
 _TEXT_PROVIDER_KINDS = ("http", "toy")
 _TEXT_START = "\x02"
@@ -100,18 +97,6 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
         x[extreme] /= peak[extreme, None]
     x /= _row_norms(x)
     return x
-
-
-def l2_normalize(v: Sequence[float] | np.ndarray) -> EmbeddingVector:
-    """Scale ``v`` to unit Euclidean norm, preserving direction.
-
-    Raises :class:`DegenerateEmbeddingError` for the zero vector and
-    :class:`ValidationError` for non-finite entries.
-    """
-    arr = np.array(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"expected a non-empty 1-D vector, got shape {arr.shape}")
-    return _normalize_rows(arr[None, :])[0]
 
 
 def _hash_trigram(trigram: str, seed: int) -> tuple[int, float]:
@@ -226,23 +211,16 @@ def _toy_block(texts: Sequence[str], dim: int, seed: int, out: np.ndarray) -> No
 
 
 def _toy_embed(texts: Sequence[str], dim: int, seed: int) -> np.ndarray:
+    """Deterministic signed-hash bag of character trigrams, one unit row per text.
+
+    Each text is wrapped in boundary markers, so inputs shorter than three
+    characters still produce at least one trigram. The map (text, dim, seed)
+    -> row is a pure function, stable across processes.
+    """
     out = np.empty((len(texts), dim), dtype=np.float64)
     for start in range(0, len(texts), _TOY_BLOCK):
         _toy_block(texts[start : start + _TOY_BLOCK], dim, seed, out[start : start + _TOY_BLOCK])
     return out
-
-
-def toy_embed(text: str, dim: int, seed: int = 0) -> EmbeddingVector:
-    """Deterministic signed-hash bag of character trigrams, unit-normalized.
-
-    The text is wrapped in boundary markers, so inputs shorter than three
-    characters still produce at least one trigram. The map (text, dim, seed)
-    -> vector is a pure function, stable across processes.
-    """
-    if dim < 2:
-        raise ValidationError(f"embedding dim must be >= 2, got {dim}")
-    check_utf8([text])
-    return _toy_embed([text], dim, seed)[0]
 
 
 def _embed_remote(texts: Sequence[str], config: ProviderConfig) -> np.ndarray:
@@ -334,7 +312,7 @@ def load_embeddings(path: str | Path, dataset: Dataset) -> np.ndarray:
     long as its header claims; anything else is a :class:`FileFormatError`
     naming ``path``, raised before the data is read. The row count must match
     the dataset (:class:`ValidationError`), and each row must be finite and
-    non-zero (see :func:`l2_normalize`).
+    non-zero (see :func:`_normalize_rows`).
     """
     with Path(path).open("rb") as fh:
         try:

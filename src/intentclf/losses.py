@@ -8,6 +8,9 @@ negative pair through q = clip(m - s, 0, 1)^2, then applies the focal term
 with q floored at ``epsilon`` so the log never diverges. Gradients are zero
 inside any clamped region. Two baselines are provided for ablations: the
 hinge-style online-contrastive loss and a plain cosine-regression loss.
+
+Every loss returns ``(value, grad)``: the scalar loss and dL/ds for each
+similarity it was given, in their order, 0 for a pair it did not use.
 """
 
 from __future__ import annotations
@@ -45,18 +48,6 @@ class OFCConfig(JsonConfig):
             raise ValidationError(f"margin must be in (0, 2], got {self.margin}")
         if not 0.0 < self.epsilon <= 1e-3:
             raise ValidationError(f"epsilon must be in (0, 1e-3], got {self.epsilon}")
-
-
-@dataclass(frozen=True)
-class LossOutput:
-    """A scalar loss plus dL/ds for every pair of the batch.
-
-    ``grad[k]`` is the derivative with respect to the similarity of pair
-    ``k``, in the batch's pair order; it is 0 for a pair the loss did not use.
-    """
-
-    value: float
-    grad: np.ndarray
 
 
 def _check_sims(sims: np.ndarray) -> np.ndarray:
@@ -123,7 +114,7 @@ def negative_loss(sims: np.ndarray, config: OFCConfig) -> tuple[float, np.ndarra
     return _mean(term, dterm_dq * dq_du * du_ds)
 
 
-def _on_batch(sims: np.ndarray, mined, pos: tuple, neg: tuple) -> LossOutput:
+def _on_batch(sims: np.ndarray, mined, pos: tuple, neg: tuple) -> tuple[float, np.ndarray]:
     """The sum of the mined positives' and negatives' (value, dL/ds), as a batch loss.
 
     Mining names each pair at most once, so each dL/ds lands on its own pair.
@@ -132,10 +123,10 @@ def _on_batch(sims: np.ndarray, mined, pos: tuple, neg: tuple) -> LossOutput:
     grad = np.zeros(sims.size)
     grad[mined.pos_final] = pos_grad
     grad[mined.neg_final] = neg_grad
-    return LossOutput(value=pos_value + neg_value, grad=grad)
+    return pos_value + neg_value, grad
 
 
-def ofc_loss(sims: np.ndarray, mined, config: OFCConfig) -> LossOutput:
+def ofc_loss(sims: np.ndarray, mined, config: OFCConfig) -> tuple[float, np.ndarray]:
     """Positive plus negative focal loss over the mined pairs of ``sims``.
 
     ``mined`` (mining's result) names the kept pairs by index into ``sims``.
@@ -146,7 +137,7 @@ def ofc_loss(sims: np.ndarray, mined, config: OFCConfig) -> LossOutput:
     return _on_batch(sims, mined, pos, neg)
 
 
-def oc_loss(sims: np.ndarray, mined, margin: float = 0.5) -> LossOutput:
+def oc_loss(sims: np.ndarray, mined, margin: float = 0.5) -> tuple[float, np.ndarray]:
     """Hinge-style baseline over mined pairs.
 
     Mean of (1-s)^2 over retained positives plus mean of max(0, s-margin)^2
@@ -161,11 +152,10 @@ def oc_loss(sims: np.ndarray, mined, margin: float = 0.5) -> LossOutput:
     return _on_batch(sims, mined, pos, neg)
 
 
-def cs_loss(sims: np.ndarray, positive: np.ndarray) -> LossOutput:
+def cs_loss(sims: np.ndarray, positive: np.ndarray) -> tuple[float, np.ndarray]:
     """Cosine-regression baseline over all pairs: mean (s - t)^2.
 
     Targets are 1 for positive pairs, 0 for negative pairs. No mining.
     """
     residual = _check_sims(sims) - positive
-    value, grad = _mean(residual**2, 2.0 * residual)
-    return LossOutput(value=value, grad=grad)
+    return _mean(residual**2, 2.0 * residual)

@@ -68,8 +68,6 @@ def classification_body(artifact: ModelArtifact, text: str) -> str:
     """Canonical JSON body for one classification, shared by CLI and service."""
     if not text.strip():
         raise ValidationError("text is empty")
-    if artifact.provider is None:
-        raise ValidationError("artifact carries no embedding provider config")
     vector = embed_texts([text], artifact.provider)[0]
     labels, scores = predict(vector, artifact)
     payload = {
@@ -215,22 +213,27 @@ class PooledHTTPServer(socketserver.TCPServer):
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         """Answer connections until :meth:`shutdown`.
 
-        ``poll_interval`` is accepted for the ``socketserver`` signature and
-        unused: nothing polls, ``shutdown`` wakes the workers.
+        The calling thread wakes every ``poll_interval`` seconds, so a signal
+        that a worker thread takes is handled within that time (Python runs
+        handlers in the main thread only). An exception, even one raised
+        while the workers start, stops and joins every worker started.
         """
         self._stopped.clear()
         workers = [
             threading.Thread(target=self._work, name=f"classify-worker-{i}", daemon=True)
             for i in range(WORKER_THREADS)
         ]
-        for worker in workers:
-            worker.start()
         try:
-            self._stop.wait()
+            for worker in workers:
+                worker.start()
+            while not self._stop.wait(poll_interval):
+                pass
         finally:
             self._stop.set()
-            self._wake(len(workers))
-            for worker in workers:
+            # join() refuses an unstarted thread; one that starts late sees the stop flag
+            started = [worker for worker in workers if worker.is_alive()]
+            self._wake(len(started))
+            for worker in started:
                 worker.join()
             self._stop.clear()
             self._stopped.set()

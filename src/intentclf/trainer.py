@@ -27,13 +27,7 @@ from .errors import (
     FileFormatError,
     ValidationError,
 )
-from .losses import (
-    LossOutput,
-    OFCConfig,
-    cs_loss,
-    ofc_loss,
-    oc_loss,
-)
+from .losses import OFCConfig, cs_loss, ofc_loss, oc_loss
 from .metrics import threshold_scores
 from .mining import (
     MiningConfig,
@@ -172,12 +166,6 @@ def _classify_batch(z: np.ndarray, head: ClassifierHead) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z @ head.w + head.b, -60.0, 60.0)))
 
 
-def _forward(x: np.ndarray, artifact: ModelArtifact) -> np.ndarray:
-    """Label probabilities (n x m) for a batch of embeddings (n x d)."""
-    z, _ = _project_batch(x, artifact.projection)
-    return _classify_batch(z, artifact.classifier)
-
-
 def _projection_backward(d_z: np.ndarray, cache, head: ProjectionHead) -> list[np.ndarray]:
     """Gradients [dw1, db1, dw2, db2] given dL/dZ and a cached forward."""
     x, h, z, norms = cache
@@ -212,14 +200,6 @@ def bce_loss(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]
     return value, grad
 
 
-def _clip_global_norm(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-    if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return [g * scale for g in grads]
-
-
 def _sgd_step(
     params: list[np.ndarray],
     grads: list[np.ndarray],
@@ -228,12 +208,17 @@ def _sgd_step(
     momentum: float,
     clip_norm: float | None,
 ) -> None:
+    """One momentum step on ``grads`` clipped to global norm ``clip_norm``; overwrites ``grads``."""
     if clip_norm is not None:
-        grads = _clip_global_norm(grads, clip_norm)
+        total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        if total > clip_norm:
+            for g in grads:
+                g *= clip_norm / total
     for p, g, v in zip(params, grads, velocity):
         v *= momentum
         v += g
-        p -= lr * v
+        np.multiply(v, lr, out=g)
+        p -= g
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +232,7 @@ def _mining_for_loss(config: TrainConfig) -> MiningConfig:
     return config.mining
 
 
-def _pair_loss(sims: np.ndarray, positive: np.ndarray, config: TrainConfig) -> LossOutput:
+def _pair_loss(sims: np.ndarray, positive: np.ndarray, config: TrainConfig) -> tuple[float, np.ndarray]:
     if config.loss_kind == "cs":
         return cs_loss(sims, positive)
     mined = mine(sims, positive, _mining_for_loss(config))
@@ -283,14 +268,14 @@ def _batches(order: np.ndarray, batch_size: int):
 
 def _pretrain_step(
     x: np.ndarray, y: np.ndarray, head: ProjectionHead, config: TrainConfig
-) -> tuple[LossOutput, list[np.ndarray]]:
+) -> tuple[float, list[np.ndarray]]:
     """Pair loss of one batch and its gradients [dw1, db1, dw2, db2] in ``head``."""
     z, cache = _project_batch(x, head)
     pair_set = build_pairs(y, config.mining.positive_rule)
     sims = batch_similarity_table(z, pair_set)
-    out = _pair_loss(sims, pair_set.positive, config)
-    d_z = _sim_grads_to_z(out.grad, pair_set, z)
-    return out, _projection_backward(d_z, cache, head)
+    value, grad = _pair_loss(sims, pair_set.positive, config)
+    d_z = _sim_grads_to_z(grad, pair_set, z)
+    return value, _projection_backward(d_z, cache, head)
 
 
 def pretrain(x: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple[ProjectionHead, list[float]]:
@@ -316,9 +301,9 @@ def pretrain(x: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple[Project
         for chunk in _batches(order, config.batch_size):
             if len(chunk) < 2:
                 continue
-            out, grads = _pretrain_step(x[chunk], y[chunk], head, config)
+            value, grads = _pretrain_step(x[chunk], y[chunk], head, config)
             _sgd_step(head.params(), grads, velocity, config.lr_pretrain, config.momentum, config.grad_clip_norm)
-            batch_losses.append(out.value)
+            batch_losses.append(value)
         history.append(float(np.mean(batch_losses)))
     return head, history
 
@@ -398,7 +383,7 @@ def predict(embedding: np.ndarray, artifact: ModelArtifact) -> tuple[LabelSet, d
         raise ValidationError(
             f"expected embedding of dim {artifact.embed_dim}, got shape {x.shape}"
         )
-    probs = _forward(x[None, :], artifact)
+    probs = score_samples(x[None, :], artifact)
     chosen = threshold_scores(probs, artifact.decision_threshold)[0]
     vocab = artifact.vocabulary.labels
     labels = frozenset(label for label, hit in zip(vocab, chosen) if hit)
@@ -412,7 +397,8 @@ def score_samples(x: np.ndarray, artifact: ModelArtifact) -> np.ndarray:
         raise ValidationError(
             f"expected n x {artifact.embed_dim} embeddings, got shape {x.shape}"
         )
-    return _forward(x, artifact)
+    z, _ = _project_batch(x, artifact.projection)
+    return _classify_batch(z, artifact.classifier)
 
 
 # ---------------------------------------------------------------------------

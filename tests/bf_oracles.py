@@ -188,7 +188,7 @@ def toy_acc_loop(text: str, dim: int, seed: int) -> np.ndarray:
 
 
 def toy_embed_loop(text: str, dim: int, seed: int) -> np.ndarray:
-    """``toy_embed`` with the all-cancelled fallback hashed from the whole text."""
+    """The toy provider's row for ``text``, the all-cancelled fallback hashed from the whole text."""
     acc = toy_acc_loop(text, dim, seed)
     if not acc.any():
         key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")

@@ -111,7 +111,7 @@ def _check_projection_point(loss_kind: str, rng: np.random.Generator) -> float |
     def f() -> float:
         nonlocal same_pairs
         same_pairs &= np.array_equal(_used_pairs(x, labels, head, config)[2], used)
-        return trainer._pretrain_step(x, labels, head, config)[0].value
+        return trainer._pretrain_step(x, labels, head, config)[0]
 
     numeric = _central_difference(f, head.params())
     if not same_pairs:

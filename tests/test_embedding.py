@@ -27,7 +27,6 @@ from intentclf import (
     load_embeddings,
     save_embeddings,
 )
-from intentclf.embedding import l2_normalize, toy_embed
 from bf_oracles import toy_acc_loop, toy_embed_loop
 from stubs import npy_bytes, stub_server
 
@@ -49,18 +48,28 @@ def tiny_dataset(small_vocab):
     )
 
 
-class TestL2Normalize:
+def _toy_row(text: str, dim: int, seed: int = 0) -> np.ndarray:
+    """The toy vector of one text: a one-row batch through ``embed_texts``."""
+    return embed_texts([text], ProviderConfig(kind="toy", dim=dim, seed=seed))[0]
+
+
+def _normalized(v) -> np.ndarray:
+    """One vector through ``_normalize_rows``, the normaliser of every provider."""
+    return embedding._normalize_rows(np.array([v], dtype=np.float64))[0]
+
+
+class TestNormalizeRows:
     def test_three_four_five(self):
-        assert l2_normalize([3.0, 4.0]).tolist() == [0.6, 0.8]
+        assert _normalized([3.0, 4.0]).tolist() == [0.6, 0.8]
 
     def test_unit_vector_idempotent(self):
         rng = np.random.default_rng(0)
-        v = l2_normalize(rng.normal(size=16))
-        assert np.max(np.abs(l2_normalize(v) - v)) < 1e-12
+        v = _normalized(rng.normal(size=16))
+        assert np.max(np.abs(_normalized(v) - v)) < 1e-12
 
     def test_zero_vector(self):
         with pytest.raises(DegenerateEmbeddingError):
-            l2_normalize([0.0, 0.0])
+            _normalized([0.0, 0.0])
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300, 5e-324])
     def test_sum_of_squares_out_of_range(self, scale):
@@ -68,48 +77,48 @@ class TestL2Normalize:
         # neither may give a zero vector, a refusal or a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = l2_normalize([3.0 * scale, 4.0 * scale])
+            got = _normalized([3.0 * scale, 4.0 * scale])
         assert np.allclose(got, [0.6, 0.8])
 
     def test_non_finite(self):
         with pytest.raises(ValidationError):
-            l2_normalize([1.0, float("nan")])
+            _normalized([1.0, float("nan")])
 
 
 class TestToyEmbed:
     def test_deterministic(self):
-        a = toy_embed("estimate the berth waiting time", 64, seed=5)
-        b = toy_embed("estimate the berth waiting time", 64, seed=5)
+        a = _toy_row("estimate the berth waiting time", 64, seed=5)
+        b = _toy_row("estimate the berth waiting time", 64, seed=5)
         assert np.array_equal(a, b)
 
     def test_dim_contract_and_unit_norm(self):
         for dim in (2, 17, 256):
-            v = toy_embed("some query", dim, seed=1)
+            v = _toy_row("some query", dim, seed=1)
             assert v.shape == (dim,)
             assert abs(np.linalg.norm(v) - 1.0) < 1e-6
 
     def test_different_topics_are_dissimilar(self):
-        a = toy_embed("berth waiting time", 256, seed=0)
-        b = toy_embed("fuel consumed tanker", 256, seed=0)
+        a = _toy_row("berth waiting time", 256, seed=0)
+        b = _toy_row("fuel consumed tanker", 256, seed=0)
         assert float(a @ b) < 0.5
 
     def test_short_and_empty_text_never_fail(self):
         for text in ("", "a", "ab"):
-            v = toy_embed(text, 32, seed=0)
+            v = _toy_row(text, 32, seed=0)
             assert abs(np.linalg.norm(v) - 1.0) < 1e-6
 
     def test_seed_changes_map(self):
-        a = toy_embed("same text", 64, seed=0)
-        b = toy_embed("same text", 64, seed=1)
+        a = _toy_row("same text", 64, seed=0)
+        b = _toy_row("same text", 64, seed=1)
         assert not np.array_equal(a, b)
 
     def test_dim_validation(self):
         with pytest.raises(ValidationError):
-            toy_embed("x", 1, seed=0)
+            _toy_row("x", 1, seed=0)
 
     def test_stable_across_process_restarts(self):
         # frozen reference vector; fails if the hashing scheme ever drifts
-        v = toy_embed("estimated time of arrival", 8, 42)
+        v = _toy_row("estimated time of arrival", 8, 42)
         assert np.allclose(
             v, [0.2, 0.2, -0.4, -0.2, -0.4, 0.4, -0.2, 0.6], atol=1e-12
         )
@@ -141,7 +150,7 @@ class TestToyEmbedOracle:
             text = _random_text(rng)
             dim = int(rng.choice([2, 3, 7, 256]))
             seed = int(rng.choice([0, 1, 42, -1, 2**64 - 1]))
-            got = toy_embed(text, dim, seed)
+            got = _toy_row(text, dim, seed)
             assert got.tobytes() == toy_embed_loop(text, dim, seed).tobytes(), (text, dim, seed)
             cancelled += not toy_acc_loop(text, dim, seed).any()
         assert cancelled > 0, "no text reached the all-cancelled fallback"
@@ -178,7 +187,7 @@ class TestToyEmbedOracle:
         # every 3-letter text brings a new inner trigram: more than the bound
         for letters in itertools.product("abcdefghijklmnopqrstuvwxy", repeat=3):
             text = "".join(letters)
-            assert toy_embed(text, 8, seed=11).tobytes() == toy_embed_loop(text, 8, 11).tobytes()
+            assert _toy_row(text, 8, seed=11).tobytes() == toy_embed_loop(text, 8, 11).tobytes()
             assert len(embedding._trigram_table.keys) - 1 <= bound
         assert len(hashed) > bound
 
@@ -218,18 +227,18 @@ class TestToyEmbedOracle:
         with pytest.raises(ValidationError, match=r"text 1 is not valid UTF-8: lone surrogate '\\ud800'"):
             embed_texts(["eta", "eta \ud800?"], config)
         with pytest.raises(ValidationError, match="not valid UTF-8"):
-            toy_embed("\udcff", 8)
+            _toy_row("\udcff", 8)
 
 
 class TestEmbeddingFile:
     def test_round_trip(self, tmp_path, tiny_dataset):
         # toy rows and an encoder's dense rows, unnormalized
         rng = np.random.default_rng(5)
-        for rows in ([toy_embed(s.text, 8, 0) * 3.0 for s in tiny_dataset.samples], rng.normal(size=(3, 8))):
+        for rows in ([_toy_row(s.text, 8, 0) * 3.0 for s in tiny_dataset.samples], rng.normal(size=(3, 8))):
             path = tmp_path / "e.npy"
             save_embeddings(rows, path)
             loaded = load_embeddings(path, tiny_dataset)
-            want = np.array([l2_normalize(row) for row in rows])
+            want = np.array([row / np.linalg.norm(row) for row in rows])
             assert loaded.shape == (3, 8) and loaded.flags.c_contiguous
             assert loaded.tobytes() == want.tobytes()
 
@@ -300,7 +309,7 @@ class TestEmbeddingFile:
     def test_any_real_numeric_matrix_loads(self, tmp_path, tiny_dataset, array):
         path = tmp_path / "e.npy"
         np.save(path, array)
-        want = np.array([l2_normalize(row) for row in np.arange(1.0, 13.0).reshape(3, 4)])
+        want = np.array([row / np.linalg.norm(row) for row in np.arange(1.0, 13.0).reshape(3, 4)])
         assert np.array_equal(load_embeddings(path, tiny_dataset), want)
 
     @pytest.mark.parametrize("shape", [(10**9, 10**9), (2**64, 2**64), (1 << 14, 1 << 13)])
@@ -418,5 +427,5 @@ def test_embed_dataset_toy_provider(tiny_dataset):
     embedded = embed_dataset(tiny_dataset, ProviderConfig(kind="toy", dim=32, seed=4))
     assert embedded.shape == (3, 32)
     for row, sample in zip(embedded, tiny_dataset.samples):
-        expected = toy_embed(sample.text, 32, 4)
+        expected = _toy_row(sample.text, 32, 4)
         assert np.array_equal(row, expected)

@@ -118,28 +118,28 @@ class TestLossSurface:
         config = OFCConfig()
         pos = [(0, 0.7), (1, 0.3)]
         neg = [(2, 0.2), (3, -0.1)]
-        single = ofc_loss(*_mined(pos, neg), config)
-        doubled = ofc_loss(*_mined(pos * 2, neg * 2), config)
-        assert doubled.value == pytest.approx(single.value, rel=1e-12)
+        single, _ = ofc_loss(*_mined(pos, neg), config)
+        doubled, _ = ofc_loss(*_mined(pos * 2, neg * 2), config)
+        assert doubled == pytest.approx(single, rel=1e-12)
 
 
 class TestOfcLoss:
     def test_empty_negative_side_reduces_to_positive(self):
         config = OFCConfig()
         pos = [(0, 0.8), (1, 0.2)]
-        combined = ofc_loss(*_mined(pos, []), config)
+        combined_value, combined_grad = ofc_loss(*_mined(pos, []), config)
         value, grad = positive_loss(np.array([0.8, 0.2]), config)
-        assert combined.value == value
-        assert combined.grad.tolist() == grad.tolist()
+        assert combined_value == value
+        assert combined_grad.tolist() == grad.tolist()
 
     def test_zero_at_ideal_pairs(self):
         config = OFCConfig(margin=0.5)
-        out = ofc_loss(*_mined([(0, 1.0)], [(1, -0.5)]), config)
-        assert out.value == 0.0
+        value, _ = ofc_loss(*_mined([(0, 1.0)], [(1, -0.5)]), config)
+        assert value == 0.0
 
     def test_zero_when_mining_retained_nothing_from_real_batch(self):
-        out = ofc_loss(*_mined([], [], size=5), OFCConfig())
-        assert out.value == 0.0 and out.grad.tolist() == [0.0] * 5
+        value, grad = ofc_loss(*_mined([], [], size=5), OFCConfig())
+        assert value == 0.0 and grad.tolist() == [0.0] * 5
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -149,17 +149,17 @@ class TestOfcLoss:
             neg = [
                 (i + 4, float(s)) for i, s in enumerate(rng.uniform(-0.45, 0.45, size=3))
             ]
-            out = ofc_loss(*_mined(pos, neg), config)
+            _, grad = ofc_loss(*_mined(pos, neg), config)
 
             sims0 = np.array([s for _, s in pos] + [s for _, s in neg])
 
             def f(sims):
                 p = [(i, float(sims[k])) for k, (i, _) in enumerate(pos)]
                 n = [(i, float(sims[len(pos) + k])) for k, (i, _) in enumerate(neg)]
-                return ofc_loss(*_mined(p, n), config).value
+                return ofc_loss(*_mined(p, n), config)[0]
 
             numeric = central_diff(f, sims0)
-            analytic = np.array([out.grad[i] for i, _ in pos + neg])
+            analytic = np.array([grad[i] for i, _ in pos + neg])
             assert np.max(np.abs(analytic - numeric)) < 1e-4 * max(
                 1.0, float(np.max(np.abs(analytic)))
             )
@@ -167,61 +167,61 @@ class TestOfcLoss:
 
 class TestOcLoss:
     def test_zero_when_hinges_inactive(self):
-        out = oc_loss(*_mined([(0, 1.0), (1, 1.0)], [(2, 0.5), (3, -0.2)]), margin=0.5)
-        assert out.value == 0.0
+        value, _ = oc_loss(*_mined([(0, 1.0), (1, 1.0)], [(2, 0.5), (3, -0.2)]), margin=0.5)
+        assert value == 0.0
 
     def test_zero_when_mining_retained_nothing(self):
-        out = oc_loss(*_mined([], [], size=5), margin=0.5)
-        assert out.value == 0.0 and out.grad.tolist() == [0.0] * 5
+        value, grad = oc_loss(*_mined([], [], size=5), margin=0.5)
+        assert value == 0.0 and grad.tolist() == [0.0] * 5
 
     def test_single_violating_negative(self):
-        out = oc_loss(*_mined([], [(0, 0.7)]), margin=0.5)
-        assert out.value == pytest.approx(0.04, rel=1e-12)
+        value, _ = oc_loss(*_mined([], [(0, 0.7)]), margin=0.5)
+        assert value == pytest.approx(0.04, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         pos = [(i, float(s)) for i, s in enumerate(rng.uniform(0.1, 0.9, size=3))]
         neg = [(3 + i, float(s)) for i, s in enumerate([0.8, 0.2, 0.65])]
-        out = oc_loss(*_mined(pos, neg), margin=0.5)
+        _, grad = oc_loss(*_mined(pos, neg), margin=0.5)
         sims0 = np.array([s for _, s in pos] + [s for _, s in neg])
 
         def f(sims):
             p = [(i, float(sims[k])) for k, (i, _) in enumerate(pos)]
             n = [(i, float(sims[len(pos) + k])) for k, (i, _) in enumerate(neg)]
-            return oc_loss(*_mined(p, n), margin=0.5).value
+            return oc_loss(*_mined(p, n), margin=0.5)[0]
 
         numeric = central_diff(f, sims0)
-        analytic = np.array([out.grad[i] for i, _ in pos + neg])
+        analytic = np.array([grad[i] for i, _ in pos + neg])
         assert np.max(np.abs(analytic - numeric)) < 1e-6
 
 
 class TestCsLoss:
     def test_exact_fit_is_zero(self):
-        out = cs_loss(*pair_sims([(0, 1.0), (1, 1.0)], [(2, 0.0)]))
-        assert out.value == 0.0
+        value, _ = cs_loss(*pair_sims([(0, 1.0), (1, 1.0)], [(2, 0.0)]))
+        assert value == 0.0
 
     def test_single_half_off_pair(self):
-        out = cs_loss(*pair_sims([(0, 0.5)]))
-        assert out.value == pytest.approx(0.25, rel=1e-12)
+        value, _ = cs_loss(*pair_sims([(0, 0.5)]))
+        assert value == pytest.approx(0.25, rel=1e-12)
 
     def test_empty_input_is_zero_not_error(self):
-        out = cs_loss(*pair_sims([]))
-        assert out.value == 0.0 and out.grad.size == 0
+        value, grad = cs_loss(*pair_sims([]))
+        assert value == 0.0 and grad.size == 0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         pos = [(i, float(s)) for i, s in enumerate(rng.uniform(-0.9, 0.9, size=3))]
         neg = [(3 + i, float(s)) for i, s in enumerate(rng.uniform(-0.9, 0.9, size=2))]
-        out = cs_loss(*pair_sims(pos, neg))
+        _, grad = cs_loss(*pair_sims(pos, neg))
         sims0 = np.array([s for _, s in pos] + [s for _, s in neg])
 
         def f(sims):
             p = [(i, float(sims[k])) for k, (i, _) in enumerate(pos)]
             n = [(i, float(sims[len(pos) + k])) for k, (i, _) in enumerate(neg)]
-            return cs_loss(*pair_sims(p, n)).value
+            return cs_loss(*pair_sims(p, n))[0]
 
         numeric = central_diff(f, sims0)
-        analytic = np.array([out.grad[i] for i, _ in pos + neg])
+        analytic = np.array([grad[i] for i, _ in pos + neg])
         assert np.max(np.abs(analytic - numeric)) < 1e-7
 
 
@@ -241,6 +241,6 @@ def test_config_validation():
 
 
 def test_grad_spans_the_batch_and_is_zero_off_the_contributing_pairs():
-    out = ofc_loss(*_mined([(3, 0.5), (9, 0.2)], [(4, 0.1)], size=12), OFCConfig())
-    assert out.grad.shape == (12,)
-    assert np.flatnonzero(out.grad).tolist() == [3, 4, 9]
+    _, grad = ofc_loss(*_mined([(3, 0.5), (9, 0.2)], [(4, 0.1)], size=12), OFCConfig())
+    assert grad.shape == (12,)
+    assert np.flatnonzero(grad).tolist() == [3, 4, 9]

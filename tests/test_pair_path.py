@@ -88,11 +88,11 @@ def test_array_path_matches_loops():
             config = TrainConfig(
                 loss_kind=loss_kind, mining=MiningConfig(p=p, mode=mode, positive_rule=rule)
             )
-            out = _pair_loss(sims, pair_set.positive, config)
+            _, grad = _pair_loss(sims, pair_set.positive, config)
             if loss_kind != "cs":
                 mined = mine(sims, pair_set.positive, _mining_for_loss(config))
                 seen["kept-nothing"] += mined.pos_final.size + mined.neg_final.size == 0
 
-            _assert_scatter_matches_loop(out.grad, pair_set, loop_pairs, z, (case, loss_kind))
+            _assert_scatter_matches_loop(grad, pair_set, loop_pairs, z, (case, loss_kind))
     assert all(count > 0 for count in seen.values()), seen
 

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +22,7 @@ from intentclf import (
     label_matrix,
     offline_generate,
     pretrain,
+    save_artifact,
     TrainConfig,
 )
 from intentclf import service
@@ -33,6 +37,36 @@ from intentclf.service import (
 )
 from intentclf.trainer import ARTIFACT_FORMAT_VERSION
 from stubs import Reply, http_get, http_post
+
+# serve_forever in the main thread of a child process, and SIGINT sent to one
+# of its workers rather than to the main thread
+_SIGINT_TO_A_WORKER = r"""
+import os, signal, sys, threading, time
+from intentclf.service import make_server
+from intentclf.trainer import load_artifact
+
+signal.signal(signal.SIGINT, signal.default_int_handler)  # even if the parent ignores SIGINT
+server = make_server(load_artifact(sys.argv[1]), "127.0.0.1", 0)
+interrupted = threading.Event()
+
+def interrupt_a_worker():
+    while not (workers := [t for t in threading.enumerate() if t.name.startswith("classify-worker-")]):
+        time.sleep(0.01)
+    time.sleep(0.2)  # the main thread waits in serve_forever by now
+    signal.pthread_kill(workers[0].ident, signal.SIGINT)
+    if not interrupted.wait(2.0):
+        print("still serving 2 s after SIGINT", flush=True)
+        os._exit(1)
+
+threading.Thread(target=interrupt_a_worker, daemon=True).start()
+try:
+    server.serve_forever()
+except KeyboardInterrupt:
+    interrupted.set()
+    print("KeyboardInterrupt", flush=True)
+finally:
+    server.server_close()
+"""
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +326,41 @@ class TestWorkerPool:
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert "Traceback" not in capsys.readouterr().err
         assert any("connection dropped" in r.getMessage() for r in caplog.records)
+
+
+    def test_sigint_taken_by_a_worker_stops_serve(self, artifact, tmp_path):
+        model = tmp_path / "model.json"
+        save_artifact(artifact, model)
+        src = os.path.dirname(os.path.dirname(service.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", _SIGINT_TO_A_WORKER, str(model)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "KeyboardInterrupt\n"), done
+
+    def test_interrupted_start_leaves_no_worker(self, artifact, monkeypatch):
+        before = set(threading.enumerate())
+        real_start = threading.Thread.start
+        started = []
+
+        def start(thread):
+            if thread.name.startswith("classify-worker-"):
+                if len(started) == 2:
+                    raise KeyboardInterrupt  # Ctrl-C while the third worker starts
+                started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        srv = make_server(artifact, host="127.0.0.1", port=0)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                srv.serve_forever()
+        finally:
+            srv.server_close()
+        assert len(started) == 2
+        left = [t.name for t in set(threading.enumerate()) - before if t.name.startswith("classify-worker-")]
+        assert left == []
 
 
 class TestRawRequests:
