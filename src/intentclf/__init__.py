@@ -13,8 +13,6 @@ imported from its module.
 from .dataset import (
     Dataset,
     LabelVocabulary,
-    TextSample,
-    label_matrix,
     load_dataset,
     load_vocabulary,
     save_dataset,

@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .config import coerce
 from .dataset import (
-    label_matrix,
     load_dataset,
     load_vocabulary,
     read_json,
@@ -161,8 +160,7 @@ def run_generate(args) -> int:
         client = LLMClientConfig.from_json(_get(s, "llm", dict, {}))
         dataset = llm_generate(vocabulary, per_class, combos, client, seed)
     save_dataset(dataset, out_path)
-    for label in vocabulary.labels:
-        count = sum(1 for sample in dataset.samples if label in sample.labels)
+    for label, count in zip(vocabulary.labels, dataset.labels.sum(axis=0).tolist()):
         print(f"{label}: {count}")
     print(f"total: {len(dataset)} samples -> {out_path}")
     return _EXIT_OK
@@ -189,7 +187,7 @@ def _load_dataset(s: dict):
 def _load_embedded(s: dict):
     embeddings_path = _get(s, "embeddings", str, required="--embeddings")
     vocabulary, dataset = _load_dataset(s)
-    return vocabulary, load_embeddings(embeddings_path, dataset), label_matrix(dataset)
+    return vocabulary, load_embeddings(embeddings_path, dataset), dataset.labels
 
 
 def _split(s: dict, n: int) -> tuple[list[int], list[int]]:

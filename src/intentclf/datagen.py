@@ -13,11 +13,12 @@ import logging
 import os
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .config import JsonConfig
-from .dataset import Dataset, LabelSet, LabelVocabulary, TextSample, validate_labels
+from .dataset import Dataset, LabelSet, LabelVocabulary
 from .errors import GenerationError, RemoteServiceError, ValidationError
 from .httpclient import check_remote, post_json
 
@@ -119,19 +120,19 @@ def parse_generation(raw: str, requested: int) -> list[str]:
 
 
 def compose_multilabel(
-    segments: dict[str, str],
+    segment: Callable[[str], str],
     combo: LabelSet,
     vocabulary: LabelVocabulary,
-) -> TextSample:
-    """Concatenate per-label segments in vocabulary order into one sample."""
-    members = validate_labels(combo, vocabulary)
-    if not members:
+) -> tuple[str, list[int]]:
+    """One composed sample for ``combo``: its text and its label columns.
+
+    ``segment(label)`` is called once per member, in vocabulary order, and
+    the segments are joined with spaces in that order.
+    """
+    columns = sorted(set(vocabulary.columns(combo)))
+    if not columns:
         raise ValidationError("combo must contain at least one label")
-    missing = [label for label in members if label not in segments]
-    if missing:
-        raise ValidationError(f"missing segment(s) for label(s) {sorted(missing)!r}")
-    ordered = vocabulary.sorted_members(members)
-    return TextSample(text=" ".join(segments[label] for label in ordered), labels=members)
+    return " ".join(segment(vocabulary.labels[j]) for j in columns), columns
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +191,18 @@ def llm_generate(
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     pools: dict[str, list[str]] = {}
-    samples: list[TextSample] = []
-    for label in vocabulary.labels:
+    rows: list[tuple[str, list[int]]] = []
+    for j, label in enumerate(vocabulary.labels):
         description = vocabulary.descriptions.get(label, "")
         if not description.strip():
             raise ValidationError(f"label {label!r} has no description to prompt with")
         pools[label] = generate_class(label, description, per_class, config)
-        samples.extend(TextSample(text=t, labels=frozenset({label})) for t in pools[label])
+        rows.extend((text, [j]) for text in pools[label])
     rng = np.random.default_rng([seed, 7])
     for combo in combos:
-        members = validate_labels(combo, vocabulary)
-        segments = {
-            label: pools[label][int(rng.integers(0, len(pools[label])))]
-            for label in vocabulary.sorted_members(members)
-        }
-        samples.append(compose_multilabel(segments, members, vocabulary))
-    return Dataset(vocabulary=vocabulary, samples=tuple(samples))
+        pick = lambda label: pools[label][int(rng.integers(0, len(pools[label])))]
+        rows.append(compose_multilabel(pick, combo, vocabulary))
+    return Dataset.from_rows(vocabulary, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +366,18 @@ def offline_generate(
         raise ValidationError(f"per_class must be >= 1, got {per_class}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    samples: list[TextSample] = []
+    rows: list[tuple[str, list[int]]] = []
     for class_index, label in enumerate(vocabulary.labels):
         description = vocabulary.descriptions.get(label, label)
         rng = np.random.default_rng([seed, class_index])
-        samples.extend(
-            TextSample(text=text, labels=frozenset({label}))
-            for text in _class_queries(label, description, per_class, rng)
-        )
+        rows.extend((text, [class_index]) for text in _class_queries(label, description, per_class, rng))
     for combo_index, combo in enumerate(combos):
-        members = validate_labels(combo, vocabulary)
-        if not members:
+        if not combo:
             raise ValidationError(f"combo {combo_index} is empty")
         rng = np.random.default_rng([seed, 10_000 + combo_index])
-        segments = {
-            label: _class_queries(
-                label, vocabulary.descriptions.get(label, label), 1, rng
-            )[0]
-            for label in vocabulary.sorted_members(members)
-        }
-        samples.append(compose_multilabel(segments, members, vocabulary))
-    return Dataset(vocabulary=vocabulary, samples=tuple(samples))
+        fresh = lambda label: _class_queries(label, vocabulary.descriptions.get(label, label), 1, rng)[0]
+        rows.append(compose_multilabel(fresh, combo, vocabulary))
+    return Dataset.from_rows(vocabulary, rows)
 
 
 def two_label_combos(vocabulary: LabelVocabulary, count: int, seed: int = 0) -> list[LabelSet]:

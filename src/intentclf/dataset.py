@@ -1,7 +1,9 @@
-"""Label taxonomy, sample records, multi-hot encoding, splitting, and the JSON
-and JSON Lines readers that parse every text input file of the pipeline.
+"""Label taxonomy, the columnar dataset, splitting, and the JSON and JSON
+Lines readers that parse every text input file of the pipeline.
 
-A dataset file is UTF-8 JSON Lines: each line is an object with ``text``
+A :class:`Dataset` is a vocabulary, a tuple of n query texts and one
+read-only n x m boolean label matrix whose columns follow the vocabulary. A
+dataset file is UTF-8 JSON Lines: each line is an object with ``text``
 (string) and ``labels`` (array of strings). A taxonomy file is a JSON object
 with ``labels`` (array of strings, order significant) and ``descriptions``
 (object mapping label to a one-sentence description).
@@ -11,13 +13,15 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from .errors import FileFormatError, ValidationError
+from .errors import FileFormatError, PipelineError, ValidationError
 
 # A label set is simply a subset of a vocabulary's labels.
 LabelSet = frozenset[str]
@@ -39,20 +43,31 @@ class LabelVocabulary:
         if not self.labels:
             raise ValidationError("vocabulary needs at least one label")
         object.__setattr__(self, "labels", tuple(self.labels))
-        seen: set[str] = set()
+        column: dict[str, int] = {}
         for label in self.labels:
             if not isinstance(label, str) or not label.strip():
                 raise ValidationError(f"label must be a non-empty string, got {label!r}")
             check_utf8([label], "label")
-            if label in seen:
+            if label in column:
                 raise ValidationError(f"duplicate label {label!r}")
-            seen.add(label)
+            column[label] = len(column)
         for key in self.descriptions:
-            if key not in seen:
+            if key not in column:
                 raise ValidationError(f"description key {key!r} is not a vocabulary label")
+        object.__setattr__(self, "_column", column)
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    def columns(self, labels: Collection[str]) -> list[int]:
+        """The column of each of ``labels``, each a string naming a vocabulary label."""
+        try:
+            return [self._column[label] for label in labels]
+        except (KeyError, TypeError):  # a TypeError is an unhashable label
+            pass
+        if not all(isinstance(label, str) for label in labels):
+            raise ValidationError(f"labels must be strings, got {list(labels)!r}")
+        raise ValidationError(f"unknown label(s) {sorted(set(labels) - self._column.keys())!r}")
 
     def sorted_members(self, labels: Iterable[str]) -> list[str]:
         """Return ``labels`` ordered by vocabulary position."""
@@ -96,36 +111,6 @@ def read_json(path: str | Path, what: str, kind: type = dict):
     return obj
 
 
-def read_json_lines(path: str | Path, keys: tuple[str, ...]):
-    """Yield ``(lineno, record)`` for each non-blank line of a UTF-8 JSONL file.
-
-    Lines are read one at a time. Each record must be an object holding
-    ``keys``; anything else is a :class:`FileFormatError` carrying the
-    1-based line number.
-    """
-    with Path(path).open("r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    reason = getattr(exc, "msg", exc)  # a JSONDecodeError's msg has no position
-                    raise FileFormatError(
-                        f"malformed JSON record: {reason}", path=str(path), line=lineno
-                    ) from exc
-                if not isinstance(record, dict) or not all(key in record for key in keys):
-                    raise FileFormatError(
-                        f"record must be an object with {' and '.join(map(repr, keys))}",
-                        path=str(path),
-                        line=lineno,
-                    )
-                yield lineno, record
-        except UnicodeDecodeError as exc:
-            raise FileFormatError(f"file is not UTF-8 text: {exc}", path=str(path)) from exc
-
-
 def load_vocabulary(path: str | Path) -> LabelVocabulary:
     """Read a taxonomy file (JSON object with labels and descriptions)."""
     obj = read_json(path, "taxonomy")
@@ -139,116 +124,145 @@ def save_vocabulary(vocabulary: LabelVocabulary, path: str | Path) -> None:
     Path(path).write_text(json.dumps(vocabulary.to_json(), indent=2) + "\n", encoding="utf-8")
 
 
-def check_utf8(texts: Sequence[str], what: str = "text") -> None:
-    """Raise :class:`ValidationError` unless every text encodes as UTF-8.
+def _lone_surrogate(texts: Sequence[str]) -> tuple[int, str] | None:
+    """Index of the first text UTF-8 cannot encode and where it fails, or None.
 
     A ``str`` can hold lone surrogates (``"\\ud800"``, or a byte that is not
-    UTF-8 in ``sys.argv``), which no encoder or file format accepts.
+    UTF-8 in ``sys.argv``). Only a failed bulk encode scans text by text.
     """
     try:
         "".join(texts).encode("utf-8")
+        return None
     except UnicodeEncodeError:
-        for index, text in enumerate(texts):
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                name = what if len(texts) == 1 else f"{what} {index}"
-                raise ValidationError(
-                    f"{name} is not valid UTF-8: lone surrogate {text[exc.start]!r} at index {exc.start}"
-                ) from None
+        pass
+    for index, text in enumerate(texts):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            return index, f"lone surrogate {text[exc.start]!r} at index {exc.start}"
 
 
-@dataclass(frozen=True)
-class TextSample:
-    """A query string with its (non-empty) label subset."""
+def check_utf8(texts: Sequence[str], what: str = "text") -> None:
+    """Raise :class:`ValidationError` unless every text encodes as UTF-8."""
+    bad = _lone_surrogate(texts)
+    if bad is not None:
+        name = what if len(texts) == 1 else f"{what} {bad[0]}"
+        raise ValidationError(f"{name} is not valid UTF-8: {bad[1]}")
 
-    text: str
-    labels: LabelSet
 
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValidationError("sample text is empty")
-        check_utf8([self.text], "sample text")
-        object.__setattr__(self, "labels", frozenset(self.labels))
-        if not self.labels:
-            raise ValidationError("sample needs at least one label")
+# One row of a dataset, as the derived ``Dataset.samples`` view builds it.
+TextSample = namedtuple("TextSample", ["text", "labels"])
+
+
+class _BadRow(ValidationError):
+    """Dataset row ``row`` (0-based) breaks the contract for ``reason``."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"sample {row}: {reason}")
+        self.row, self.reason = row, reason
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """A vocabulary plus samples, each validated against that vocabulary."""
+    """A vocabulary, n query texts and their read-only n x m boolean label
+    matrix, column j for vocabulary label j. Construction is the one place
+    rows are checked: each text is a non-blank string UTF-8 can encode, and
+    each row sets a label; the first bad row is a :class:`ValidationError`.
+    """
 
     vocabulary: LabelVocabulary
-    samples: tuple[TextSample, ...]
+    texts: tuple[str, ...]
+    labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        known = set(self.vocabulary.labels)
-        for pos, sample in enumerate(self.samples):
-            unknown = sample.labels - known
-            if unknown:
-                raise ValidationError(
-                    f"sample {pos} has unknown label(s) {sorted(unknown)!r}"
-                )
+        texts, labels = tuple(self.texts), np.array(self.labels)
+        n, m = len(texts), len(self.vocabulary)
+        if labels.dtype != bool or labels.shape != (n, m):
+            raise ValidationError(f"labels must be a {n} x {m} boolean matrix, got {labels.dtype} {labels.shape}")
+        labels.flags.writeable = False
+        object.__setattr__(self, "texts", texts)
+        object.__setattr__(self, "labels", labels)
+        # the first bad row is named, whatever is wrong with it
+        blank = next((i for i, text in enumerate(texts) if not isinstance(text, str) or not text.strip()), n)
+        first = min(blank, int(np.argmin(np.append(labels.any(axis=1), False))))
+        surrogate = _lone_surrogate(texts[:first])
+        if surrogate is not None:
+            raise _BadRow(surrogate[0], f"text is not valid UTF-8: {surrogate[1]}")
+        if first < n:
+            raise _BadRow(first, "empty text" if first == blank else "empty labels")
+
+    @classmethod
+    def from_rows(cls, vocabulary: LabelVocabulary, rows: Sequence[tuple[str, Sequence[int]]]) -> "Dataset":
+        """The dataset of ``(text, label columns)`` rows."""
+        counts = [len(columns) for _, columns in rows]
+        labels = np.zeros((len(rows), len(vocabulary)), dtype=bool)
+        cells = np.fromiter(chain.from_iterable(columns for _, columns in rows), np.intp, sum(counts))
+        labels[np.repeat(np.arange(len(rows)), counts), cells] = True
+        return cls(vocabulary, tuple(text for text, _ in rows), labels)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.texts)
 
-
-def validate_labels(labels: Iterable[str], vocabulary: LabelVocabulary) -> LabelSet:
-    """Return ``labels`` as a frozenset after checking each is a vocabulary label."""
-    labels = tuple(labels)
-    if not all(isinstance(label, str) for label in labels):
-        raise ValidationError(f"labels must be strings, got {list(labels)!r}")
-    members = frozenset(labels)
-    unknown = members - set(vocabulary.labels)
-    if unknown:
-        raise ValidationError(f"unknown label(s) {sorted(unknown)!r}")
-    return members
-
-
-def label_matrix(dataset: Dataset) -> np.ndarray:
-    """Multi-hot label rows (n x m) of ``dataset``, columns in vocabulary order.
-
-    Cell ``(i, j)`` is 1.0 iff vocabulary label ``j`` is a member of sample
-    ``i``; the dataset has checked every label against its vocabulary already.
-    """
-    column = {label: i for i, label in enumerate(dataset.vocabulary.labels)}
-    cells = [(row, column[label]) for row, s in enumerate(dataset.samples) for label in s.labels]
-    y = np.zeros((len(dataset), len(dataset.vocabulary)), dtype=np.float64)
-    y[tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)] = 1.0
-    return y
-
-
-def _sample_to_record(sample: TextSample, vocabulary: LabelVocabulary) -> dict:
-    return {"text": sample.text, "labels": vocabulary.sorted_members(sample.labels)}
+    @property
+    def samples(self) -> tuple[TextSample, ...]:
+        # Only bench/workloads.py::query_pool reads this view; the package
+        # reads ``texts`` and ``labels``.
+        names = self.vocabulary.labels
+        return tuple(
+            TextSample(text, frozenset(compress(names, row))) for text, row in zip(self.texts, self.labels.tolist())
+        )
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write one JSON record per line; labels serialized in vocabulary order."""
+    names = dataset.vocabulary.labels
     with Path(path).open("w", encoding="utf-8") as fh:
-        for sample in dataset.samples:
-            fh.write(json.dumps(_sample_to_record(sample, dataset.vocabulary)) + "\n")
+        fh.writelines(
+            json.dumps({"text": text, "labels": list(compress(names, row))}) + "\n"
+            for text, row in zip(dataset.texts, dataset.labels.tolist())
+        )
 
 
 def load_dataset(path: str | Path, vocabulary: LabelVocabulary) -> Dataset:
-    """Read a JSONL dataset, validating every record against ``vocabulary``.
+    """Read a JSONL dataset, checking every record against ``vocabulary``.
 
-    Errors carry the 1-based line number of the offending record.
+    Each non-blank line is parsed once and each label mapped to its column
+    with one dict lookup; :class:`Dataset` then checks texts and rows in
+    bulk. Errors name the file and the 1-based line of the first bad record.
     """
-    samples: list[TextSample] = []
-    for lineno, record in read_json_lines(path, ("text", "labels")):
-        text = record["text"]
-        labels = record["labels"]
-        if not isinstance(text, str) or not text.strip():
-            raise ValidationError(f"line {lineno}: empty text")
-        if not isinstance(labels, list) or not labels:
-            raise ValidationError(f"line {lineno}: 'labels' must be a non-empty array")
-        try:
-            samples.append(TextSample(text=text, labels=validate_labels(labels, vocabulary)))
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-    return Dataset(vocabulary=vocabulary, samples=tuple(samples))
+    rows: list[tuple[str, list[int]]] = []
+    lines: list[int] = []
+    failure = None  # the first bad record, raised once the rows before it pass
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    reason = getattr(exc, "msg", exc)  # a JSONDecodeError's msg has no position
+                    raise FileFormatError(f"malformed JSON record: {reason}", path=str(path), line=lineno) from exc
+                if not isinstance(record, dict) or "text" not in record or "labels" not in record:
+                    raise FileFormatError("record must be an object with 'text' and 'labels'", path=str(path), line=lineno)
+                try:
+                    if not isinstance(record["labels"], list):
+                        raise ValidationError("'labels' must be an array")
+                    rows.append((record["text"], vocabulary.columns(record["labels"])))
+                except ValidationError as exc:
+                    raise ValidationError(f"line {lineno}: {exc} [{path}]") from None
+                lines.append(lineno)
+    except UnicodeDecodeError as exc:
+        failure = FileFormatError(f"file is not UTF-8 text: {exc}", path=str(path))
+    except PipelineError as exc:
+        failure = exc
+    try:
+        dataset = Dataset.from_rows(vocabulary, rows)
+    except _BadRow as exc:
+        raise ValidationError(f"line {lines[exc.row]}: {exc.reason} [{path}]") from None
+    if failure is not None:
+        raise failure
+    return dataset
 
 
 def _holdout_size(n: int, fraction: float) -> int:

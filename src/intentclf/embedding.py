@@ -284,7 +284,7 @@ def embed_dataset(dataset: Dataset, config: ProviderConfig) -> np.ndarray:
     """Embed every sample of a dataset (toy/http) or load the aligned file, one row each."""
     if config.kind == "file":
         return load_embeddings(config.path, dataset)
-    return embed_texts([s.text for s in dataset.samples], config)
+    return embed_texts(dataset.texts, config)
 
 
 # numpy's .npy header readers, by format version; 3.0 only adds UTF-8 field

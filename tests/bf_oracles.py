@@ -11,11 +11,13 @@ by their index into it.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from intentclf.dataset import validate_labels
+from intentclf.errors import FileFormatError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +163,83 @@ def sim_grads_to_z_loop(grads, pairs, z: np.ndarray) -> np.ndarray:
 # label encoding, one sample at a time
 
 
+def checked_members(labels, vocabulary) -> frozenset:
+    """``labels`` as a set, after checking that each is a vocabulary label."""
+    labels = tuple(labels)
+    if not all(isinstance(label, str) for label in labels):
+        raise ValidationError(f"labels must be strings, got {list(labels)!r}")
+    unknown = frozenset(labels) - set(vocabulary.labels)
+    if unknown:
+        raise ValidationError(f"unknown label(s) {sorted(unknown)!r}")
+    return frozenset(labels)
+
+
 def encode_labels(labels, vocabulary) -> np.ndarray:
     """Multi-hot encode a label subset as a float vector of length ``len(vocabulary)``.
 
     Position ``i`` is 1.0 iff vocabulary label ``i`` is a member.
     """
-    members = validate_labels(labels, vocabulary)
+    members = checked_members(labels, vocabulary)
     return np.array([float(label in members) for label in vocabulary.labels])
+
+
+# ---------------------------------------------------------------------------
+# the dataset reader, one checked sample object per line
+
+
+@dataclass(frozen=True)
+class CheckedSample:
+    """A query and its non-empty label subset, checked on construction."""
+
+    text: str
+    labels: frozenset
+
+    def __post_init__(self):
+        if not self.text.strip():
+            raise ValidationError("sample text is empty")
+        try:
+            self.text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"sample text is not valid UTF-8 at index {exc.start}") from None
+        if not self.labels:
+            raise ValidationError("sample needs at least one label")
+
+
+def load_dataset_per_record(path, vocabulary) -> tuple[list[str], np.ndarray]:
+    """The texts and float multi-hot label matrix of a JSON Lines dataset.
+
+    Each non-blank line becomes one :class:`CheckedSample`, and the matrix
+    stacks :func:`encode_labels` of each. The first bad line stops the read:
+    a line that is not a JSON object with ``text`` and ``labels`` is a
+    :class:`FileFormatError` whose ``line`` is that line, a file that is not
+    UTF-8 a :class:`FileFormatError` with no line, and a bad value a
+    :class:`ValidationError` whose message starts ``line N: ``.
+    """
+    samples = []
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise FileFormatError("malformed JSON record", path=str(path), line=lineno) from exc
+                if not isinstance(record, dict) or "text" not in record or "labels" not in record:
+                    raise FileFormatError("record is not an object with text and labels", path=str(path), line=lineno)
+                text, labels = record["text"], record["labels"]
+                if not isinstance(text, str) or not text.strip():
+                    raise ValidationError(f"line {lineno}: empty text")
+                if not isinstance(labels, list) or not labels:
+                    raise ValidationError(f"line {lineno}: 'labels' must be a non-empty array")
+                try:
+                    samples.append(CheckedSample(text, checked_members(labels, vocabulary)))
+                except ValidationError as exc:
+                    raise ValidationError(f"line {lineno}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise FileFormatError("file is not UTF-8 text", path=str(path)) from exc
+    y = np.array([encode_labels(sample.labels, vocabulary) for sample in samples])
+    return [sample.text for sample in samples], y.reshape(len(samples), len(vocabulary))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import pytest
 from intentclf import (
     MiningConfig,
     default_taxonomy,
-    label_matrix,
     load_artifact,
     load_dataset,
     load_embeddings,
@@ -136,7 +135,7 @@ def _holdout(paths):
     dataset = load_dataset(paths["dataset"], vocab)
     x = load_embeddings(paths["embeddings"], dataset)
     _, holdout_idx = split_indices(len(dataset), HOLDOUT_FRACTION, SEED)
-    return vocab, x[holdout_idx], label_matrix(dataset)[holdout_idx]
+    return vocab, x[holdout_idx], dataset.labels[holdout_idx]
 
 
 def test_criterion_production_scale_note():
@@ -287,7 +286,7 @@ def test_criterion_serve_parity(toy_run, capsys):
         vocab = default_taxonomy()
         dataset = load_dataset(toy_run["dataset"], vocab)
         rng = np.random.default_rng(SEED + 2)
-        texts = [dataset.samples[int(i)].text for i in rng.integers(0, len(dataset), 20)]
+        texts = [dataset.texts[int(i)] for i in rng.integers(0, len(dataset), 20)]
 
         server = make_server(artifact, host="127.0.0.1", port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -38,7 +38,7 @@ import intentclf.service as service
 import intentclf.trainer as trainer
 from intentclf.cli import main
 from intentclf.metrics import load_report
-from intentclf import evaluate, label_matrix, save_artifact, score_samples
+from intentclf import evaluate, save_artifact, score_samples
 from intentclf.trainer import ARTIFACT_FORMAT_VERSION
 from stubs import http_get, npy_bytes
 
@@ -323,7 +323,7 @@ class TestEval:
         artifact = load_artifact(workspace["model"])
         _, holdout_idx = split_indices(len(dataset), 0.2, 3)
         scores = score_samples(x[holdout_idx], artifact)
-        truth = label_matrix(dataset)[holdout_idx]
+        truth = dataset.labels[holdout_idx]
         expected = evaluate(scores, artifact.decision_threshold, truth)
         assert load_report(workspace["report"]) == expected
 
@@ -944,8 +944,9 @@ def test_bad_input_file_exits_with_one_error_line(workspace, tmp_path, capsys, k
         assert main(_argv_reading(kind, workspace, bad, tmp_path / "out")) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
-    # a file problem names the file, a dataset label problem its line
-    assert str(bad) in err[0] if code == 3 else err[0].startswith("error: line 1: "), err
+    # every error names the file; a dataset record error also names its line
+    assert str(bad) in err[0], err
+    assert code == 3 or err[0].startswith("error: line 1: "), err
 
 
 # object keys of every input format, so generated values reach past the

@@ -100,28 +100,32 @@ class TestParseGeneration:
 
 class TestCompose:
     def test_singleton_passthrough(self, small_vocab):
-        sample = compose_multilabel({"eta": "when?"}, frozenset({"eta"}), small_vocab)
-        assert sample.text == "when?"
-        assert sample.labels == frozenset({"eta"})
+        assert compose_multilabel({"eta": "when?"}.get, frozenset({"eta"}), small_vocab) == ("when?", [0])
 
     def test_two_labels_join_in_vocabulary_order(self, small_vocab):
-        sample = compose_multilabel(
-            {"fuel": "s2", "eta": "s1"}, frozenset({"fuel", "eta"}), small_vocab
-        )
-        assert sample.text == "s1 s2"
-        assert sample.labels == frozenset({"eta", "fuel"})
+        drawn = []
+        def segment(label):
+            drawn.append(label)
+            return {"fuel": "s2", "eta": "s1"}[label]
+        assert compose_multilabel(segment, frozenset({"fuel", "eta"}), small_vocab) == ("s1 s2", [0, 2])
+        assert drawn == ["eta", "fuel"], "segments are drawn in vocabulary order"
 
     def test_three_segments_two_separators(self, small_vocab):
         rng = np.random.default_rng(5)
         for _ in range(20):
             segments = {l: f"seg-{l}-{rng.integers(100)}" for l in small_vocab.labels}
-            sample = compose_multilabel(segments, frozenset(small_vocab.labels), small_vocab)
-            assert sample.text.count(" ") == 2
-            assert [p.split("-")[1] for p in sample.text.split(" ")] == list(small_vocab.labels)
+            text, columns = compose_multilabel(segments.get, frozenset(small_vocab.labels), small_vocab)
+            assert text.count(" ") == 2 and columns == [0, 1, 2]
+            assert [p.split("-")[1] for p in text.split(" ")] == list(small_vocab.labels)
 
-    def test_missing_segment(self, small_vocab):
-        with pytest.raises(ValidationError, match="fuel"):
-            compose_multilabel({"eta": "x"}, frozenset({"eta", "fuel"}), small_vocab)
+    @pytest.mark.parametrize("combo, match", [
+        (frozenset({"eta", "bogus"}), "unknown label.*bogus"),
+        (frozenset({"eta", 3}), "labels must be strings"),
+        (frozenset(), "at least one label"),
+    ])
+    def test_bad_combo(self, small_vocab, combo, match):
+        with pytest.raises(ValidationError, match=match):
+            compose_multilabel(lambda label: "x", combo, small_vocab)
 
 
 class TestOfflineGenerate:
@@ -129,8 +133,8 @@ class TestOfflineGenerate:
         combos = two_label_combos(maritime_vocab, 5, seed=1)
         ds = offline_generate(maritime_vocab, per_class=3, combos=combos, seed=1)
         assert len(ds) == 8 * 3 + 5
-        multi = [s for s in ds.samples if len(s.labels) > 1]
-        assert len(multi) == 5
+        assert ds.labels.shape == (8 * 3 + 5, 8)
+        assert ds.labels.sum(axis=1).tolist() == [1] * 8 * 3 + [2] * 5
 
     def test_deterministic_files(self, tmp_path, maritime_vocab):
         combos = two_label_combos(maritime_vocab, 4, seed=9)
@@ -141,11 +145,12 @@ class TestOfflineGenerate:
 
     def test_classes_share_no_query_strings(self, maritime_vocab):
         ds = offline_generate(maritime_vocab, per_class=40, combos=[], seed=3)
-        by_class: dict[str, set[str]] = {}
-        for sample in ds.samples:
-            (label,) = sample.labels
-            by_class.setdefault(label, set()).add(sample.text)
+        by_class: dict[int, set[str]] = {}
+        for text, row in zip(ds.texts, ds.labels):
+            (column,) = np.flatnonzero(row)
+            by_class.setdefault(int(column), set()).add(text)
         classes = list(by_class)
+        assert len(classes) == 8
         for i, a in enumerate(classes):
             assert len(by_class[a]) == 40  # distinct within class
             for b in classes[i + 1 :]:
@@ -159,7 +164,7 @@ class TestOfflineGenerate:
         )
         ds = offline_generate(vocab, per_class=6, combos=[], seed=0)
         assert len(ds) == 6
-        assert all("customs clearance status" in s.text for s in ds.samples)
+        assert all("customs clearance status" in text for text in ds.texts)
 
     def test_per_class_validation(self, small_vocab):
         with pytest.raises(ValidationError):
@@ -174,6 +179,8 @@ class TestOfflineGenerate:
     def test_combo_validation(self, small_vocab):
         with pytest.raises(ValidationError):
             offline_generate(small_vocab, 1, [frozenset({"bogus"})], seed=0)
+        with pytest.raises(ValidationError, match="^combo 1 is empty$"):
+            offline_generate(small_vocab, 1, [frozenset({"eta"}), frozenset()], seed=0)
 
 
 class TestTwoLabelCombos:
@@ -211,9 +218,8 @@ class TestLLMGenerate:
         sent = state.calls[0]["body"]
         assert sent["model"] == "test-model"
         assert sent["messages"][0]["role"] == "user"
-        combo_sample = ds.samples[-1]
-        assert combo_sample.labels == frozenset({"eta", "fuel"})
-        assert "eta q" in combo_sample.text and "fuel q" in combo_sample.text
+        assert ds.labels[-1].tolist() == [True, False, True]
+        assert "eta q" in ds.texts[-1] and "fuel q" in ds.texts[-1]
 
     def test_short_generation_accepted_with_warning(self, small_vocab, caplog):
         responses = [(200, self._completion(["only one"]))] * 3

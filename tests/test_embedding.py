@@ -20,7 +20,6 @@ from intentclf import (
     PipelineError,
     ProviderConfig,
     RemoteServiceError,
-    TextSample,
     ValidationError,
     embed_dataset,
     embed_texts,
@@ -40,11 +39,8 @@ def _fast_backoff(monkeypatch):
 def tiny_dataset(small_vocab):
     return Dataset(
         vocabulary=small_vocab,
-        samples=(
-            TextSample("when does she arrive", frozenset({"eta"})),
-            TextSample("how long at anchor", frozenset({"berth"})),
-            TextSample("daily burn rate", frozenset({"fuel"})),
-        ),
+        texts=("when does she arrive", "how long at anchor", "daily burn rate"),
+        labels=np.eye(3, dtype=bool),
     )
 
 
@@ -234,7 +230,7 @@ class TestEmbeddingFile:
     def test_round_trip(self, tmp_path, tiny_dataset):
         # toy rows and an encoder's dense rows, unnormalized
         rng = np.random.default_rng(5)
-        for rows in ([_toy_row(s.text, 8, 0) * 3.0 for s in tiny_dataset.samples], rng.normal(size=(3, 8))):
+        for rows in ([_toy_row(text, 8, 0) * 3.0 for text in tiny_dataset.texts], rng.normal(size=(3, 8))):
             path = tmp_path / "e.npy"
             save_embeddings(rows, path)
             loaded = load_embeddings(path, tiny_dataset)
@@ -291,7 +287,8 @@ class TestEmbeddingFile:
         save_embeddings(matrix, path)
         dataset = Dataset(
             vocabulary=LabelVocabulary(labels=("a",)),
-            samples=tuple(TextSample(f"t{i}", frozenset({"a"})) for i in range(len(matrix))),
+            texts=tuple(f"t{i}" for i in range(len(matrix))),
+            labels=np.ones((len(matrix), 1), dtype=bool),
         )
         loaded = load_embeddings(path, dataset)
         for got, row in zip(loaded, matrix):
@@ -426,6 +423,6 @@ class TestProviderConfig:
 def test_embed_dataset_toy_provider(tiny_dataset):
     embedded = embed_dataset(tiny_dataset, ProviderConfig(kind="toy", dim=32, seed=4))
     assert embedded.shape == (3, 32)
-    for row, sample in zip(embedded, tiny_dataset.samples):
-        expected = _toy_row(sample.text, 32, 4)
+    for row, text in zip(embedded, tiny_dataset.texts):
+        expected = _toy_row(text, 32, 4)
         assert np.array_equal(row, expected)

@@ -22,7 +22,6 @@ import intentclf.httpclient as httpclient
 from intentclf import (
     Dataset,
     RemoteServiceError,
-    TextSample,
     save_dataset,
     save_vocabulary,
 )
@@ -221,8 +220,8 @@ def _replies(draw, shaped):
 def remote_inputs(tmp_path_factory, small_vocab):
     root = tmp_path_factory.mktemp("remote")
     save_vocabulary(small_vocab, root / "taxonomy.json")
-    samples = tuple(TextSample(f"query {i}", frozenset({label})) for i, label in enumerate(small_vocab.labels))
-    save_dataset(Dataset(vocabulary=small_vocab, samples=samples), root / "dataset.jsonl")
+    rows = [(f"query {j}", [j]) for j in range(len(small_vocab))]
+    save_dataset(Dataset.from_rows(small_vocab, rows), root / "dataset.jsonl")
     (root / "cfg.json").write_text(json.dumps({"provider": {"timeout": _FUZZ_TIMEOUT, "max_retries": 0}}))
     with raw_server() as peer:
         yield root, peer

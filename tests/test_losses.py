@@ -97,7 +97,7 @@ class TestNegativeLoss:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 3: a negative with s >= margin sits at q = epsilon and gets no gradient",
+        reason="ROADMAP item 4: a negative with s >= margin sits at q = epsilon and gets no gradient",
     )
     def test_gradient_nonzero_until_the_pair_is_free(self):
         config = OFCConfig(margin=0.5)

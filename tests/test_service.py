@@ -19,7 +19,6 @@ from intentclf import (
     ValidationError,
     embed_dataset,
     finetune,
-    label_matrix,
     offline_generate,
     pretrain,
     save_artifact,
@@ -73,7 +72,7 @@ finally:
 def artifact(small_vocab):
     dataset = offline_generate(small_vocab, per_class=10, combos=[], seed=6)
     provider = ProviderConfig(kind="toy", dim=64, seed=6)
-    x, y = embed_dataset(dataset, provider), label_matrix(dataset)
+    x, y = embed_dataset(dataset, provider), dataset.labels
     config = TrainConfig(
         seed=6, epochs_pretrain=4, epochs_finetune=8, batch_size=16,
         d_hidden=32, d_proj=32,

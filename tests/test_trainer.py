@@ -17,7 +17,6 @@ from intentclf import (
     ValidationError,
     embed_dataset,
     finetune,
-    label_matrix,
     load_artifact,
     offline_generate,
     predict,
@@ -44,7 +43,7 @@ from grad_oracle import grad_check, max_relative_error, projection_margin_gap
 def separable_samples(small_vocab):
     """Embeddings and label rows of a small dataset, as one (x, y) pair."""
     dataset = offline_generate(small_vocab, per_class=12, combos=[], seed=5)
-    return embed_dataset(dataset, ProviderConfig(kind="toy", dim=64, seed=5)), label_matrix(dataset)
+    return embed_dataset(dataset, ProviderConfig(kind="toy", dim=64, seed=5)), dataset.labels
 
 
 def _fast_config(**overrides):
