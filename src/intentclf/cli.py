@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .config import coerce
 from .dataset import (
+    LabelVocabulary,
     load_dataset,
     load_vocabulary,
     read_json,
@@ -120,12 +121,18 @@ def _get(tree: dict, key: str, kind: type, default=None, required: str | None = 
     return value if kind is dict else coerce(value, kind, key)
 
 
-def _load_combos(path: str | None) -> list[frozenset[str]]:
+def _load_combos(path: str | None, vocabulary: LabelVocabulary) -> list[frozenset[str]]:
+    """The combos file's label sets, each non-empty and made of ``vocabulary`` labels."""
     if not path:
         return []
     obj = read_json(path, "combos file", list)
-    if not all(isinstance(c, list) and all(isinstance(label, str) for label in c) for c in obj):
-        raise FileFormatError("combos file must be a JSON array of label-string arrays", path=path)
+    if not all(isinstance(c, list) and c and all(isinstance(label, str) for label in c) for c in obj):
+        raise FileFormatError("combos file must be a JSON array of non-empty label-string arrays", path=path)
+    for index, combo in enumerate(obj):
+        try:
+            vocabulary.columns(combo)
+        except ValidationError as exc:
+            raise ValidationError(f"combo {index}: {exc} [{path}]") from None
     return [frozenset(c) for c in obj]
 
 
@@ -151,7 +158,7 @@ def run_generate(args) -> int:
     seed = _get(s, "generate.seed", int, 0)
     offline = _get(s, "generate.offline", bool, False)
     vocabulary = load_vocabulary(taxonomy_path)
-    combos = _load_combos(_get(s, "generate.combos", str))
+    combos = _load_combos(_get(s, "generate.combos", str), vocabulary)
     if offline:
         dataset = offline_generate(vocabulary, per_class, combos, seed)
     else:  # LLMClientConfig has no default for these two

@@ -1,13 +1,15 @@
 """Contrastive losses over pair similarities, with analytic derivatives.
 
-The focal-contrastive objective scores a positive pair through q = s^2 and a
-negative pair through q = clip(m - s, 0, 1)^2, then applies the focal term
+The focal-contrastive objective maps each pair's similarity s to a score u,
+u = s for a positive pair and u = clip(m - s, 0, 1) for a negative one, and
+passes u with du/ds to one kernel. The kernel applies the focal term
 
-    -alpha * (1 - q)^gamma * log(q)
+    -alpha * (1 - q)^gamma * log(q),   q = max(u^2, epsilon)
 
-with q floored at ``epsilon`` so the log never diverges. Gradients are zero
-inside any clamped region. Two baselines are provided for ablations: the
-hinge-style online-contrastive loss and a plain cosine-regression loss.
+(the floor keeps the log finite) and carries its derivative back to s.
+Gradients are zero inside any clamped region. Two baselines are provided
+for ablations: the hinge-style online-contrastive loss and a plain
+cosine-regression loss.
 
 Every loss returns ``(value, grad)``: the scalar loss and dL/ds for each
 similarity it was given, in their order, 0 for a pair it did not use.
@@ -56,24 +58,6 @@ def _check_sims(sims: np.ndarray) -> np.ndarray:
     return np.clip(sims, -1.0, 1.0)
 
 
-def _focal(q: np.ndarray, alpha: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element -alpha*(1-q)^gamma*log(q) and its derivative in q, q in [eps, 1]."""
-    one_minus = 1.0 - q
-    log_q = np.log(q)
-    value = -alpha * one_minus**gamma * log_q
-    if gamma == 0.0:
-        dvalue = -alpha / q
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dvalue = alpha * gamma * one_minus ** (gamma - 1.0) * log_q - alpha * one_minus**gamma / q
-        # at q == 1 both factors vanish; the limit of the derivative is 0
-        boundary = one_minus == 0.0
-        if np.any(boundary):
-            value = np.where(boundary, 0.0, value)
-            dvalue = np.where(boundary, 0.0, dvalue)
-    return value, dvalue
-
-
 def _mean(terms: np.ndarray, dterm_ds: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean of the per-pair terms and its derivative; 0 over no pairs."""
     if terms.size == 0:
@@ -81,37 +65,46 @@ def _mean(terms: np.ndarray, dterm_ds: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.mean(terms)), dterm_ds / terms.size
 
 
+def _focal_mean(u: np.ndarray, du_ds, config: OFCConfig) -> tuple[float, np.ndarray]:
+    """Mean of -alpha*(1-q)^gamma*log(q) at q = max(u^2, epsilon), and dL/ds given du/ds."""
+    alpha, gamma = config.alpha, config.gamma
+    q_raw = u * u
+    q = np.maximum(q_raw, config.epsilon)
+    one_minus = 1.0 - q
+    log_q = np.log(q)
+    value = -alpha * one_minus**gamma * log_q
+    if gamma == 0.0:
+        dvalue_dq = -alpha / q
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dvalue_dq = alpha * gamma * one_minus ** (gamma - 1.0) * log_q - alpha * one_minus**gamma / q
+        # at q == 1 both factors vanish; the limit of the derivative is 0
+        boundary = one_minus == 0.0
+        if np.any(boundary):
+            value = np.where(boundary, 0.0, value)
+            dvalue_dq = np.where(boundary, 0.0, dvalue_dq)
+    dq_du = np.where(q_raw < config.epsilon, 0.0, 2.0 * u)
+    return _mean(value, dvalue_dq * dq_du * du_ds)
+
+
 def positive_loss(sims: np.ndarray, config: OFCConfig) -> tuple[float, np.ndarray]:
-    """Focal loss over positive-pair similarities: q = max(s^2, epsilon).
+    """Focal loss over positive-pair similarities: u = s, so q = max(s^2, epsilon).
 
     Returns the loss and dL/ds for each entry of ``sims``.
     """
-    s = _check_sims(sims)
-    q_raw = s * s
-    clamped = q_raw < config.epsilon
-    q = np.maximum(q_raw, config.epsilon)
-    term, dterm_dq = _focal(q, config.alpha, config.gamma)
-    dq_ds = np.where(clamped, 0.0, 2.0 * s)
-    return _mean(term, dterm_dq * dq_ds)
+    return _focal_mean(_check_sims(sims), 1.0, config)
 
 
 def negative_loss(sims: np.ndarray, config: OFCConfig) -> tuple[float, np.ndarray]:
-    """Focal loss over negative-pair similarities: q = max(clip(m-s,0,1)^2, epsilon).
+    """Focal loss over negative-pair similarities: u = clip(m-s, 0, 1).
 
     The upper clip caps the incentive at s = margin - 1; without it the raw
     formula would reward pushing negatives apart without bound. Returns the
     loss and dL/ds for each entry of ``sims``.
     """
-    s = _check_sims(sims)
-    u_raw = config.margin - s
-    u = np.clip(u_raw, 0.0, 1.0)
+    u_raw = config.margin - _check_sims(sims)
     du_ds = np.where((u_raw > 0.0) & (u_raw < 1.0), -1.0, 0.0)
-    q_raw = u * u
-    clamped = q_raw < config.epsilon
-    q = np.maximum(q_raw, config.epsilon)
-    term, dterm_dq = _focal(q, config.alpha, config.gamma)
-    dq_du = np.where(clamped, 0.0, 2.0 * u)
-    return _mean(term, dterm_dq * dq_du * du_ds)
+    return _focal_mean(np.clip(u_raw, 0.0, 1.0), du_ds, config)
 
 
 def _on_batch(sims: np.ndarray, mined, pos: tuple, neg: tuple) -> tuple[float, np.ndarray]:
@@ -137,7 +130,7 @@ def ofc_loss(sims: np.ndarray, mined, config: OFCConfig) -> tuple[float, np.ndar
     return _on_batch(sims, mined, pos, neg)
 
 
-def oc_loss(sims: np.ndarray, mined, margin: float = 0.5) -> tuple[float, np.ndarray]:
+def oc_loss(sims: np.ndarray, mined, margin: float) -> tuple[float, np.ndarray]:
     """Hinge-style baseline over mined pairs.
 
     Mean of (1-s)^2 over retained positives plus mean of max(0, s-margin)^2

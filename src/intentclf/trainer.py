@@ -2,9 +2,9 @@
 
 Stage one pretrains a two-layer projection over frozen external embeddings
 with a contrastive objective on mined pairs. Stage two fine-tunes projection
-and classifier jointly under per-label binary cross-entropy. Both stages run
-plain SGD with momentum, single-threaded, and are bit-reproducible from
-(dataset, config, seed).
+and classifier jointly under per-label binary cross-entropy from logits. One
+loop runs both stages' steps: plain SGD with momentum, single-threaded and
+bit-reproducible from (dataset, config, seed).
 """
 
 from __future__ import annotations
@@ -161,9 +161,14 @@ def _project_batch(x: np.ndarray, head: ProjectionHead):
     return z, (x, h, z, norms)
 
 
+def _sigmoid(logits: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-l)), with l clipped to [-60, 60] so exp cannot overflow."""
+    return 1.0 / (1.0 + np.exp(-np.clip(logits, -60.0, 60.0)))
+
+
 def _classify_batch(z: np.ndarray, head: ClassifierHead) -> np.ndarray:
     """Per-label probabilities sigmoid(z w + b) for each row of ``z``."""
-    return 1.0 / (1.0 + np.exp(-np.clip(z @ head.w + head.b, -60.0, 60.0)))
+    return _sigmoid(z @ head.w + head.b)
 
 
 def _projection_backward(d_z: np.ndarray, cache, head: ProjectionHead) -> list[np.ndarray]:
@@ -180,24 +185,17 @@ def _projection_backward(d_z: np.ndarray, cache, head: ProjectionHead) -> list[n
     return [d_w1, d_b1, d_w2, d_b2]
 
 
-BCE_EPSILON = 1e-12
+def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean over all cells of log(1 + e^l) - y l, the BCE of sigmoid(l), plus dL/dl.
 
-
-def bce_loss(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy over all cells, plus dL/dprobs.
-
-    Probabilities are clamped to [eps, 1-eps] inside the log; the gradient is
-    zero where the clamp is active.
+    No clamp: a cell saturated on the wrong side keeps its gradient (sigmoid(l) - y) / size.
     """
-    p = np.asarray(probs, dtype=np.float64)
+    logits = np.asarray(logits, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ValidationError(f"shape mismatch: probs {p.shape} vs targets {y.shape}")
-    clamped = np.clip(p, BCE_EPSILON, 1.0 - BCE_EPSILON)
-    value = float(np.mean(-(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped))))
-    active = (p > BCE_EPSILON) & (p < 1.0 - BCE_EPSILON)
-    grad = np.where(active, -y / clamped + (1.0 - y) / (1.0 - clamped), 0.0) / p.size
-    return value, grad
+    if logits.shape != y.shape:
+        raise ValidationError(f"shape mismatch: logits {logits.shape} vs targets {y.shape}")
+    value = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
+    return value, (_sigmoid(logits) - y) / logits.size
 
 
 def _sgd_step(
@@ -257,25 +255,45 @@ def _aligned(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield order[start : start + batch_size]
-
-
 # ---------------------------------------------------------------------------
 # training stages
 
 
+def _descend(x: np.ndarray, y: np.ndarray, heads: list, step, lr: float, epochs: int, config: TrainConfig,
+             shuffle_rng: np.random.Generator, min_rows: int = 1) -> list[float]:
+    """Train ``heads`` in place by momentum SGD; return the per-epoch mean batch loss.
+
+    Each epoch cuts a ``shuffle_rng`` permutation of the rows into batches, leaving out
+    one of fewer than ``min_rows`` rows. ``step(x_batch, y_batch)`` returns the batch
+    loss and one gradient list per head; each head takes its own clipped step.
+    """
+    velocity = [[np.zeros_like(p) for p in head.params()] for head in heads]
+    history: list[float] = []
+    for _ in range(epochs):
+        order = shuffle_rng.permutation(len(x))
+        batch_losses: list[float] = []
+        for start in range(0, len(order), config.batch_size):
+            chunk = order[start : start + config.batch_size]
+            if len(chunk) < min_rows:
+                continue
+            value, grads = step(x[chunk], y[chunk])
+            for head, g, v in zip(heads, grads, velocity):
+                _sgd_step(head.params(), g, v, lr, config.momentum, config.grad_clip_norm)
+            batch_losses.append(value)
+        history.append(float(np.mean(batch_losses)))
+    return history
+
+
 def _pretrain_step(
     x: np.ndarray, y: np.ndarray, head: ProjectionHead, config: TrainConfig
-) -> tuple[float, list[np.ndarray]]:
-    """Pair loss of one batch and its gradients [dw1, db1, dw2, db2] in ``head``."""
+) -> tuple[float, list[list[np.ndarray]]]:
+    """Pair loss of one batch and its gradients [[dw1, db1, dw2, db2]] in ``head``."""
     z, cache = _project_batch(x, head)
     pair_set = build_pairs(y, config.mining.positive_rule)
     sims = batch_similarity_table(z, pair_set)
     value, grad = _pair_loss(sims, pair_set.positive, config)
     d_z = _sim_grads_to_z(grad, pair_set, z)
-    return value, _projection_backward(d_z, cache, head)
+    return value, [_projection_backward(d_z, cache, head)]
 
 
 def pretrain(x: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple[ProjectionHead, list[float]]:
@@ -293,32 +311,19 @@ def pretrain(x: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple[Project
     init_rng = np.random.default_rng([config.seed, 101])
     shuffle_rng = np.random.default_rng([config.seed, 102])
     head = ProjectionHead.init(x.shape[1], config.d_hidden, config.d_proj, init_rng)
-    velocity = [np.zeros_like(p) for p in head.params()]
-    history: list[float] = []
-    for _ in range(config.epochs_pretrain):
-        order = shuffle_rng.permutation(len(x))
-        batch_losses: list[float] = []
-        for chunk in _batches(order, config.batch_size):
-            if len(chunk) < 2:
-                continue
-            value, grads = _pretrain_step(x[chunk], y[chunk], head, config)
-            _sgd_step(head.params(), grads, velocity, config.lr_pretrain, config.momentum, config.grad_clip_norm)
-            batch_losses.append(value)
-        history.append(float(np.mean(batch_losses)))
-    return head, history
+    return head, _descend(x, y, [head], lambda xb, yb: _pretrain_step(xb, yb, head, config),
+                          config.lr_pretrain, config.epochs_pretrain, config, shuffle_rng, min_rows=2)
 
 
 def _finetune_step(
     x: np.ndarray, y: np.ndarray, head: ProjectionHead, classifier: ClassifierHead
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """BCE of one batch and its gradients in ``head`` and in ``classifier`` [dw, db]."""
+) -> tuple[float, list[list[np.ndarray]]]:
+    """BCE of one batch and its gradients [[dw1, db1, dw2, db2], [dw, db]] in ``head`` and ``classifier``."""
     z, cache = _project_batch(x, head)
-    probs = _classify_batch(z, classifier)
-    value, d_probs = bce_loss(probs, y)
-    d_logits = d_probs * probs * (1.0 - probs)
+    value, d_logits = bce_loss(z @ classifier.w + classifier.b, y)
     grads_c = [z.T @ d_logits, d_logits.sum(axis=0)]
     d_z = d_logits @ classifier.w.T
-    return value, _projection_backward(d_z, cache, head), grads_c
+    return value, [_projection_backward(d_z, cache, head), grads_c]
 
 
 def finetune(
@@ -329,7 +334,7 @@ def finetune(
     config: TrainConfig,
     provider: ProviderConfig | None = None,
 ) -> tuple[ModelArtifact, list[float]]:
-    """Joint projection+classifier training under per-label BCE.
+    """Joint projection+classifier training under per-label BCE from logits.
 
     ``y`` holds the multi-hot label rows of ``x``, columns in ``vocabulary``
     order. The given projection is copied, not mutated. Returns the packaged
@@ -339,28 +344,16 @@ def finetune(
     if not len(x):
         raise ValidationError("finetuning needs at least 1 sample")
     if x.shape[1] != projection.d_in:
-        raise ValidationError(
-            f"projection expects dim {projection.d_in}, embeddings have {x.shape[1]}"
-        )
+        raise ValidationError(f"projection expects dim {projection.d_in}, embeddings have {x.shape[1]}")
     if y.shape[1] != len(vocabulary):
         raise ValidationError(f"label rows have {y.shape[1]} columns for {len(vocabulary)} labels")
     head = projection.copy()
     init_rng = np.random.default_rng([config.seed, 201])
     shuffle_rng = np.random.default_rng([config.seed, 202])
     classifier = ClassifierHead.init(head.d_proj, len(vocabulary), init_rng)
-    velocity_p = [np.zeros_like(p) for p in head.params()]
-    velocity_c = [np.zeros_like(p) for p in classifier.params()]
-    history: list[float] = []
-    for _ in range(config.epochs_finetune):
-        order = shuffle_rng.permutation(len(x))
-        batch_losses: list[float] = []
-        for chunk in _batches(order, config.batch_size):
-            value, grads_p, grads_c = _finetune_step(x[chunk], y[chunk], head, classifier)
-            _sgd_step(head.params(), grads_p, velocity_p, config.lr_finetune, config.momentum, config.grad_clip_norm)
-            _sgd_step(classifier.params(), grads_c, velocity_c, config.lr_finetune, config.momentum, config.grad_clip_norm)
-            batch_losses.append(value)
-        history.append(float(np.mean(batch_losses)))
-    artifact = ModelArtifact(
+    history = _descend(x, y, [head, classifier], lambda xb, yb: _finetune_step(xb, yb, head, classifier),
+                       config.lr_finetune, config.epochs_finetune, config, shuffle_rng)
+    return ModelArtifact(
         vocabulary=vocabulary,
         embed_dim=head.d_in,
         projection=head,
@@ -368,8 +361,7 @@ def finetune(
         decision_threshold=config.decision_threshold,
         train_config=config,
         provider=provider,
-    )
-    return artifact, history
+    ), history
 
 
 def predict(embedding: np.ndarray, artifact: ModelArtifact) -> tuple[LabelSet, dict[str, float]]:

@@ -103,7 +103,7 @@ def _check_projection_point(loss_kind: str, rng: np.random.Generator) -> float |
     sims, positive, used = _used_pairs(x, labels, head, config)
     if positive.all() or not positive.any() or not used.any():
         return None
-    _, analytic = trainer._pretrain_step(x, labels, head, config)
+    _, (analytic,) = trainer._pretrain_step(x, labels, head, config)
     if not _away_from_kinks(sims[used & positive], sims[used & ~positive], config.ofc.margin):
         return None
     same_pairs = True
@@ -119,15 +119,22 @@ def _check_projection_point(loss_kind: str, rng: np.random.Generator) -> float |
     return max(max_relative_error(a, n) for a, n in zip(analytic, numeric))
 
 
-def _check_classifier_point(rng: np.random.Generator) -> float:
-    """Worst error of ``_finetune_step`` over projection and classifier parameters."""
+def _check_classifier_point(rng: np.random.Generator, saturated: bool) -> float:
+    """Worst error of ``_finetune_step`` over projection and classifier parameters.
+
+    A ``saturated`` point puts the first two label columns' logits near +40
+    and -40, each on the wrong side of its targets.
+    """
     d_in, d_hidden, d_proj, n_labels, batch = 10, 7, 5, 4, 6
     x = rng.normal(size=(batch, d_in))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     y = (rng.random(size=(batch, n_labels)) < 0.4).astype(np.float64)
     head = ProjectionHead.init(d_in, d_hidden, d_proj, rng)
     classifier = ClassifierHead.init(d_proj, n_labels, rng)
-    _, grads_p, grads_c = trainer._finetune_step(x, y, head, classifier)
+    if saturated:
+        classifier.b[:2] = [40.0, -40.0]
+        y[:, :2] = [0.0, 1.0]
+    _, (grads_p, grads_c) = trainer._finetune_step(x, y, head, classifier)
     numeric = _central_difference(
         lambda: trainer._finetune_step(x, y, head, classifier)[0], head.params() + classifier.params()
     )
@@ -140,8 +147,9 @@ def grad_check(
     """Compare analytic gradients against central finite differences.
 
     ``component`` is ``classifier`` (the BCE finetune step, projection and
-    classifier) or ``projection+<loss_kind>`` (the contrastive pretrain
-    step). Random points where no gradient is defined are redrawn.
+    classifier; its first point has saturated logits) or
+    ``projection+<loss_kind>`` (the contrastive pretrain step). Random
+    points where no gradient is defined are redrawn.
     """
     comp = component.lower()
     if comp == "classifier+bce":
@@ -151,7 +159,7 @@ def grad_check(
     worst = 0.0
     for point in range(points):
         if comp == "classifier":
-            err = _check_classifier_point(np.random.default_rng([seed, point]))
+            err = _check_classifier_point(np.random.default_rng([seed, point]), saturated=point == 0)
         else:
             loss_kind = comp.split("+", 1)[1]
             err = None

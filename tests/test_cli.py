@@ -904,6 +904,8 @@ _BAD_INPUTS = [
                  2, id="dataset-lone-surrogate"),
     pytest.param("combos", b'[[["a"]]]', 3, id="combos-nested-label"),
     pytest.param("combos", b"[[1, null]]", 3, id="combos-non-string-labels"),
+    pytest.param("combos", json.dumps([[default_taxonomy().labels[0]], []]).encode(), 3, id="combos-empty-combo"),
+    pytest.param("combos", b'[["nope"]]', 2, id="combos-unknown-label"),
     pytest.param("taxonomy", b'{"labels": ["a", "b"], "descriptions": {"a": 5}}', 3, id="taxonomy-description"),
     pytest.param("taxonomy", b'{"labels": ["eta \\ud800", "b"]}', 3, id="taxonomy-lone-surrogate"),
     pytest.param("model", b'{"format_version": 1, "vocabulary": {"labels": ["a"]}, "embed_dim": 1e400}', 3,
@@ -944,9 +946,10 @@ def test_bad_input_file_exits_with_one_error_line(workspace, tmp_path, capsys, k
         assert main(_argv_reading(kind, workspace, bad, tmp_path / "out")) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
-    # every error names the file; a dataset record error also names its line
+    # every error names the file; a dataset record error also names its
+    # line, and a combos label error its combo
     assert str(bad) in err[0], err
-    assert code == 3 or err[0].startswith("error: line 1: "), err
+    assert code == 3 or err[0].startswith({"dataset": "error: line 1: ", "combos": "error: combo 0: "}[kind]), err
 
 
 # object keys of every input format, so generated values reach past the

@@ -125,15 +125,16 @@ class TestClassify:
 
 class TestBce:
     def test_perfect_fit_is_tiny(self):
-        value, _ = bce_loss(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
+        value, _ = bce_loss(np.array([[40.0, -40.0]]), np.array([[1.0, 0.0]]))
         assert value == pytest.approx(0.0, abs=1e-10)
 
     def test_coin_flip_is_log_two(self):
-        value, _ = bce_loss(np.full((3, 4), 0.5), np.ones((3, 4)))
+        value, _ = bce_loss(np.zeros((3, 4)), np.ones((3, 4)))
         assert value == pytest.approx(math.log(2), rel=1e-12)
 
     def test_frozen_hand_value(self):
-        value, _ = bce_loss(np.array([[0.9, 0.2]]), np.array([[1.0, 0.0]]))
+        # logits of the probabilities 0.9 and 0.2
+        value, _ = bce_loss(np.array([[math.log(9), math.log(0.25)]]), np.array([[1.0, 0.0]]))
         expected = (-math.log(0.9) - math.log(0.8)) / 2
         assert value == pytest.approx(expected, rel=1e-12)
         assert value == pytest.approx(0.164252033, abs=1e-9)
@@ -141,6 +142,18 @@ class TestBce:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             bce_loss(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    def test_wrong_side_saturated_column_keeps_its_gradient(self):
+        n, m = 5, 3
+        rng = np.random.default_rng(0)
+        head = ProjectionHead.init(6, 4, 4, rng)
+        classifier = ClassifierHead(w=np.zeros((4, m)), b=np.array([40.0, 0.0, 0.0]))
+        y = np.zeros((n, m))
+        y[:, 1] = 1.0
+        value, (_, (_, d_b)) = trainer._finetune_step(rng.normal(size=(n, 6)), y, head, classifier)
+        # sigmoid(40) rounds to 1: each of the n cells adds 1 / (n m)
+        assert d_b[0] == pytest.approx(1.0 / m, rel=1e-12)
+        assert value == pytest.approx((40.0 + 2 * math.log(2)) / m, rel=1e-12)
 
 
 class TestPretrain:
@@ -316,10 +329,12 @@ class TestGradCheck:
     def test_oracle_checks_the_training_step(self, monkeypatch, component, step, part):
         original = getattr(trainer, step)
 
+        # ``part`` indexes (value, *gradient groups); the group's first array is skewed
         def skewed(*args):
-            result = list(original(*args))
+            value, grads = original(*args)
+            result = [value, *grads]
             result[part] = [result[part][0] * 1.01, *result[part][1:]]
-            return tuple(result)
+            return result[0], result[1:]
 
         assert grad_check(component, points=2).passed
         monkeypatch.setattr(trainer, step, skewed)
