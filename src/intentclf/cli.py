@@ -33,6 +33,8 @@ from .embedding import (
     _PROVIDER_KINDS,
     ProviderConfig,
     check_embeds_text,
+    check_provider_width,
+    check_toy_reproduces,
     embed_dataset,
     load_embeddings,
     save_embeddings,
@@ -180,7 +182,7 @@ def run_embed(args) -> int:
     provider = ProviderConfig.from_json(_get(s, "provider", dict, {}))
     x = embed_dataset(dataset, provider)
     save_embeddings(x, out_path)
-    print(f"embedded {len(x)} samples at dim {provider.dim} -> {out_path}")
+    print(f"embedded {len(x)} samples at dim {x.shape[1]} -> {out_path}")
     return _EXIT_OK
 
 
@@ -194,7 +196,7 @@ def _load_dataset(s: dict):
 def _load_embedded(s: dict):
     embeddings_path = _get(s, "embeddings", str, required="--embeddings")
     vocabulary, dataset = _load_dataset(s)
-    return vocabulary, load_embeddings(embeddings_path, dataset), dataset.labels
+    return vocabulary, load_embeddings(embeddings_path, dataset), dataset
 
 
 def _split(s: dict, n: int) -> tuple[list[int], list[int]]:
@@ -203,16 +205,17 @@ def _split(s: dict, n: int) -> tuple[list[int], list[int]]:
 
 def run_train(args) -> int:
     s = _settings(args)
-    vocabulary, x, y = _load_embedded(s)
+    vocabulary, x, dataset = _load_embedded(s)
     out_path = _get(s, "model", str, required="--out")
     loss_log = _get(s, "loss_log", str)
     train_idx, _ = _split(s, len(x))
-    x, y = x[train_idx], y[train_idx]
+    x, y = x[train_idx], dataset.labels[train_idx]
 
     config = _train_config(s)
     provider = ProviderConfig.from_json(_get(s, "provider", dict, {}))
-    if provider.kind != "file" and provider.dim != x.shape[1]:
-        raise ValidationError(f"provider dim {provider.dim} does not match embedding file dim {x.shape[1]}")
+    check_provider_width(provider, x.shape[1])
+    # serving embeds queries with this provider, so it must re-embed the first training row as the file has it
+    check_toy_reproduces(provider, [dataset.texts[i] for i in train_idx[:1]], x[:1], _get(s, "embeddings", str))
 
     head, pretrain_losses = pretrain(x, y, config)
     for epoch, value in enumerate(pretrain_losses):
@@ -230,7 +233,7 @@ def run_train(args) -> int:
 
 def run_eval(args) -> int:
     s = _settings(args)
-    vocabulary, x, y = _load_embedded(s)
+    vocabulary, x, dataset = _load_embedded(s)
     model_path = _get(s, "model", str, required="--model")
     out_path = _get(s, "report", str, required="--out")
     artifact = load_artifact(model_path)
@@ -238,7 +241,7 @@ def run_eval(args) -> int:
         raise ValidationError("model vocabulary does not match the taxonomy file")
     _, holdout_idx = _split(s, len(x))
     scores = score_samples(x[holdout_idx], artifact)
-    report = evaluate(scores, artifact.decision_threshold, y[holdout_idx])
+    report = evaluate(scores, artifact.decision_threshold, dataset.labels[holdout_idx])
     save_report(report, out_path)
     _print_report_table(report)
     print(f"report -> {out_path}")

@@ -268,6 +268,18 @@ def check_embeds_text(config: ProviderConfig | None) -> None:
         )
 
 
+def check_provider_width(config: ProviderConfig | None, width: int, error: type = ValidationError) -> None:
+    """Raise ``error`` unless ``config`` embeds ``width``-long rows; a file provider's rows fix the width."""
+    if config is not None and config.kind != "file" and config.dim != width:
+        raise error(f"provider dim {config.dim} does not match embedding width {width}")
+
+
+def check_toy_reproduces(config: ProviderConfig, texts: Sequence[str], rows: np.ndarray, path: str) -> None:
+    """Raise :class:`ValidationError` unless a toy ``config`` embeds ``texts`` as ``rows`` of ``path``, to 1e-9."""
+    if config.kind == "toy" and (np.abs(_toy_embed(texts, config.dim, config.seed) - rows) > 1e-9).any():
+        raise ValidationError(f"toy seed {config.seed} does not reproduce {path}; pass the provider settings embed used")
+
+
 def embed_texts(texts: Sequence[str], config: ProviderConfig) -> np.ndarray:
     """Embed arbitrary texts with a provider able to do so (toy or http).
 
@@ -340,9 +352,7 @@ def load_embeddings(path: str | Path, dataset: Dataset) -> np.ndarray:
                 path=str(path),
             )
         if rows != len(dataset):
-            raise ValidationError(
-                f"embedding file has {rows} rows but dataset has {len(dataset)} samples"
-            )
+            raise ValidationError(f"embedding file has {rows} rows but dataset has {len(dataset)} samples [{path}]")
         flat = np.fromfile(fh, dtype=dtype, count=rows * cols)
     x = flat.reshape(shape, order="F" if fortran_order else "C")
     x = x.astype(np.float64, order="C", copy=False)

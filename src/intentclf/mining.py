@@ -6,21 +6,19 @@ is its row in that order: (0,1), (0,2), ..., (1,2), ... The batch's
 similarities are one length-P vector in that order, and mining names the
 pairs it keeps by their index into it.
 
-Mining runs in five steps over the positive and the negative pairs of a
-batch:
+Mining keeps pairs by one rule, applied once per polarity. Each pair gets
+a score ``u``; a pair is *hard* when its ``u`` exceeds the least ``u`` of
+the opposite polarity (with no opposite pair, nothing is hard). The other,
+*refined* pairs are sorted best first (positives by descending similarity,
+negatives ascending, ties by ascending pair index), and the first
+``ceil(p/100 * k)`` of those k are kept, followed by the hard pairs in
+pair-index order.
 
-1. hard extraction: pairs whose similarity falls on the wrong side of the
-   opposite polarity's extremum;
-2. refinement: the relative complement of the hard set within its table;
-3. sorting: refined positives descending, refined negatives ascending, ties
-   broken by ascending pair index;
-4. top-p selection: the first ``ceil(p/100 * k)`` sorted refined pairs;
-5. concatenation: selected prefix plus the hard set, per polarity.
-
-Two threshold conventions are supported. ``literal`` keeps positives whose
-similarity exceeds min(negatives) and negatives below max(positives).
-``standard`` is the usual online-contrastive convention: positives below
-max(negatives) and negatives above min(positives) count as hard.
+The ``mode`` picks ``v``: ``literal`` scores by ``v = s``, ``standard`` by
+``v = -s``; positives use ``u = v`` and negatives ``u = -v``. So ``literal``
+keeps positives above min(negatives) and negatives below max(positives),
+and ``standard``, the usual online-contrastive convention, is ``literal``
+on -s: positives below max(negatives) and negatives above min(positives).
 """
 
 from __future__ import annotations
@@ -137,19 +135,23 @@ def _top_count(p: float, size: int) -> int:
     return int(math.ceil(Fraction(p) * size / 100))
 
 
-def _hard_mask(sims: np.ndarray, threshold: float | None, above: bool) -> np.ndarray:
-    if threshold is None:
-        return np.zeros(sims.size, dtype=bool)
-    return sims > threshold if above else sims < threshold
+def _keep(u: np.ndarray, u_other: np.ndarray, own: np.ndarray, key: np.ndarray, p: float):
+    """The kept pairs of one polarity, and its (hard, refined, selected) counts.
 
-
-def _refined_order(index: np.ndarray, sims: np.ndarray, descending: bool) -> np.ndarray:
-    """Pair indices ``index`` sorted by their similarities ``sims``, then by index."""
-    return index[np.lexsort((index, -sims if descending else sims))]
+    ``own`` indexes the polarity's pairs, ``u`` and ``key`` hold their scores
+    and sort keys, ``u_other`` the opposite polarity's scores. Hard: ``u``
+    above the least ``u_other``. The rest are sorted by ``key``, then by pair
+    index, and their top-p prefix leads.
+    """
+    hard = u > u_other.min(initial=np.inf)
+    refined = own[~hard]
+    selected = refined[np.lexsort((refined, key[~hard]))[: _top_count(p, refined.size)]]
+    counts = (int(np.count_nonzero(hard)), refined.size, selected.size)
+    return np.concatenate((selected, own[hard])), counts
 
 
 def mine(sims: np.ndarray, positive: np.ndarray, config: MiningConfig) -> MinedPairs:
-    """Run hard extraction, refinement, sorting, top-p selection and concat.
+    """Keep the hard pairs and the top-p refined pairs of each polarity.
 
     ``sims`` holds the similarity of every pair of the batch, in pair order,
     and ``positive`` their polarities. Degenerate rule: a batch with no
@@ -157,27 +159,10 @@ def mine(sims: np.ndarray, positive: np.ndarray, config: MiningConfig) -> MinedP
     """
     pos = np.flatnonzero(positive)
     neg = np.flatnonzero(~positive)
-    s_pos, s_neg = sims[pos], sims[neg]
-    literal = config.mode == "literal"
-    t_neg = (np.min if literal else np.max)(s_neg) if neg.size else None
-    t_pos = (np.max if literal else np.min)(s_pos) if pos.size else None
-    hard_pos = _hard_mask(s_pos, t_neg, above=literal)
-    hard_neg = _hard_mask(s_neg, t_pos, above=not literal)
-
-    refined_pos = _refined_order(pos[~hard_pos], s_pos[~hard_pos], descending=True)
-    refined_neg = _refined_order(neg[~hard_neg], s_neg[~hard_neg], descending=False)
-    selected_pos = refined_pos[: _top_count(config.p, refined_pos.size)]
-    selected_neg = refined_neg[: _top_count(config.p, refined_neg.size)]
-
-    return MinedPairs(
-        pos_final=np.concatenate((selected_pos, pos[hard_pos])),
-        neg_final=np.concatenate((selected_neg, neg[hard_neg])),
-        counts=MinedCounts(
-            h_pos=int(np.count_nonzero(hard_pos)),
-            h_neg=int(np.count_nonzero(hard_neg)),
-            o_pos=refined_pos.size,
-            o_neg=refined_neg.size,
-            selected_pos=selected_pos.size,
-            selected_neg=selected_neg.size,
-        ),
-    )
+    s = sims[pos], sims[neg]
+    flipped = -s[0], -s[1]
+    # v and -v, each as (positives, negatives); positives score u = v, negatives u = -v
+    v, minus_v = (s, flipped) if config.mode == "literal" else (flipped, s)
+    pos_final, (h_pos, o_pos, selected_pos) = _keep(v[0], v[1], pos, flipped[0], config.p)
+    neg_final, (h_neg, o_neg, selected_neg) = _keep(minus_v[1], minus_v[0], neg, s[1], config.p)
+    return MinedPairs(pos_final, neg_final, MinedCounts(h_pos, h_neg, o_pos, o_neg, selected_pos, selected_neg))

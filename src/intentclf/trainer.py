@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import JsonConfig, coerce
 from .dataset import LabelSet, LabelVocabulary, read_json
-from .embedding import ProviderConfig
+from .embedding import ProviderConfig, check_provider_width
 from .errors import (
     DegenerateProjectionError,
     FileFormatError,
@@ -347,6 +347,7 @@ def finetune(
         raise ValidationError(f"projection expects dim {projection.d_in}, embeddings have {x.shape[1]}")
     if y.shape[1] != len(vocabulary):
         raise ValidationError(f"label rows have {y.shape[1]} columns for {len(vocabulary)} labels")
+    check_provider_width(provider, x.shape[1])
     head = projection.copy()
     init_rng = np.random.default_rng([config.seed, 201])
     shuffle_rng = np.random.default_rng([config.seed, 202])
@@ -544,8 +545,7 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         train_config = TrainConfig.from_json(config_obj["train"])
         provider_obj = config_obj.get("provider")
         provider = ProviderConfig.from_json(provider_obj) if provider_obj else None
-        if provider is not None and provider.kind != "file" and provider.dim != embed_dim:
-            raise FileFormatError(f"provider dim {provider.dim} does not match embed_dim {embed_dim}")
+        check_provider_width(provider, embed_dim, FileFormatError)
     except FileFormatError as exc:
         raise FileFormatError(str(exc), path=str(path)) from exc
     except (KeyError, TypeError, ValueError) as exc:

@@ -185,6 +185,17 @@ class TestEmbed:
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert np.allclose(np.load(workspace["embeddings"]), np.load(outs[0]), atol=1e-12)
 
+    def test_file_provider_reports_the_file_width(self, workspace, tmp_path, capsys):
+        vectors = tmp_path / "ext.npy"
+        np.save(vectors, np.ones((len(np.load(workspace["embeddings"])), 48)))
+        out = tmp_path / "wide.npy"
+        capsys.readouterr()
+        assert main([
+            "embed", "--taxonomy", str(workspace["taxonomy"]), "--dataset", str(workspace["dataset"]),
+            "--provider", "file", "--path", str(vectors), "--out", str(out),
+        ]) == 0
+        assert f"at dim 48 -> {out}" in capsys.readouterr().out
+
 
 class TestTrain:
     def test_byte_identical_rerun(self, workspace, tmp_path):
@@ -258,6 +269,23 @@ class TestTrain:
             "--provider", "toy", "--dim", "128", "--embed-seed", "3",
         ])
         assert code == 2
+
+    def test_toy_provider_that_cannot_reproduce_the_embeddings_exits_2(self, workspace, tmp_path, capsys):
+        # the workspace embeds with toy seed 3; serving with seed 0 would embed queries differently
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert main([
+            "train", "--taxonomy", str(workspace["taxonomy"]),
+            "--dataset", str(workspace["dataset"]),
+            "--embeddings", str(workspace["embeddings"]), "--out", str(out),
+            "--epochs-pretrain", "1", "--epochs-finetune", "1",
+            "--batch-size", "16", "--d-hidden", "32", "--d-proj", "32",
+            "--provider", "toy", "--dim", "64",
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: toy seed 0 "), err
+        assert str(workspace["embeddings"]) in err[0]
+        assert not out.exists()
 
     def test_loss_log_file(self, workspace, tmp_path):
         log = tmp_path / "losses.json"

@@ -251,8 +251,9 @@ class TestEmbeddingFile:
     def test_row_count_mismatch_reports_both_counts(self, tmp_path, tiny_dataset):
         path = tmp_path / "e.npy"
         save_embeddings([np.ones(4), np.ones(4)], path)
-        with pytest.raises(ValidationError, match=r"2 rows.*3 samples"):
+        with pytest.raises(ValidationError, match=r"2 rows.*3 samples") as caught:
             load_embeddings(path, tiny_dataset)
+        assert str(caught.value).endswith(f" [{path}]")
 
     def test_vectors_normalized_on_load(self, tmp_path, tiny_dataset):
         path = tmp_path / "e.npy"

@@ -95,14 +95,21 @@ class TestMineHandTraces:
         assert mined.counts.h_neg == 2
         assert neg_final[0] == (1, 0.95)
 
-    def test_empty_negative_table_degenerate_rule(self):
-        mined, pos_final, _ = _mine(
-            ((0, 0.9), (1, 0.2), (2, 0.5)), (), MiningConfig(p=34.0, mode="literal")
-        )
-        assert mined.counts.h_pos == 0
-        assert mined.counts.o_pos == 3
-        # ceil(0.34 * 3) = 2, sorted descending
-        assert pos_final == [(0, 0.9), (2, 0.5)]
+    @pytest.mark.parametrize("mode", ["literal", "standard"])
+    @pytest.mark.parametrize("empty", ["negatives", "positives"])
+    def test_empty_negative_table_degenerate_rule(self, empty, mode):
+        # with no pair of the opposite polarity nothing is hard, under either mode
+        table = ((0, 0.9), (1, 0.2), (2, 0.5))
+        d_pos, d_neg = (table, ()) if empty == "negatives" else ((), table)
+        mined, pos_final, neg_final = _mine(d_pos, d_neg, MiningConfig(p=34.0, mode=mode))
+        assert (mined.counts.h_pos, mined.counts.h_neg) == (0, 0)
+        # ceil(0.34 * 3) = 2: positives sorted descending, negatives ascending
+        if empty == "negatives":
+            assert (mined.counts.o_pos, mined.counts.o_neg) == (3, 0)
+            assert (pos_final, neg_final) == ([(0, 0.9), (2, 0.5)], [])
+        else:
+            assert (mined.counts.o_pos, mined.counts.o_neg) == (0, 3)
+            assert (pos_final, neg_final) == ([], [(1, 0.2), (2, 0.5)])
 
     def test_standard_mode_flips_rules(self):
         mined, pos_final, neg_final = _mine(

@@ -239,6 +239,12 @@ class TestFinetune:
         with pytest.raises(ValidationError):
             finetune(*separable_samples, small_vocab, head, _fast_config())
 
+    def test_provider_width_mismatch_rejected(self, small_vocab, separable_samples):
+        # load_artifact would refuse such a model, so finetune does not make it
+        head = ProjectionHead.init(64, 8, 8, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="provider dim 256 does not match embedding width 64"):
+            finetune(*separable_samples, small_vocab, head, _fast_config(), ProviderConfig(dim=256))
+
 
 class TestArrayBoundary:
     def test_row_count_mismatch_rejected(self, small_vocab, separable_samples):
