@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .config import JsonConfig
-from .dataset import Dataset, LabelSet, LabelVocabulary
+from .dataset import Dataset, LabelSet, LabelVocabulary, _lone_surrogate
 from .errors import GenerationError, RemoteServiceError, ValidationError
 from .httpclient import check_remote, post_json
 
@@ -79,8 +79,6 @@ def build_prompt(label: str, description: str, n: int) -> str:
 _NUMBER_MARKER = re.compile(r"^\d{1,4}[.)](\s+|$)")
 _BULLET_MARKER = re.compile(r"^[-*•]\s+")
 _QUOTE_CHARS = "\"'“”‘’"
-# the one kind of str that UTF-8 cannot encode
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _clean_line(line: str) -> str:
@@ -105,7 +103,7 @@ def parse_generation(raw: str, requested: int) -> list[str]:
     seen: set[str] = set()
     for line in raw.splitlines():
         cleaned = _clean_line(line)
-        if not cleaned or _SURROGATE.search(cleaned):
+        if not cleaned or _lone_surrogate([cleaned]):
             continue
         key = cleaned.lower()
         if key in seen:

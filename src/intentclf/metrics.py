@@ -1,10 +1,14 @@
 """Multi-label evaluation metrics.
 
-Conventions: precision, recall, F1, MCC and AUC are micro-averaged, i.e.
-computed over the flattened (sample, label) cells. Jaccard is averaged per
-row, with a both-empty row scoring 1. AUC is the Mann-Whitney rank statistic
-with ties counted 0.5, so it is invariant under any strictly increasing
-transform of the scores. Ratio metrics return 0 when their denominator is 0.
+Conventions: precision, recall, F1, MCC and Hamming loss are properties of
+one :class:`MicroCounts` table, the confusion counts pooled over the
+flattened (sample, label) cells; AUC is micro-averaged too. Subset accuracy
+and Jaccard are averaged per row, a both-empty row scoring 1 in Jaccard.
+AUC is the Mann-Whitney rank statistic with ties counted 0.5, so it is
+invariant under any strictly increasing transform of the scores. Ratio
+metrics return 0 when their denominator is 0. Inputs must be 2-D matrices
+of one shape with at least one row and one column; anything else raises
+:class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -20,14 +24,62 @@ from .dataset import read_json
 from .errors import DegenerateAucError, ValidationError
 
 
+def _checked(x, truth, dtype=bool) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as a ``dtype`` matrix and ``truth`` as a bool one: 2-D, one shape, no empty axis."""
+    x, t = np.asarray(x, dtype=dtype), np.asarray(truth, dtype=bool)
+    if x.ndim != 2 or x.shape != t.shape or 0 in x.shape:
+        raise ValidationError(f"expected non-empty 2-D matrices of one shape, got {x.shape} and truth {t.shape}")
+    return x, t
+
+
 @dataclass(frozen=True)
 class MicroCounts:
-    """Confusion counts pooled over all (sample, label) cells."""
+    """Confusion counts pooled over all (sample, label) cells, and the micro
+    metrics read from them."""
 
     tp: int
     fp: int
     fn: int
     tn: int
+
+    @classmethod
+    def of(cls, pred, truth) -> "MicroCounts":
+        """The counts of a prediction matrix against the truth matrix."""
+        return cls._count(*_checked(pred, truth))
+
+    @classmethod
+    def _count(cls, p: np.ndarray, t: np.ndarray) -> "MicroCounts":
+        tp = int(np.count_nonzero(p & t))
+        predicted, actual = int(np.count_nonzero(p)), int(np.count_nonzero(t))
+        return cls(tp=tp, fp=predicted - tp, fn=actual - tp, tn=t.size - predicted - actual + tp)
+
+    @property
+    def precision(self) -> float:
+        return self.tp / (self.tp + self.fp) if self.tp + self.fp else 0.0
+
+    @property
+    def recall(self) -> float:
+        return self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
+
+    @property
+    def f1(self) -> float:
+        precision, recall = self.precision, self.recall
+        return 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+    @property
+    def mcc(self) -> float:
+        """Matthews correlation; 0 when any factor is 0."""
+        tp, fp, fn, tn = self.tp, self.fp, self.fn, self.tn
+        denom = float(tp + fp) * float(tp + fn) * float(tn + fp) * float(tn + fn)
+        if denom == 0.0:
+            return 0.0
+        return (float(tp) * tn - float(fp) * fn) / math.sqrt(denom)
+
+    @property
+    def hamming_loss(self) -> float:
+        """Fraction of disagreeing cells."""
+        cells = self.tp + self.fp + self.fn + self.tn
+        return (self.fp + self.fn) / cells if cells else 0.0
 
 
 @dataclass(frozen=True)
@@ -51,75 +103,25 @@ class EvalReport:
         return cls(**{k: obj[k] for k in cls.__dataclass_fields__})
 
 
-def _as_binary(m) -> np.ndarray:
-    arr = np.asarray(m)
-    if arr.ndim != 2:
-        raise ValidationError(f"expected a 2-D matrix, got shape {arr.shape}")
-    return arr.astype(bool)
-
-
-def _check_shapes(pred, truth) -> tuple[np.ndarray, np.ndarray]:
-    p = _as_binary(pred)
-    t = _as_binary(truth)
-    if p.shape != t.shape:
-        raise ValidationError(f"shape mismatch: pred {p.shape} vs truth {t.shape}")
-    return p, t
+def _subset_accuracy(p: np.ndarray, t: np.ndarray) -> float:
+    return float(np.mean(np.all(p == t, axis=1)))
 
 
 def subset_accuracy(pred, truth) -> float:
     """Fraction of rows predicted exactly right."""
-    p, t = _check_shapes(pred, truth)
-    return float(np.mean(np.all(p == t, axis=1)))
+    return _subset_accuracy(*_checked(pred, truth))
 
 
-def hamming_loss(pred, truth) -> float:
-    """Fraction of disagreeing cells."""
-    p, t = _check_shapes(pred, truth)
-    return float(np.mean(p != t))
-
-
-def jaccard(pred, truth) -> float:
-    """Row-mean of |intersection| / |union|; a both-empty row counts 1."""
-    p, t = _check_shapes(pred, truth)
+def _jaccard(p: np.ndarray, t: np.ndarray) -> float:
     inter = np.sum(p & t, axis=1).astype(np.float64)
     union = np.sum(p | t, axis=1).astype(np.float64)
     per_row = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
     return float(np.mean(per_row))
 
 
-def micro_counts(pred, truth) -> MicroCounts:
-    p, t = _check_shapes(pred, truth)
-    tp = int(np.sum(p & t))
-    fp = int(np.sum(p & ~t))
-    fn = int(np.sum(~p & t))
-    tn = int(np.sum(~p & ~t))
-    return MicroCounts(tp=tp, fp=fp, fn=fn, tn=tn)
-
-
-def prf_from_counts(counts: MicroCounts) -> tuple[float, float, float]:
-    """(precision, recall, f1) from pooled counts, 0 on empty denominators."""
-    precision = counts.tp / (counts.tp + counts.fp) if counts.tp + counts.fp else 0.0
-    recall = counts.tp / (counts.tp + counts.fn) if counts.tp + counts.fn else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
-
-
-def micro_prf(pred, truth) -> tuple[float, float, float, MicroCounts]:
-    """Micro-averaged precision, recall and F1 with the underlying counts."""
-    counts = micro_counts(pred, truth)
-    precision, recall, f1 = prf_from_counts(counts)
-    return precision, recall, f1, counts
-
-
-def mcc(pred, truth) -> float:
-    """Matthews correlation over flattened cells; 0 when any factor is 0."""
-    c = micro_counts(pred, truth)
-    denom = (
-        float(c.tp + c.fp) * float(c.tp + c.fn) * float(c.tn + c.fp) * float(c.tn + c.fn)
-    )
-    if denom == 0.0:
-        return 0.0
-    return (float(c.tp) * c.tn - float(c.fp) * c.fn) / math.sqrt(denom)
+def jaccard(pred, truth) -> float:
+    """Row-mean of |intersection| / |union|; a both-empty row counts 1."""
+    return _jaccard(*_checked(pred, truth))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -130,6 +132,16 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ((2 * ends - counts + 1) / 2.0)[block]
 
 
+def _auc(s: np.ndarray, t: np.ndarray) -> float | None:
+    flat_t = t.ravel()
+    n_pos = int(flat_t.sum())
+    n_neg = flat_t.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    rank_sum = float(_average_ranks(s.ravel())[flat_t].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def auc(scores, truth) -> float:
     """Micro AUC: the Mann-Whitney statistic over flattened cells.
 
@@ -137,32 +149,26 @@ def auc(scores, truth) -> float:
     ties counted 0.5. Raises :class:`DegenerateAucError` when either class is
     absent.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    t = _as_binary(truth)
-    if s.shape != t.shape:
-        raise ValidationError(f"shape mismatch: scores {s.shape} vs truth {t.shape}")
-    flat_s = s.ravel()
-    flat_t = t.ravel()
-    n_pos = int(flat_t.sum())
-    n_neg = flat_t.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    value = _auc(*_checked(scores, truth, np.float64))
+    if value is None:
         raise DegenerateAucError("AUC needs both positive and negative cells")
-    ranks = _average_ranks(flat_s)
-    rank_sum = float(ranks[flat_t].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return value
+
+
+def _decide(s: np.ndarray, threshold: float) -> np.ndarray:
+    pred = s > threshold
+    empty_rows = ~pred.any(axis=1)
+    if empty_rows.any():
+        pred[empty_rows, np.argmax(s[empty_rows], axis=1)] = True
+    return pred
 
 
 def threshold_scores(scores, threshold: float) -> np.ndarray:
     """Binarize scores row-wise; an all-below row falls back to its argmax."""
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2:
-        raise ValidationError(f"expected a 2-D score matrix, got shape {s.shape}")
-    pred = s > threshold
-    empty_rows = ~pred.any(axis=1)
-    if empty_rows.any():
-        argmax = np.argmax(s, axis=1)
-        pred[empty_rows, argmax[empty_rows]] = True
-    return pred
+    if s.ndim != 2 or s.shape[1] == 0:
+        raise ValidationError(f"expected a 2-D score matrix with columns, got shape {s.shape}")
+    return _decide(s, threshold)
 
 
 def evaluate(scores, threshold: float, truth) -> EvalReport:
@@ -171,25 +177,18 @@ def evaluate(scores, threshold: float, truth) -> EvalReport:
     ``auc`` is ``None`` when the truth cells are all positive or all
     negative, where AUC is undefined; the other metrics are still reported.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    t = _as_binary(truth)
-    if s.shape != t.shape:
-        raise ValidationError(f"shape mismatch: scores {s.shape} vs truth {t.shape}")
-    pred = threshold_scores(s, threshold)
-    precision, recall, f1, _ = micro_prf(pred, t)
-    try:
-        auc_value = auc(s, t)
-    except DegenerateAucError:
-        auc_value = None
+    s, t = _checked(scores, truth, np.float64)
+    pred = _decide(s, threshold)
+    counts = MicroCounts._count(pred, t)
     return EvalReport(
-        subset_accuracy=subset_accuracy(pred, t),
-        hamming_loss=hamming_loss(pred, t),
-        jaccard=jaccard(pred, t),
-        f1=f1,
-        precision=precision,
-        recall=recall,
-        mcc=mcc(pred, t),
-        auc=auc_value,
+        subset_accuracy=_subset_accuracy(pred, t),
+        hamming_loss=counts.hamming_loss,
+        jaccard=_jaccard(pred, t),
+        f1=counts.f1,
+        precision=counts.precision,
+        recall=counts.recall,
+        mcc=counts.mcc,
+        auc=_auc(s, t),
         sample_count=int(t.shape[0]),
         label_count=int(t.shape[1]),
     )

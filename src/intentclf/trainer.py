@@ -14,7 +14,7 @@ import json
 import math
 import os
 import secrets
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +128,12 @@ class TrainConfig(JsonConfig):
             raise ValidationError("head dims must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        # record the mining each loss trains on: the oc hinge keeps the hard
+        # pairs of the standard convention, and cs uses every pair
+        if self.loss_kind == "oc":
+            object.__setattr__(self, "mining", replace(self.mining, mode="standard", p=0.0))
+        elif self.loss_kind == "cs":
+            object.__setattr__(self, "mining", replace(self.mining, p=100.0))
         if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
             raise ValidationError("grad_clip_norm must be > 0 or None")
 
@@ -223,17 +229,10 @@ def _sgd_step(
 # pair-loss dispatch
 
 
-def _mining_for_loss(config: TrainConfig) -> MiningConfig:
-    if config.loss_kind == "oc":
-        # hinge baseline trains on hard pairs only, standard convention
-        return MiningConfig(p=0.0, mode="standard", positive_rule=config.mining.positive_rule)
-    return config.mining
-
-
 def _pair_loss(sims: np.ndarray, positive: np.ndarray, config: TrainConfig) -> tuple[float, np.ndarray]:
     if config.loss_kind == "cs":
         return cs_loss(sims, positive)
-    mined = mine(sims, positive, _mining_for_loss(config))
+    mined = mine(sims, positive, config.mining)
     if config.loss_kind == "oc":
         return oc_loss(sims, mined, config.ofc.margin)
     return ofc_loss(sims, mined, config.ofc)

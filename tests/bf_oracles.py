@@ -274,6 +274,18 @@ def toy_embed_loop(text: str, dim: int, seed: int) -> np.ndarray:
 # metrics
 
 
+def threshold_bf(scores, threshold: float) -> list[list[bool]]:
+    """Cells above ``threshold``; a row with none takes its first maximum."""
+    pred = []
+    for row in scores:
+        hits = [float(v) > threshold for v in row]
+        if not any(hits):
+            best = max(range(len(row)), key=lambda c: (float(row[c]), -c))
+            hits[best] = True
+        pred.append(hits)
+    return pred
+
+
 def subset_accuracy_bf(pred, truth) -> float:
     rows = len(pred)
     hits = 0

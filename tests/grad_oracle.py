@@ -81,7 +81,7 @@ def _used_pairs(x, labels, head: ProjectionHead, config: TrainConfig) -> tuple[n
     sims = batch_similarity_table(z, pair_set)
     used = np.full(sims.size, config.loss_kind == "cs")
     if config.loss_kind != "cs":
-        mined = mine(sims, pair_set.positive, trainer._mining_for_loss(config))
+        mined = mine(sims, pair_set.positive, config.mining)
         used[mined.pos_final] = used[mined.neg_final] = True
     return sims, pair_set.positive, used
 

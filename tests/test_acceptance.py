@@ -32,12 +32,8 @@ from intentclf.metrics import (
     MicroCounts,
     auc,
     evaluate,
-    hamming_loss,
     jaccard,
     load_report,
-    mcc,
-    micro_prf,
-    prf_from_counts,
     subset_accuracy,
     threshold_scores,
 )
@@ -155,10 +151,10 @@ def test_criterion_metric_self_consistency():
         tp = 8683 * 8530
         fp = (10000 - 8683) * 8530
         fn = 8683 * (10000 - 8530)
-        precision, recall, f1 = prf_from_counts(MicroCounts(tp=tp, fp=fp, fn=fn, tn=0))
-        assert precision == pytest.approx(0.8683, abs=1e-12)
-        assert recall == pytest.approx(0.8530, abs=1e-12)
-        assert abs(f1 - 0.8606) <= 0.0005
+        counts = MicroCounts(tp=tp, fp=fp, fn=fn, tn=0)
+        assert counts.precision == pytest.approx(0.8683, abs=1e-12)
+        assert counts.recall == pytest.approx(0.8530, abs=1e-12)
+        assert abs(counts.f1 - 0.8606) <= 0.0005
         assert time.monotonic() - started < 1.0
 
 
@@ -209,15 +205,15 @@ def test_criterion_metrics_oracle():
             pred = rng.random((rows, cols)) < rng.uniform(0.2, 0.8)
             scores = np.round(rng.random((rows, cols)), 2)
             assert abs(subset_accuracy(pred, truth) - subset_accuracy_bf(pred, truth)) <= 1e-12
-            assert abs(hamming_loss(pred, truth) - hamming_bf(pred, truth)) <= 1e-12
+            counts = MicroCounts.of(pred, truth)
+            assert abs(counts.hamming_loss - hamming_bf(pred, truth)) <= 1e-12
             assert abs(jaccard(pred, truth) - jaccard_bf(pred, truth)) <= 1e-12
-            precision, recall, f1, counts = micro_prf(pred, truth)
             assert (counts.tp, counts.fp, counts.fn, counts.tn) == counts_bf(pred, truth)
             bf_p, bf_r, bf_f1 = prf_bf(pred, truth)
-            assert abs(precision - bf_p) <= 1e-12
-            assert abs(recall - bf_r) <= 1e-12
-            assert abs(f1 - bf_f1) <= 1e-12
-            assert abs(mcc(pred, truth) - mcc_bf(pred, truth)) <= 1e-12
+            assert abs(counts.precision - bf_p) <= 1e-12
+            assert abs(counts.recall - bf_r) <= 1e-12
+            assert abs(counts.f1 - bf_f1) <= 1e-12
+            assert abs(counts.mcc - mcc_bf(pred, truth)) <= 1e-12
             flat = truth.ravel()
             if flat.any() and not flat.all():
                 assert abs(auc(scores, truth) - auc_bf(scores, truth)) <= 1e-12

@@ -879,6 +879,20 @@ class TestConfigFile:
         assert snapshot["train"]["d_proj"] == 32
         assert snapshot["provider"]["timeout"] == 5.0
 
+    def test_artifact_records_the_mining_oc_trains_on(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"epochs_pretrain": 1, "epochs_finetune": 1, "loss_kind": "oc"}}))
+        models = []
+        for flags in ([], ["--mining-mode", "literal", "--mining-p", "50"]):
+            out = tmp_path / f"m{len(models)}.json"
+            assert main(self._train_argv(
+                workspace, out, cfg, *flags, "--provider", "toy", "--dim", "64", "--embed-seed", "3",
+            )) == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+        mining = json.loads(models[1])["config"]["train"]["mining"]
+        assert mining == {"p": 0.0, "mode": "standard", "positive_rule": "exact"}
+
     def test_snapshot_config_reproduces_model(self, workspace, tmp_path):
         snapshot = json.loads(workspace["model"].read_text())["config"]
         out = tmp_path / "again.json"

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from intentclf import DegenerateAucError, ValidationError, evaluate
-from intentclf.metrics import (
-    MicroCounts,
-    auc,
-    hamming_loss,
-    jaccard,
-    mcc,
-    micro_prf,
-    prf_from_counts,
-    subset_accuracy,
-)
+from intentclf.metrics import MicroCounts, auc, jaccard, subset_accuracy
 from intentclf.metrics import load_report, save_report, threshold_scores
 from bf_oracles import (
     auc_bf,
@@ -23,6 +14,7 @@ from bf_oracles import (
     mcc_bf,
     prf_bf,
     subset_accuracy_bf,
+    threshold_bf,
 )
 
 
@@ -56,17 +48,17 @@ class TestSubsetAccuracy:
 
 class TestHammingLoss:
     def test_half_wrong_row(self):
-        assert hamming_loss(np.array([[1, 1, 0, 0]]), np.array([[1, 0, 1, 0]])) == 0.5
+        assert MicroCounts.of(np.array([[1, 1, 0, 0]]), np.array([[1, 0, 1, 0]])).hamming_loss == 0.5
 
     def test_agreement(self):
         m = np.array([[1, 0, 1]])
-        assert hamming_loss(m, m) == 0.0
+        assert MicroCounts.of(m, m).hamming_loss == 0.0
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(0)
         pred = rng.random((64, 8)) < 0.5
         truth = rng.random((64, 8)) < 0.5
-        assert hamming_loss(pred, truth) == pytest.approx(
+        assert MicroCounts.of(pred, truth).hamming_loss == pytest.approx(
             hamming_bf(pred, truth), abs=1e-15
         )
 
@@ -93,44 +85,44 @@ class TestMicroPrf:
         tp = 8683 * 8530
         fp = (10000 - 8683) * 8530
         fn = 8683 * (10000 - 8530)
-        precision, recall, f1 = prf_from_counts(MicroCounts(tp=tp, fp=fp, fn=fn, tn=0))
-        assert precision == pytest.approx(0.8683, abs=1e-12)
-        assert recall == pytest.approx(0.8530, abs=1e-12)
-        assert abs(f1 - 0.8606) < 0.0005
+        counts = MicroCounts(tp=tp, fp=fp, fn=fn, tn=0)
+        assert counts.precision == pytest.approx(0.8683, abs=1e-12)
+        assert counts.recall == pytest.approx(0.8530, abs=1e-12)
+        assert abs(counts.f1 - 0.8606) < 0.0005
 
     def test_perfect_prediction(self):
         truth = np.array([[1, 0], [0, 1]])
-        precision, recall, f1, counts = micro_prf(truth, truth)
-        assert (precision, recall, f1) == (1.0, 1.0, 1.0)
+        counts = MicroCounts.of(truth, truth)
+        assert (counts.precision, counts.recall, counts.f1) == (1.0, 1.0, 1.0)
         assert counts.tp == 2 and counts.fp == 0 and counts.fn == 0 and counts.tn == 2
 
     def test_balanced_errors(self):
         # tp=1, fp=1, fn=1 over a 1x4 row with a tn filler
         pred = np.array([[1, 1, 0, 0]])
         truth = np.array([[1, 0, 1, 0]])
-        precision, recall, f1, _ = micro_prf(pred, truth)
-        assert (precision, recall, f1) == (0.5, 0.5, 0.5)
+        counts = MicroCounts.of(pred, truth)
+        assert (counts.precision, counts.recall, counts.f1) == (0.5, 0.5, 0.5)
 
     def test_zero_denominator_conventions(self):
         pred = np.zeros((2, 2))
         truth = np.zeros((2, 2))
-        precision, recall, f1, _ = micro_prf(pred, truth)
-        assert (precision, recall, f1) == (0.0, 0.0, 0.0)
+        counts = MicroCounts.of(pred, truth)
+        assert (counts.precision, counts.recall, counts.f1) == (0.0, 0.0, 0.0)
 
 
 class TestMcc:
     def test_perfect(self):
         truth = np.array([[1, 0], [0, 1]])
-        assert mcc(truth, truth) == pytest.approx(1.0, abs=1e-12)
+        assert MicroCounts.of(truth, truth).mcc == pytest.approx(1.0, abs=1e-12)
 
     def test_complement(self):
         truth = np.array([[1, 0], [0, 1]])
-        assert mcc(1 - truth, truth) == pytest.approx(-1.0, abs=1e-12)
+        assert MicroCounts.of(1 - truth, truth).mcc == pytest.approx(-1.0, abs=1e-12)
 
     def test_uncorrelated_hand_case(self):
         truth = np.array([[1, 1, 0, 0]])
         pred = np.array([[1, 0, 1, 0]])
-        assert mcc(pred, truth) == 0.0
+        assert MicroCounts.of(pred, truth).mcc == 0.0
 
 
 class TestAuc:
@@ -171,18 +163,18 @@ class TestBruteforceParity:
             assert subset_accuracy(pred, truth) == pytest.approx(
                 subset_accuracy_bf(pred, truth), abs=1e-12
             )
-            assert hamming_loss(pred, truth) == pytest.approx(
+            counts = MicroCounts.of(pred, truth)
+            assert counts.hamming_loss == pytest.approx(
                 hamming_bf(pred, truth), abs=1e-12
             )
             assert jaccard(pred, truth) == pytest.approx(
                 jaccard_bf(pred, truth), abs=1e-12
             )
-            precision, recall, f1, counts = micro_prf(pred, truth)
             assert (counts.tp, counts.fp, counts.fn, counts.tn) == counts_bf(pred, truth)
-            assert (precision, recall, f1) == pytest.approx(
+            assert (counts.precision, counts.recall, counts.f1) == pytest.approx(
                 prf_bf(pred, truth), abs=1e-12
             )
-            assert mcc(pred, truth) == pytest.approx(mcc_bf(pred, truth), abs=1e-12)
+            assert counts.mcc == pytest.approx(mcc_bf(pred, truth), abs=1e-12)
             flat = truth.ravel()
             if flat.any() and not flat.all():
                 assert auc(scores, truth) == pytest.approx(
@@ -211,26 +203,41 @@ class TestEvaluate:
         report = evaluate(scores, 0.5, truth)
         assert report.auc is None
         pred = threshold_scores(scores, 0.5)
+        counts = MicroCounts.of(pred, truth)
         assert report.subset_accuracy == subset_accuracy(pred, truth)
-        assert report.hamming_loss == hamming_loss(pred, truth)
-        assert report.mcc == mcc(pred, truth)
+        assert report.hamming_loss == counts.hamming_loss
+        assert report.mcc == counts.mcc
         save_report(report, tmp_path / "r.json")
         assert '"auc": null' in (tmp_path / "r.json").read_text()
         assert load_report(tmp_path / "r.json") == report
 
     def test_fields_match_standalone_ops(self):
+        # the standalone ops are bf_oracles' loops, thresholding included
         rng = np.random.default_rng(123)
-        scores = rng.random((64, 8))
-        truth = rng.random((64, 8)) < 0.4
-        report = evaluate(scores, 0.5, truth)
-        pred = threshold_scores(scores, 0.5)
-        precision, recall, f1, _ = micro_prf(pred, truth)
-        assert report.subset_accuracy == subset_accuracy(pred, truth)
-        assert report.hamming_loss == hamming_loss(pred, truth)
-        assert report.jaccard == jaccard(pred, truth)
-        assert (report.precision, report.recall, report.f1) == (precision, recall, f1)
-        assert report.mcc == mcc(pred, truth)
-        assert report.auc == auc(scores, truth)
+        seen = {"1x1": 0, "fallback-row": 0, "auc-none": 0, "auc": 0}
+        for case in range(240):
+            rows, cols = (1, 1) if case % 12 == 0 else (int(rng.integers(1, 33)), int(rng.integers(1, 9)))
+            scores = np.round(rng.random((rows, cols)), 2)  # rounding forces ties
+            density = (0.0, 1.0)[case % 2] if case % 7 == 3 else rng.uniform(0.2, 0.8)
+            truth = rng.random((rows, cols)) < density
+            threshold = float(rng.choice([0.3, 0.5, 0.9]))
+            report = evaluate(scores, threshold, truth)
+            pred = threshold_bf(scores, threshold)
+            assert (report.sample_count, report.label_count) == (rows, cols), case
+            assert report.subset_accuracy == pytest.approx(subset_accuracy_bf(pred, truth), abs=1e-12), case
+            assert report.hamming_loss == pytest.approx(hamming_bf(pred, truth), abs=1e-12), case
+            assert report.jaccard == pytest.approx(jaccard_bf(pred, truth), abs=1e-12), case
+            assert (report.precision, report.recall, report.f1) == pytest.approx(prf_bf(pred, truth), abs=1e-12)
+            assert report.mcc == pytest.approx(mcc_bf(pred, truth), abs=1e-12), case
+            if truth.any() and not truth.all():
+                assert report.auc == pytest.approx(auc_bf(scores, truth), abs=1e-12), case
+                seen["auc"] += 1
+            else:
+                assert report.auc is None, case
+                seen["auc-none"] += 1
+            seen["1x1"] += (rows, cols) == (1, 1)
+            seen["fallback-row"] += not (scores > threshold).any(axis=1).all()
+        assert all(count > 0 for count in seen.values()), seen
 
     def test_f1_harmonic_identity(self):
         rng = np.random.default_rng(5)
@@ -282,3 +289,13 @@ class TestEvaluate:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             evaluate(np.zeros((2, 3)), 0.5, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["no-rows", "no-columns"])
+    def test_empty_matrix_refused(self, shape):
+        # a NaN report would not be JSON, and argmax has nothing to pick
+        for metric in (lambda s, t: evaluate(s, 0.5, t), MicroCounts.of, subset_accuracy, jaccard, auc):
+            with pytest.raises(ValidationError, match="non-empty 2-D"):
+                metric(np.zeros(shape), np.zeros(shape))
+        if shape[1] == 0:  # a row with no label has no argmax to fall back to
+            with pytest.raises(ValidationError, match="with columns"):
+                threshold_scores(np.zeros(shape), 0.5)

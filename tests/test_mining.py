@@ -7,7 +7,7 @@ import pytest
 
 from intentclf import MiningConfig, TrainConfig, ValidationError
 from intentclf.mining import batch_similarity_table, build_pairs, mine
-from intentclf.trainer import _mining_for_loss, _pair_loss
+from intentclf.trainer import _pair_loss
 from bf_oracles import entries, mine_bruteforce, multi_hot, pair_sims, random_similarity_batch
 
 
@@ -228,7 +228,7 @@ class TestPipelineContracts:
                 assert grad.shape == sims.shape, (case, loss_kind)
                 if loss_kind == "cs":
                     continue
-                mined = mine(sims, ps.positive, _mining_for_loss(config))
+                mined = mine(sims, ps.positive, config.mining)
                 c = mined.counts
                 for kept in (mined.pos_final, mined.neg_final):
                     assert kept.ndim == 1 and kept.dtype.kind == "i", (case, loss_kind)

@@ -16,7 +16,7 @@ import numpy as np
 
 from intentclf import MiningConfig, TrainConfig
 from intentclf.mining import batch_similarity_table, build_pairs, mine
-from intentclf.trainer import _mining_for_loss, _pair_loss, _sim_grads_to_z
+from intentclf.trainer import _pair_loss, _sim_grads_to_z
 from bf_oracles import build_pairs_loop, multi_hot, sim_grads_to_z_loop
 
 _POOL = ["a", "b", "c", "d"]
@@ -90,7 +90,7 @@ def test_array_path_matches_loops():
             )
             _, grad = _pair_loss(sims, pair_set.positive, config)
             if loss_kind != "cs":
-                mined = mine(sims, pair_set.positive, _mining_for_loss(config))
+                mined = mine(sims, pair_set.positive, config.mining)
                 seen["kept-nothing"] += mined.pos_final.size + mined.neg_final.size == 0
 
             _assert_scatter_matches_loop(grad, pair_set, loop_pairs, z, (case, loss_kind))

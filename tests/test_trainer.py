@@ -188,6 +188,17 @@ class TestPretrain:
             _, history = pretrain(*separable_samples, _fast_config(loss_kind=kind, epochs_pretrain=3))
             assert len(history) == 3
 
+    @pytest.mark.parametrize("kind, p, mode", [("ofc", 50.0, "literal"), ("oc", 0.0, "standard"), ("cs", 100.0, "literal")])
+    def test_config_records_the_mining_the_loss_trains_on(self, separable_samples, kind, p, mode):
+        flagged = _fast_config(loss_kind=kind, epochs_pretrain=2, mining=MiningConfig(p=50.0, positive_rule="overlap"))
+        assert flagged.mining == MiningConfig(p=p, mode=mode, positive_rule="overlap")
+        if kind == "ofc":
+            return
+        # oc and cs fix their mining, so the flags move no weight
+        plain = _fast_config(loss_kind=kind, epochs_pretrain=2, mining=MiningConfig(positive_rule="overlap"))
+        heads = [pretrain(*separable_samples, config)[0] for config in (flagged, plain)]
+        assert all(np.array_equal(a, b) for a, b in zip(heads[0].params(), heads[1].params()))
+
     def test_trailing_single_row_batch_is_left_out(self, monkeypatch, separable_samples):
         x, y = (a[::4] for a in separable_samples)  # 9 rows across all three labels
         sizes = []
