@@ -10,7 +10,8 @@ Three provider kinds exist:
   as one n x d ``.npy`` matrix, numpy's own binary format.
 
 Every provider normalizes at the boundary, so cosine similarity downstream is
-a plain dot product.
+a plain dot product. Text providers return float64 rows; embeddings files
+are written and read as float32, the pipeline's compute dtype.
 """
 
 from __future__ import annotations
@@ -75,28 +76,39 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x[:, None, :] @ x[:, :, None]).reshape(len(x), 1)
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Scale each row of the float64 matrix ``x`` to unit length, in place.
+# Rows normalised per float64 temporary, which bounds its size.
+_NORM_BLOCK = 256
 
-    Row ``i`` becomes exactly ``row / np.linalg.norm(row)``. A row whose peak
-    lies outside (1e-150, 1e150) is first divided by its peak, since its sum
-    of squares would overflow to inf or underflow towards 0. Raises
-    :class:`ValidationError` for the first row with a non-finite entry and
-    :class:`DegenerateEmbeddingError` for the first zero row, each naming
-    the row.
+
+def _normalize_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Write each row of the real matrix ``x`` at unit length into ``out``, and return ``out``.
+
+    ``out`` defaults to ``x``, which must then be floating; it may be ``x``
+    or a matrix of ``x``'s shape in any float dtype. Rows are scaled in
+    float64, a block at a time, so row ``i`` becomes exactly ``row /
+    np.linalg.norm(row)`` in float64, rounded once to ``out``'s dtype. A row
+    whose peak lies outside (1e-150, 1e150) is first divided by its peak,
+    since its sum of squares would overflow to inf or underflow towards 0.
+    Raises :class:`ValidationError` for the first row with a non-finite entry
+    and :class:`DegenerateEmbeddingError` for the first zero row, each naming
+    the row by its place in ``x``.
     """
-    peak = np.maximum(x.max(axis=1), -x.min(axis=1))  # NaN when a row holds one
-    usable = (peak > 0.0) & (peak < np.inf)
-    if not usable.all():
-        row = int(np.argmin(usable))
-        if math.isfinite(peak[row]):
-            raise DegenerateEmbeddingError(f"row {row} is a zero vector")
-        raise ValidationError(f"row {row} has non-finite entries")
-    extreme = (peak <= 1e-150) | (peak >= 1e150)
-    if extreme.any():
-        x[extreme] /= peak[extreme, None]
-    x /= _row_norms(x)
-    return x
+    out = x if out is None else out
+    for start in range(0, len(x), _NORM_BLOCK):
+        block = x[start : start + _NORM_BLOCK].astype(np.float64)
+        peak = np.maximum(block.max(axis=1), -block.min(axis=1))  # NaN when a row holds one
+        usable = (peak > 0.0) & (peak < np.inf)
+        if not usable.all():
+            row = int(np.argmin(usable))
+            if math.isfinite(peak[row]):
+                raise DegenerateEmbeddingError(f"row {start + row} is a zero vector")
+            raise ValidationError(f"row {start + row} has non-finite entries")
+        extreme = (peak <= 1e-150) | (peak >= 1e150)
+        if extreme.any():
+            block[extreme] /= peak[extreme, None]
+        block /= _row_norms(block)
+        out[start : start + _NORM_BLOCK] = block
+    return out
 
 
 def _hash_trigram(trigram: str, seed: int) -> tuple[int, float]:
@@ -274,9 +286,21 @@ def check_provider_width(config: ProviderConfig | None, width: int, error: type 
         raise error(f"provider dim {config.dim} does not match embedding width {width}")
 
 
+# How far a stored entry may sit from the float64 toy row it was written from.
+# Rounding to float32 on save moves a unit row's entry by at most eps/4 and
+# its norm by at most eps/2, so renormalising on load and rounding again
+# leave each entry within eps of it. Another seed's rows differ by about
+# 1/sqrt(dim).
+_TOY_MATCH = 2 * float(np.finfo(np.float32).eps)
+
+
 def check_toy_reproduces(config: ProviderConfig, texts: Sequence[str], rows: np.ndarray, path: str) -> None:
-    """Raise :class:`ValidationError` unless a toy ``config`` embeds ``texts`` as ``rows`` of ``path``, to 1e-9."""
-    if config.kind == "toy" and (np.abs(_toy_embed(texts, config.dim, config.seed) - rows) > 1e-9).any():
+    """Raise :class:`ValidationError` unless a toy ``config`` embeds ``texts`` as ``rows`` of ``path``.
+
+    A row matches when each entry is within :data:`_TOY_MATCH` of the toy
+    embedding, which a float32 file of the same rows is.
+    """
+    if config.kind == "toy" and (np.abs(_toy_embed(texts, config.dim, config.seed) - rows) > _TOY_MATCH).any():
         raise ValidationError(f"toy seed {config.seed} does not reproduce {path}; pass the provider settings embed used")
 
 
@@ -308,8 +332,16 @@ _NPY_HEADER_READERS = {
 
 
 def save_embeddings(vectors: Sequence[np.ndarray] | np.ndarray, path: str | Path) -> None:
-    """Write ``vectors`` to exactly ``path`` as one n x d float64 ``.npy`` matrix."""
-    matrix = np.asarray(vectors, dtype=np.float64)
+    """Write ``vectors`` to exactly ``path`` as one n x d little-endian float32 (``<f4``) ``.npy`` matrix.
+
+    An entry beyond float32's range is a :class:`ValidationError`; unit rows,
+    which every provider emits, always fit.
+    """
+    try:
+        with np.errstate(over="raise"):
+            matrix = np.asarray(vectors, dtype="<f4")
+    except FloatingPointError:
+        raise ValidationError("embeddings hold an entry beyond float32 range") from None
     if matrix.ndim != 2:
         raise ValidationError(f"embeddings must be an n x d matrix, got shape {matrix.shape}")
     # through an open file: np.save would add ".npy" to a path that lacks it
@@ -318,13 +350,15 @@ def save_embeddings(vectors: Sequence[np.ndarray] | np.ndarray, path: str | Path
 
 
 def load_embeddings(path: str | Path, dataset: Dataset) -> np.ndarray:
-    """Read a ``.npy`` matrix aligned row-for-row with ``dataset``, rows normalized.
+    """Read a ``.npy`` matrix aligned row-for-row with ``dataset`` as C-order float32 unit rows.
 
     The file must hold a 2-D float or integer array whose data is exactly as
     long as its header claims; anything else is a :class:`FileFormatError`
     naming ``path``, raised before the data is read. The row count must match
     the dataset (:class:`ValidationError`), and each row must be finite and
-    non-zero (see :func:`_normalize_rows`).
+    non-zero (see :func:`_normalize_rows`). Rows are normalised in float64 a
+    block at a time, so no whole float64 copy of a float32 file is made; a
+    native float32 file is normalised in the array it was read into.
     """
     with Path(path).open("rb") as fh:
         try:
@@ -355,8 +389,8 @@ def load_embeddings(path: str | Path, dataset: Dataset) -> np.ndarray:
             raise ValidationError(f"embedding file has {rows} rows but dataset has {len(dataset)} samples [{path}]")
         flat = np.fromfile(fh, dtype=dtype, count=rows * cols)
     x = flat.reshape(shape, order="F" if fortran_order else "C")
-    x = x.astype(np.float64, order="C", copy=False)
+    out = x if x.dtype == np.float32 and x.flags.c_contiguous else np.empty(shape, dtype=np.float32)
     try:
-        return _normalize_rows(x)
+        return _normalize_rows(x, out)
     except (DegenerateEmbeddingError, ValidationError) as exc:
         raise type(exc)(f"{exc} [{path}]") from None

@@ -5,6 +5,12 @@ with a contrastive objective on mined pairs. Stage two fine-tunes projection
 and classifier jointly under per-label binary cross-entropy from logits. One
 loop runs both stages' steps: plain SGD with momentum, single-threaded and
 bit-reproducible from (dataset, config, seed).
+
+Training and scoring compute in the dtype of their input: float32
+embeddings, as an embeddings file holds, give float32 heads, and float64
+embeddings give float64 heads. The heads are drawn from the same float64
+random streams either way and then rounded. Scoring runs in the heads'
+dtype.
 """
 
 from __future__ import annotations
@@ -41,9 +47,15 @@ ARTIFACT_FORMAT_VERSION = 2  # what save_artifact writes; load_artifact also rea
 _LOSS_KINDS = ("ofc", "oc", "cs")
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype, copy=False)
+
+
+def _float_array(a) -> np.ndarray:
+    """``a`` as an array of a compute dtype: float32 stays float32, anything else becomes float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
 
 
 @dataclass
@@ -56,12 +68,14 @@ class ProjectionHead:
     b2: np.ndarray
 
     @classmethod
-    def init(cls, d_in: int, d_hidden: int, d_proj: int, rng: np.random.Generator) -> "ProjectionHead":
+    def init(
+        cls, d_in: int, d_hidden: int, d_proj: int, rng: np.random.Generator, dtype=np.float64
+    ) -> "ProjectionHead":
         return cls(
-            w1=_glorot(rng, d_in, d_hidden),
-            b1=np.zeros(d_hidden),
-            w2=_glorot(rng, d_hidden, d_proj),
-            b2=np.zeros(d_proj),
+            w1=_glorot(rng, d_in, d_hidden, dtype),
+            b1=np.zeros(d_hidden, dtype=dtype),
+            w2=_glorot(rng, d_hidden, d_proj, dtype),
+            b2=np.zeros(d_proj, dtype=dtype),
         )
 
     @property
@@ -72,8 +86,9 @@ class ProjectionHead:
     def d_proj(self) -> int:
         return self.w2.shape[1]
 
-    def copy(self) -> "ProjectionHead":
-        return ProjectionHead(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
+    def astype(self, dtype) -> "ProjectionHead":
+        """A copy of the head with every array in ``dtype``."""
+        return ProjectionHead(*(p.astype(dtype) for p in self.params()))
 
     def params(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -87,8 +102,8 @@ class ClassifierHead:
     b: np.ndarray
 
     @classmethod
-    def init(cls, d_proj: int, n_labels: int, rng: np.random.Generator) -> "ClassifierHead":
-        return cls(w=_glorot(rng, d_proj, n_labels), b=np.zeros(n_labels))
+    def init(cls, d_proj: int, n_labels: int, rng: np.random.Generator, dtype=np.float64) -> "ClassifierHead":
+        return cls(w=_glorot(rng, d_proj, n_labels, dtype), b=np.zeros(n_labels, dtype=dtype))
 
     def params(self) -> list[np.ndarray]:
         return [self.w, self.b]
@@ -195,9 +210,10 @@ def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray
     """Mean over all cells of log(1 + e^l) - y l, the BCE of sigmoid(l), plus dL/dl.
 
     No clamp: a cell saturated on the wrong side keeps its gradient (sigmoid(l) - y) / size.
+    The gradient is in the logits' dtype (float32 stays float32, anything else is float64).
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
+    logits = _float_array(logits)
+    y = np.asarray(targets, dtype=logits.dtype)
     if logits.shape != y.shape:
         raise ValidationError(f"shape mismatch: logits {logits.shape} vs targets {y.shape}")
     value = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
@@ -241,14 +257,15 @@ def _pair_loss(sims: np.ndarray, positive: np.ndarray, config: TrainConfig) -> t
 def _sim_grads_to_z(grad: np.ndarray, pair_set: PairSet, z: np.ndarray) -> np.ndarray:
     """dL/dZ = (G + G^T) Z, where G[a, b] is dL/ds of pair (a, b) and G is 0 below the diagonal."""
     n = len(z)
-    g = np.zeros((n, n))
+    g = np.zeros((n, n), dtype=z.dtype)
     g[pair_set.pairs[:, 0], pair_set.pairs[:, 1]] = grad
     return (g + g.T) @ z
 
 
 def _aligned(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` (n x d embeddings) and ``y`` (n x m label rows) as float64 matrices."""
-    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    """``x`` (n x d embeddings) in its compute dtype and ``y`` (n x m label rows) in the same dtype."""
+    x = _float_array(x)
+    y = np.asarray(y, dtype=x.dtype)
     if x.ndim != 2 or y.ndim != 2 or len(x) != len(y):
         raise ValidationError(f"expected n x d embeddings and n x m label rows, got {x.shape} and {y.shape}")
     return x, y
@@ -302,14 +319,14 @@ def pretrain(x: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple[Project
     Each epoch reshuffles with the seeded generator, mines pairs per batch
     and steps SGD on the configured pair loss. Returns the head and the
     per-epoch mean batch loss. A trailing batch of one row has no pairs and
-    is left out of its epoch.
+    is left out of its epoch. The head is in ``x``'s compute dtype.
     """
     x, y = _aligned(x, y)
     if not (y != y[:1]).any():  # also rejects fewer than 2 rows
         raise ValidationError("pretraining needs at least 2 distinct label sets")
     init_rng = np.random.default_rng([config.seed, 101])
     shuffle_rng = np.random.default_rng([config.seed, 102])
-    head = ProjectionHead.init(x.shape[1], config.d_hidden, config.d_proj, init_rng)
+    head = ProjectionHead.init(x.shape[1], config.d_hidden, config.d_proj, init_rng, x.dtype)
     return head, _descend(x, y, [head], lambda xb, yb: _pretrain_step(xb, yb, head, config),
                           config.lr_pretrain, config.epochs_pretrain, config, shuffle_rng, min_rows=2)
 
@@ -336,8 +353,9 @@ def finetune(
     """Joint projection+classifier training under per-label BCE from logits.
 
     ``y`` holds the multi-hot label rows of ``x``, columns in ``vocabulary``
-    order. The given projection is copied, not mutated. Returns the packaged
-    artifact and the per-epoch mean batch loss.
+    order. The given projection is copied into ``x``'s compute dtype, not
+    mutated. Returns the packaged artifact, whose heads are all in that
+    dtype, and the per-epoch mean batch loss.
     """
     x, y = _aligned(x, y)
     if not len(x):
@@ -347,10 +365,10 @@ def finetune(
     if y.shape[1] != len(vocabulary):
         raise ValidationError(f"label rows have {y.shape[1]} columns for {len(vocabulary)} labels")
     check_provider_width(provider, x.shape[1])
-    head = projection.copy()
+    head = projection.astype(x.dtype)
     init_rng = np.random.default_rng([config.seed, 201])
     shuffle_rng = np.random.default_rng([config.seed, 202])
-    classifier = ClassifierHead.init(head.d_proj, len(vocabulary), init_rng)
+    classifier = ClassifierHead.init(head.d_proj, len(vocabulary), init_rng, x.dtype)
     history = _descend(x, y, [head, classifier], lambda xb, yb: _finetune_step(xb, yb, head, classifier),
                        config.lr_finetune, config.epochs_finetune, config, shuffle_rng)
     return ModelArtifact(
@@ -370,7 +388,7 @@ def predict(embedding: np.ndarray, artifact: ModelArtifact) -> tuple[LabelSet, d
     The returned label set is never empty: a router must always route. The
     score map covers the full vocabulary in vocabulary order.
     """
-    x = np.asarray(embedding, dtype=np.float64)
+    x = np.asarray(embedding)
     if x.shape != (artifact.embed_dim,):
         raise ValidationError(
             f"expected embedding of dim {artifact.embed_dim}, got shape {x.shape}"
@@ -383,8 +401,8 @@ def predict(embedding: np.ndarray, artifact: ModelArtifact) -> tuple[LabelSet, d
 
 
 def score_samples(x: np.ndarray, artifact: ModelArtifact) -> np.ndarray:
-    """Per-label probability matrix (n x m) for embeddings ``x`` (n x d)."""
-    x = np.asarray(x, dtype=np.float64)
+    """Per-label probability matrix (n x m) for embeddings ``x`` (n x d), in the heads' dtype."""
+    x = np.asarray(x, dtype=artifact.projection.w1.dtype)
     if x.ndim != 2 or x.shape[1] != artifact.embed_dim:
         raise ValidationError(
             f"expected n x {artifact.embed_dim} embeddings, got shape {x.shape}"
@@ -410,13 +428,16 @@ _HEAD_SHAPES = {
 }
 
 
-_DTYPE = "<f8"  # every format-2 array: little-endian float64
+# a format-2 array's stored dtype, little-endian float32 or float64, and the
+# native dtype it loads as
+_DTYPES = {"<f4": np.dtype(np.float32), "<f8": np.dtype(np.float64)}
 
 
 def _array_json(arr: np.ndarray) -> dict:
-    """Format 2's form of ``arr``: its shape, dtype and base64 little-endian bytes."""
-    data = np.asarray(arr, dtype=_DTYPE).tobytes()
-    return {"shape": list(arr.shape), "dtype": _DTYPE, "data": base64.b64encode(data).decode("ascii")}
+    """Format 2's form of ``arr``: its shape, dtype (``<f4`` if float32, else ``<f8``) and base64 bytes."""
+    dtype = "<f4" if arr.dtype == np.float32 else "<f8"
+    data = np.asarray(arr, dtype=dtype).tobytes()
+    return {"shape": list(arr.shape), "dtype": dtype, "data": base64.b64encode(data).decode("ascii")}
 
 
 def _head_json(head: ProjectionHead | ClassifierHead) -> dict:
@@ -446,10 +467,11 @@ def _replace_file(path: str | Path, text: str) -> None:
 def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
     """Write the artifact as one format-2 JSON object, replacing ``path`` whole.
 
-    Every head array is stored as ``{"shape", "dtype": "<f8", "data"}`` with
+    Every head array is stored as ``{"shape", "dtype", "data"}``, with
+    ``dtype`` ``"<f4"`` for a float32 array and ``"<f8"`` otherwise and
     ``data`` the base64 of its row-major little-endian bytes, so the weights
-    round-trip bit for bit. Whatever version ``artifact`` was loaded from,
-    the file is written as :data:`ARTIFACT_FORMAT_VERSION`.
+    and their dtype round-trip bit for bit. Whatever version ``artifact`` was
+    loaded from, the file is written as :data:`ARTIFACT_FORMAT_VERSION`.
     """
     obj = {
         "format_version": ARTIFACT_FORMAT_VERSION,
@@ -496,14 +518,15 @@ def _array_from_base64(value, key: str, dims: tuple[str, ...], sizes: dict[str, 
     if not isinstance(value, dict):
         raise FileFormatError(f"field {key!r} must be an object with shape, dtype and data")
     shape, dtype, data = value.get("shape"), value.get("dtype"), value.get("data")
-    if dtype != _DTYPE:
-        raise FileFormatError(f"field {key!r} has dtype {dtype!r}, not {_DTYPE!r}")
+    # exactly "<f4" or "<f8" ("float32" and "f4" leave the byte order open); a list is unhashable
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
+        raise FileFormatError(f"field {key!r} has dtype {dtype!r}, not one of {', '.join(map(repr, _DTYPES))}")
     # exactly JSON integers: true compares equal to 1
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise FileFormatError(f"field {key!r} shape must be a list of non-negative integers, got {shape!r}")
     _check_dims(key, shape, dims, sizes)
     # Python integers, so a shape that lies about the data allocates nothing
-    nbytes = 8 * math.prod(shape)
+    nbytes = _DTYPES[dtype].itemsize * math.prod(shape)
     length = 4 * -(-nbytes // 3)
     if not isinstance(data, str) or len(data) != length:
         raise FileFormatError(f"field {key!r} data must be {length} base64 characters for shape {tuple(shape)}")
@@ -514,7 +537,7 @@ def _array_from_base64(value, key: str, dims: tuple[str, ...], sizes: dict[str, 
     if len(raw) != nbytes:
         raise FileFormatError(f"field {key!r} data decodes to {len(raw)} bytes, not {nbytes}")
     # astype copies: the heads get owned, writable, native-order arrays
-    return _finite(np.frombuffer(raw, dtype=_DTYPE).reshape(shape).astype(np.float64), key)
+    return _finite(np.frombuffer(raw, dtype=dtype).reshape(shape).astype(_DTYPES[dtype]), key)
 
 
 # how each artifact format stores one head array
@@ -537,6 +560,9 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         heads: dict[str, dict[str, np.ndarray]] = {}
         for (head, name), dims in _HEAD_SHAPES.items():
             heads.setdefault(head, {})[name] = read_array(obj[head][name], f"{head}.{name}", dims, sizes)
+        dtypes = {str(a.dtype) for head in heads.values() for a in head.values()}
+        if len(dtypes) > 1:
+            raise FileFormatError(f"head arrays mix dtypes {', '.join(sorted(dtypes))}; a model computes in one")
         decision_threshold = coerce(obj["decision_threshold"], float, "decision_threshold")
         if not 0.0 < decision_threshold < 1.0:
             raise FileFormatError(f"decision_threshold must be in (0,1), got {decision_threshold!r}")

@@ -315,16 +315,18 @@ def test_criterion_holdout_prediction_consistency(toy_run):
 def test_criterion_predict_matches_batch_forward(toy_run):
     # predict is the 1-row case of score_samples. numpy multiplies a 1-row
     # operand through gemv and a taller one through gemm, so the two agree to
-    # a few ulps rather than bit for bit; the bound is fixed from float64 eps.
+    # a few ulps rather than bit for bit; the bound is fixed from the eps of
+    # float32, the dtype the pipeline trains and scores in.
     with criterion("one forward: predict == score_samples row, labels == threshold_scores"):
         vocab, x, _ = _holdout(toy_run)
         artifact = load_artifact(toy_run["model"])
         scores = score_samples(x, artifact)
+        assert scores.dtype == np.float32
         pred = threshold_scores(scores, artifact.decision_threshold)
         for row, vector in enumerate(x):
             labels, by_label = predict(vector, artifact)
             assert list(by_label) == list(vocab.labels)
             np.testing.assert_allclose(
-                list(by_label.values()), scores[row], rtol=256 * np.finfo(np.float64).eps, atol=0
+                list(by_label.values()), scores[row], rtol=256 * np.finfo(np.float32).eps, atol=0
             )
             assert labels == frozenset(l for l, hit in zip(vocab.labels, pred[row]) if hit)

@@ -493,6 +493,23 @@ class TestPredict:
         assert [new[key] for key in rest] == [old[key] for key in rest]
 
 
+    def test_float64_model_loads_bit_for_bit_and_scores_in_float64(self, tmp_path, capsys):
+        # a format-2 model whose arrays are "<f8", written while training ran
+        # in float64, with the predict output recorded from that code
+        model = _DATA / "model_f8.json"
+        for record in json.loads((_DATA / "model_f8.predict.json").read_text()):
+            capsys.readouterr()
+            assert main(["predict", "--model", str(model), "--text", record["text"]]) == 0
+            assert capsys.readouterr().out == record["stdout"]
+        artifact = load_artifact(model)
+        arrays = [*artifact.projection.params(), *artifact.classifier.params()]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
+        assert score_samples(np.full((2, artifact.embed_dim), 0.25, dtype=np.float32), artifact).dtype == np.float64
+        resaved = tmp_path / "model.json"
+        save_artifact(artifact, resaved)
+        assert resaved.read_bytes() == model.read_bytes()
+
+
 class TestRemoteReplies:
     """A reply of the wrong shape from the encoder or the LLM endpoint exits
     with a documented code and one error line, never a traceback."""

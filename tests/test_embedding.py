@@ -49,6 +49,15 @@ def _toy_row(text: str, dim: int, seed: int = 0) -> np.ndarray:
     return embed_texts([text], ProviderConfig(kind="toy", dim=dim, seed=seed))[0]
 
 
+def _dataset_of(n: int) -> Dataset:
+    """A one-label dataset of ``n`` rows, for an embeddings file of ``n`` rows."""
+    return Dataset(
+        vocabulary=LabelVocabulary(labels=("a",)),
+        texts=tuple(f"t{i}" for i in range(n)),
+        labels=np.ones((n, 1), dtype=bool),
+    )
+
+
 def _normalized(v) -> np.ndarray:
     """One vector through ``_normalize_rows``, the normaliser of every provider."""
     return embedding._normalize_rows(np.array([v], dtype=np.float64))[0]
@@ -226,23 +235,40 @@ class TestToyEmbedOracle:
             _toy_row("\udcff", 8)
 
 
+def _unit_f32(rows) -> np.ndarray:
+    """Each row of ``rows`` divided by its float64 norm, then rounded to float32."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return np.array([row / np.linalg.norm(row) for row in rows]).astype(np.float32)
+
+
 class TestEmbeddingFile:
     def test_round_trip(self, tmp_path, tiny_dataset):
-        # toy rows and an encoder's dense rows, unnormalized
+        # toy rows and an encoder's dense rows, unnormalized: the file holds
+        # them rounded to float32, and loading normalises what it holds
         rng = np.random.default_rng(5)
         for rows in ([_toy_row(text, 8, 0) * 3.0 for text in tiny_dataset.texts], rng.normal(size=(3, 8))):
             path = tmp_path / "e.npy"
             save_embeddings(rows, path)
+            stored = np.load(path)
+            assert stored.dtype.str == "<f4" and stored.tobytes() == np.asarray(rows, dtype="<f4").tobytes()
             loaded = load_embeddings(path, tiny_dataset)
-            want = np.array([row / np.linalg.norm(row) for row in rows])
-            assert loaded.shape == (3, 8) and loaded.flags.c_contiguous
-            assert loaded.tobytes() == want.tobytes()
+            assert loaded.shape == (3, 8) and loaded.dtype == np.float32 and loaded.flags.c_contiguous
+            assert loaded.tobytes() == _unit_f32(stored).tobytes()
 
     def test_writes_exactly_the_path_given(self, tmp_path, tiny_dataset):
         path = tmp_path / "embeddings.jsonl"
         save_embeddings(np.eye(3), str(path))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["embeddings.jsonl"]
-        assert np.load(path).tobytes() == np.eye(3).tobytes()
+        assert np.load(path).tobytes() == np.eye(3, dtype="<f4").tobytes()
+
+    @pytest.mark.parametrize("big", [1e39, -1e200])
+    def test_save_refuses_an_entry_beyond_float32(self, tmp_path, big):
+        path = tmp_path / "e.npy"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="beyond float32 range"):
+                save_embeddings(np.array([[1.0, big]]), path)
+        assert not path.exists()
 
     def test_save_needs_a_matrix(self, tmp_path):
         with pytest.raises(ValidationError, match="n x d matrix"):
@@ -277,7 +303,8 @@ class TestEmbeddingFile:
         assert str(caught.value) == f"{message} [{path}]"
 
     def test_rows_equal_per_row_norm_bit_for_bit(self, tmp_path):
-        # toy rows, dense rows and rows whose peak is far outside (1e-150, 1e150)
+        # toy rows, dense rows and rows whose peak is far outside (1e-150, 1e150),
+        # in a float64 file: each loads as its float64 unit row rounded to float32
         rng = np.random.default_rng(11)
         rows = [toy_embed_loop(_random_text(rng), 64, 0) * rng.integers(1, 9) for _ in range(40)]
         rows += list(rng.normal(size=(40, 64)))
@@ -285,30 +312,77 @@ class TestEmbeddingFile:
         order = rng.permutation(len(rows))
         matrix = np.array([rows[i] for i in order])
         path = tmp_path / "e.npy"
-        save_embeddings(matrix, path)
-        dataset = Dataset(
-            vocabulary=LabelVocabulary(labels=("a",)),
-            texts=tuple(f"t{i}" for i in range(len(matrix))),
-            labels=np.ones((len(matrix), 1), dtype=bool),
-        )
-        loaded = load_embeddings(path, dataset)
+        np.save(path, matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_embeddings(path, _dataset_of(len(matrix)))
+        assert loaded.dtype == np.float32
         for got, row in zip(loaded, matrix):
             peak = np.abs(row).max()
             if not 1e-150 < peak < 1e150:
                 row = row / peak
-            assert got.tobytes() == (row / float(np.linalg.norm(row))).tobytes()
+            assert got.tobytes() == (row / float(np.linalg.norm(row))).astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("array", [
         np.asfortranarray(np.arange(1.0, 13.0).reshape(3, 4)),
         np.arange(1, 13, dtype=">i2").reshape(3, 4),
         np.arange(1, 13, dtype=np.uint8).reshape(3, 4),
         np.arange(1, 13, dtype=np.float32).reshape(3, 4),
-    ], ids=["fortran-order", "big-endian-int16", "uint8", "float32"])
+        np.arange(1, 13, dtype=np.float16).reshape(3, 4),
+        np.arange(1.0, 13.0).reshape(3, 4),
+        np.arange(1, 13, dtype=np.int32).reshape(3, 4),
+        np.arange(1, 13, dtype=">f4").reshape(3, 4),
+    ], ids=["fortran-order", "big-endian-int16", "uint8", "float32", "float16", "float64", "int32", "big-endian-float32"])
     def test_any_real_numeric_matrix_loads(self, tmp_path, tiny_dataset, array):
+        # every one to the float32 rounding of its float64 unit rows, with no warning
         path = tmp_path / "e.npy"
         np.save(path, array)
-        want = np.array([row / np.linalg.norm(row) for row in np.arange(1.0, 13.0).reshape(3, 4)])
-        assert np.array_equal(load_embeddings(path, tiny_dataset), want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_embeddings(path, tiny_dataset)
+        assert loaded.dtype == np.float32 and loaded.flags.c_contiguous and loaded.flags.writeable
+        assert loaded.tobytes() == _unit_f32(np.arange(1.0, 13.0).reshape(3, 4)).tobytes()
+
+    @pytest.mark.parametrize("bad, message", [(np.nan, "has non-finite entries"), (0.0, "is a zero vector")])
+    def test_bad_row_past_the_first_block_named_by_its_file_row(self, tmp_path, bad, message):
+        # rows are normalised a block at a time; the error still counts from the file's first row
+        rows = np.ones((3 * embedding._NORM_BLOCK, 4), dtype=np.float32)
+        row = 2 * embedding._NORM_BLOCK + 5
+        rows[row] = bad
+        path = tmp_path / "e.npy"
+        np.save(path, rows)
+        with pytest.raises(PipelineError) as caught:
+            load_embeddings(path, _dataset_of(len(rows)))
+        assert str(caught.value) == f"row {row} {message} [{path}]"
+
+    def test_float32_file_makes_no_float64_copy(self, tmp_path):
+        # a float64 copy of the whole matrix would be twice the file's data
+        rows = np.random.default_rng(3).normal(size=(4096, 64)).astype(np.float32)
+        path = tmp_path / "e.npy"
+        np.save(path, rows)
+        dataset = _dataset_of(len(rows))
+        tracemalloc.start()
+        try:
+            loaded = load_embeddings(path, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.tobytes() == _unit_f32(rows).tobytes()
+        assert peak < 1.5 * rows.nbytes, (peak, rows.nbytes)
+
+    def test_toy_rows_reproduce_through_a_float32_file(self, tmp_path):
+        # the float32 file of a toy seed's rows passes the reproduction check,
+        # and another seed's rows fail it
+        rng = np.random.default_rng(8)
+        texts = [_random_text(rng) for _ in range(200)]
+        config = ProviderConfig(kind="toy", dim=256, seed=42)
+        path = tmp_path / "e.npy"
+        save_embeddings(embed_texts(texts, config), path)
+        rows = load_embeddings(path, _dataset_of(len(texts)))
+        embedding.check_toy_reproduces(config, texts, rows, str(path))
+        for seed in (0, 41, 43):
+            with pytest.raises(ValidationError, match=f"toy seed {seed} does not reproduce"):
+                embedding.check_toy_reproduces(ProviderConfig(kind="toy", dim=256, seed=seed), texts[:1], rows[:1], str(path))
 
     @pytest.mark.parametrize("shape", [(10**9, 10**9), (2**64, 2**64), (1 << 14, 1 << 13)])
     def test_huge_shape_header_refused_without_allocating(self, tmp_path, tiny_dataset, shape):

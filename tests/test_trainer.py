@@ -143,6 +143,11 @@ class TestBce:
         with pytest.raises(ValidationError):
             bce_loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("dtype, want", [(np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64)])
+    def test_gradient_in_the_logits_compute_dtype(self, dtype, want):
+        value, grad = bce_loss(np.zeros((2, 3), dtype=dtype), np.ones((2, 3)))
+        assert grad.dtype == want and value == pytest.approx(math.log(2), rel=1e-6)
+
     def test_wrong_side_saturated_column_keeps_its_gradient(self):
         n, m = 5, 3
         rng = np.random.default_rng(0)
@@ -275,6 +280,52 @@ class TestArrayBoundary:
             finetune(x, y[:, :-1], small_vocab, head, _fast_config())
 
 
+class TestComputeDtype:
+    """Training and scoring compute in the dtype of their input: float32 from
+    an embeddings file, float64 on the oracles' path."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_heads_and_scores_take_the_input_dtype(self, small_vocab, separable_samples, dtype):
+        x, y = separable_samples
+        x = x.astype(dtype)
+        config = _fast_config(epochs_pretrain=2, epochs_finetune=2)
+        head, _ = pretrain(x, y, config)
+        assert {p.dtype for p in head.params()} == {np.dtype(dtype)}
+        artifact, _ = finetune(x, y, small_vocab, head, config)
+        assert {p.dtype for p in _head_arrays(artifact)} == {np.dtype(dtype)}
+        assert score_samples(x, artifact).dtype == dtype
+        # predict is the one-row forward in the heads' dtype, whatever the query's type
+        for query in (x[0], x[0].astype(np.float64), x[0].tolist()):
+            _, by_label = predict(query, artifact)
+            assert list(by_label.values()) == score_samples(x[:1], artifact)[0].tolist()
+
+    def test_float32_heads_start_from_the_float64_draws_rounded(self, small_vocab, separable_samples):
+        x, y = separable_samples
+        config = _fast_config(epochs_pretrain=0, epochs_finetune=0)
+        head64, _ = pretrain(x, y, config)
+        head32, _ = pretrain(x.astype(np.float32), y, config)
+        for want, got in zip(head64.params(), head32.params(), strict=True):
+            assert got.tobytes() == want.astype(np.float32).tobytes()
+        # finetune copies a projection of the other dtype into the input's, leaving it as it was
+        art32, _ = finetune(x.astype(np.float32), y, small_vocab, head64, config)
+        art64, _ = finetune(x, y, small_vocab, head64, config)
+        assert {p.dtype for p in head64.params()} == {np.dtype(np.float64)}
+        for want, got in zip(_head_arrays(art64), _head_arrays(art32), strict=True):
+            assert got.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_float32_training_tracks_float64(self, small_vocab, separable_samples):
+        # the same run in each dtype ends with nearly the same probabilities
+        x, y = separable_samples
+        config = _fast_config()
+        scores = []
+        for dtype in (np.float64, np.float32):
+            head, _ = pretrain(x.astype(dtype), y, config)
+            artifact, _ = finetune(x.astype(dtype), y, small_vocab, head, config)
+            scores.append(score_samples(x, artifact))
+        assert np.abs(scores[0] - scores[1]).max() < 1e-3
+        assert np.array_equal(scores[0] > 0.5, scores[1] > 0.5)
+
+
 def _probs_artifact(small_vocab, probabilities, threshold=0.5):
     """An artifact whose classifier emits fixed probabilities for any input."""
     d_in, d_proj = 6, 4
@@ -359,14 +410,14 @@ class TestGradCheck:
 
 
 def _decoded(field: dict) -> np.ndarray:
-    """A format-2 array field as an array."""
-    return np.frombuffer(base64.b64decode(field["data"]), dtype="<f8").reshape(field["shape"])
+    """A format-2 array field as an array of its stored dtype."""
+    return np.frombuffer(base64.b64decode(field["data"]), dtype=field["dtype"]).reshape(field["shape"])
 
 
-def _encoded(array) -> dict:
-    """``array`` as a format-2 array field."""
-    array = np.asarray(array, dtype="<f8")
-    return {"shape": list(array.shape), "dtype": "<f8", "data": base64.b64encode(array.tobytes()).decode()}
+def _encoded(array, dtype="<f8") -> dict:
+    """``array`` as a format-2 array field of ``dtype``."""
+    array = np.asarray(array, dtype=dtype)
+    return {"shape": list(array.shape), "dtype": dtype, "data": base64.b64encode(array.tobytes()).decode()}
 
 
 def _as_format_1(obj: dict) -> dict:
@@ -381,11 +432,12 @@ def _head_arrays(artifact: ModelArtifact) -> list[np.ndarray]:
 
 
 class TestArtifactPersistence:
-    def _trained(self, small_vocab, separable_samples, tmp_path):
+    def _trained(self, small_vocab, separable_samples, tmp_path, dtype=np.float64):
         config = _fast_config(epochs_pretrain=2, epochs_finetune=2)
         provider = ProviderConfig(kind="toy", dim=64, seed=5)
-        head, _ = pretrain(*separable_samples, config)
-        artifact, _ = finetune(*separable_samples, small_vocab, head, config, provider)
+        x, y = separable_samples
+        head, _ = pretrain(x.astype(dtype), y, config)
+        artifact, _ = finetune(x.astype(dtype), y, small_vocab, head, config, provider)
         path = tmp_path / "model.json"
         save_artifact(artifact, path)
         return artifact, path
@@ -487,6 +539,40 @@ class TestArtifactPersistence:
         save_artifact(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("dtype, stored", [(np.float32, "<f4"), (np.float64, "<f8")])
+    def test_each_head_dtype_round_trips_bit_for_bit(self, tmp_path, small_vocab, separable_samples, dtype, stored):
+        artifact, path = self._trained(small_vocab, separable_samples, tmp_path, dtype)
+        obj = json.loads(path.read_text())
+        assert {field["dtype"] for head in ("projection", "classifier") for field in obj[head].values()} == {stored}
+        loaded = load_artifact(path)
+        for want, got in zip(_head_arrays(artifact), _head_arrays(loaded), strict=True):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        again = tmp_path / "again.json"
+        save_artifact(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_float32_dtype_over_float64_data_is_refused_before_decoding(
+        self, tmp_path, small_vocab, separable_samples, monkeypatch
+    ):
+        # w1 is read first, so nothing may be decoded at all
+        _, path = self._trained(small_vocab, separable_samples, tmp_path)
+        self._edited(path, "w1", dtype="<f4")
+
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("data decoded before its length was checked")
+
+        monkeypatch.setattr(trainer.base64, "b64decode", no_decoding)
+        with pytest.raises(FileFormatError, match=r"'projection.w1' data must be \d+ base64 characters") as caught:
+            load_artifact(path)
+        assert str(path) in str(caught.value)
+
+    def test_heads_of_two_dtypes_are_refused(self, tmp_path, small_vocab, separable_samples):
+        artifact, path = self._trained(small_vocab, separable_samples, tmp_path)
+        self._edited(path, "b2", **_encoded(artifact.projection.b2, "<f4"))
+        with pytest.raises(FileFormatError, match="head arrays mix dtypes float32, float64") as caught:
+            load_artifact(path)
+        assert str(path) in str(caught.value)
+
     def test_format_1_file_loads_the_same_weights(self, tmp_path, small_vocab, separable_samples):
         # decimal repr round-trips every float64, so a format-1 copy is the same model
         artifact, path = self._trained(small_vocab, separable_samples, tmp_path)
@@ -501,7 +587,8 @@ class TestArtifactPersistence:
         obj["projection"][name].update(changes)
         path.write_text(json.dumps(obj))
 
-    @pytest.mark.parametrize("dtype", ["<f4", ">f8", "float64", "f8", None, ["<f8"]])
+    # each but little-endian float32 and float64, which are the two that load
+    @pytest.mark.parametrize("dtype", [">f4", ">f8", "float64", "f8", None, ["<f8"], "<f2", "float32", "f4", ["<f4"]])
     def test_dtype_other_than_little_endian_float64(self, tmp_path, small_vocab, separable_samples, dtype):
         _, path = self._trained(small_vocab, separable_samples, tmp_path)
         self._edited(path, "b1", dtype=dtype)
