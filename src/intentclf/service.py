@@ -6,8 +6,10 @@ Endpoints:
   [..], "scores": {label: probability, ..}, "model_version": 2}``.
 * ``GET /health`` returns 200 with the model version.
 
-``model_version`` is the loaded artifact's ``format_version``: 2 for every
-model ``save_artifact`` writes, 1 for one written before format 2.
+``model_version`` is always 2, ``ARTIFACT_FORMAT_VERSION``, the one artifact
+format ``load_artifact`` reads. Each score is printed as the shortest decimal
+that reads back to the same value in the model's dtype: at most 9
+significant digits for a float32 model, at most 17 for a float64 one.
 
 Status codes: 400 for a malformed body, a text that is not valid UTF-8 (a
 lone surrogate escape such as ``"\\ud800"``) or a Content-Length that is not a
@@ -49,7 +51,7 @@ from http import HTTPStatus
 from .dataset import check_utf8
 from .embedding import embed_texts
 from .errors import PipelineError, ValidationError
-from .trainer import ModelArtifact, predict
+from .trainer import ARTIFACT_FORMAT_VERSION, ModelArtifact, predict
 
 logger = logging.getLogger(__name__)
 
@@ -70,10 +72,12 @@ def classification_body(artifact: ModelArtifact, text: str) -> str:
         raise ValidationError("text is empty")
     vector = embed_texts([text], artifact.provider)[0]
     labels, scores = predict(vector, artifact)
+    # str() of a numpy scalar is the shortest decimal that reads back to it
+    in_dtype = artifact.projection.w1.dtype.type
     payload = {
         "labels": artifact.vocabulary.sorted_members(labels),
-        "scores": scores,
-        "model_version": artifact.format_version,
+        "scores": {label: float(str(in_dtype(p))) for label, p in scores.items()},
+        "model_version": ARTIFACT_FORMAT_VERSION,
     }
     return json.dumps(payload, separators=(",", ":"))
 
@@ -84,7 +88,7 @@ def _error_body(message: str) -> str:
 
 def health_body(artifact: ModelArtifact) -> str:
     return json.dumps(
-        {"status": "ok", "model_version": artifact.format_version},
+        {"status": "ok", "model_version": ARTIFACT_FORMAT_VERSION},
         separators=(",", ":"),
     )
 

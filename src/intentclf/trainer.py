@@ -43,7 +43,7 @@ from .mining import (
     mine,
 )
 
-ARTIFACT_FORMAT_VERSION = 2  # what save_artifact writes; load_artifact also reads 1
+ARTIFACT_FORMAT_VERSION = 2  # the one version save_artifact writes and load_artifact reads
 _LOSS_KINDS = ("ofc", "oc", "cs")
 
 
@@ -158,13 +158,16 @@ class ModelArtifact:
     """Everything needed to score a query: heads, vocabulary and config."""
 
     vocabulary: LabelVocabulary
-    embed_dim: int
     projection: ProjectionHead
     classifier: ClassifierHead
     decision_threshold: float
     train_config: TrainConfig
     provider: ProviderConfig | None = None
-    format_version: int = ARTIFACT_FORMAT_VERSION
+
+    @property
+    def embed_dim(self) -> int:
+        """The input width, read from the projection's weights."""
+        return self.projection.d_in
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +376,6 @@ def finetune(
                        config.lr_finetune, config.epochs_finetune, config, shuffle_rng)
     return ModelArtifact(
         vocabulary=vocabulary,
-        embed_dim=head.d_in,
         projection=head,
         classifier=classifier,
         decision_threshold=config.decision_threshold,
@@ -470,8 +472,7 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
     Every head array is stored as ``{"shape", "dtype", "data"}``, with
     ``dtype`` ``"<f4"`` for a float32 array and ``"<f8"`` otherwise and
     ``data`` the base64 of its row-major little-endian bytes, so the weights
-    and their dtype round-trip bit for bit. Whatever version ``artifact`` was
-    loaded from, the file is written as :data:`ARTIFACT_FORMAT_VERSION`.
+    and their dtype round-trip bit for bit.
     """
     obj = {
         "format_version": ARTIFACT_FORMAT_VERSION,
@@ -495,22 +496,6 @@ def _check_dims(key: str, shape, dims: tuple[str, ...], sizes: dict[str, int]) -
     for dim, size in zip(dims, shape):
         if sizes.setdefault(dim, size) != size:
             raise FileFormatError(f"field {key!r} has shape {tuple(shape)}, but the {dim} is {sizes[dim]}")
-
-
-def _finite(arr: np.ndarray, key: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise FileFormatError(f"field {key!r} has non-finite entries")
-    return arr
-
-
-def _array_from_lists(value, key: str, dims: tuple[str, ...], sizes: dict[str, int]) -> np.ndarray:
-    """A format-1 array: nested lists of JSON numbers."""
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"field {key!r} is not a numeric array") from exc
-    _check_dims(key, arr.shape, dims, sizes)
-    return _finite(arr, key)
 
 
 def _array_from_base64(value, key: str, dims: tuple[str, ...], sizes: dict[str, int]) -> np.ndarray:
@@ -537,29 +522,29 @@ def _array_from_base64(value, key: str, dims: tuple[str, ...], sizes: dict[str, 
     if len(raw) != nbytes:
         raise FileFormatError(f"field {key!r} data decodes to {len(raw)} bytes, not {nbytes}")
     # astype copies: the heads get owned, writable, native-order arrays
-    return _finite(np.frombuffer(raw, dtype=dtype).reshape(shape).astype(_DTYPES[dtype]), key)
-
-
-# how each artifact format stores one head array
-_ARRAY_READERS = {1: _array_from_lists, 2: _array_from_base64}
+    arr = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(_DTYPES[dtype])
+    if not np.all(np.isfinite(arr)):
+        raise FileFormatError(f"field {key!r} has non-finite entries")
+    return arr
 
 
 def load_artifact(path: str | Path) -> ModelArtifact:
-    """Load and validate a model artifact file of any supported format."""
+    """Load and validate a format-2 model artifact file."""
     obj = read_json(path, "artifact")
     try:
         version = obj.get("format_version")
-        # exactly the JSON integer: true and 1.0 compare equal to 1
-        if type(version) is not int or version not in _ARRAY_READERS:
-            supported = ", ".join(map(str, _ARRAY_READERS))
-            raise FileFormatError(f"unknown artifact format_version {version!r} (supported: {supported})")
-        read_array = _ARRAY_READERS[version]
+        # exactly the JSON integer: true and 2.0 compare equal to 2
+        if type(version) is not int or version != ARTIFACT_FORMAT_VERSION:
+            raise FileFormatError(
+                f"unknown artifact format_version {version!r} (supported: {ARTIFACT_FORMAT_VERSION}); "
+                "README's \"Model artifact\" section shows how to migrate a format-1 file"
+            )
         vocabulary = LabelVocabulary.from_json(obj["vocabulary"])
         embed_dim = coerce(obj["embed_dim"], int, "embed_dim")
         sizes = {"embed_dim": embed_dim, "label count": len(vocabulary)}
         heads: dict[str, dict[str, np.ndarray]] = {}
         for (head, name), dims in _HEAD_SHAPES.items():
-            heads.setdefault(head, {})[name] = read_array(obj[head][name], f"{head}.{name}", dims, sizes)
+            heads.setdefault(head, {})[name] = _array_from_base64(obj[head][name], f"{head}.{name}", dims, sizes)
         dtypes = {str(a.dtype) for head in heads.values() for a in head.values()}
         if len(dtypes) > 1:
             raise FileFormatError(f"head arrays mix dtypes {', '.join(sorted(dtypes))}; a model computes in one")
@@ -577,11 +562,9 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         raise FileFormatError(f"artifact is missing or mistypes a field: {exc}", path=str(path)) from exc
     return ModelArtifact(
         vocabulary=vocabulary,
-        embed_dim=embed_dim,
         projection=ProjectionHead(**heads["projection"]),
         classifier=ClassifierHead(**heads["classifier"]),
         decision_threshold=decision_threshold,
         train_config=train_config,
         provider=provider,
-        format_version=version,
     )

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import base64
 import contextlib
 import errno
 import io
@@ -456,10 +455,11 @@ class TestPredict:
     @pytest.mark.parametrize("field, value", [
         ("decision_threshold", 5), ("decision_threshold", -1), ("decision_threshold", 0.0),
         ("decision_threshold", 1.0), ("format_version", True), ("format_version", 1.0),
+        ("format_version", 2.0),
     ])
     def test_out_of_contract_model_field_exits_3(self, workspace, tmp_path, capsys, field, value):
         # a threshold outside (0,1) would answer the argmax label or every
-        # label; true and 1.0 compare equal to the format version 1
+        # label; 2.0 compares equal to the format version 2
         model = json.loads(workspace["model"].read_text())
         model[field] = value
         path = tmp_path / "model.json"
@@ -471,27 +471,32 @@ class TestPredict:
     def test_model_with_a_reduction_snapshot_predicts_as_before(self, tmp_path, capsys):
         # written while OFCConfig still had a "reduction" field, which the
         # snapshot now carries as an unknown key; the predict output was
-        # recorded from that code
+        # recorded from that code while the file was format 1, whose version
+        # it echoed, and the file was then migrated with README's snippet
         model = _DATA / "model_with_reduction.json"
         for record in json.loads((_DATA / "model_with_reduction.predict.json").read_text()):
             capsys.readouterr()
             assert main(["predict", "--model", str(model), "--text", record["text"]]) == 0
-            assert capsys.readouterr().out == record["stdout"]
-        # saving writes format 2 with the same weights, and drops the key
+            assert capsys.readouterr().out == record["stdout"].replace('"model_version":1}', '"model_version":2}')
+        # saving keeps the weights and drops the key
         resaved = tmp_path / "model.json"
         save_artifact(load_artifact(model), resaved)
         old, new = json.loads(model.read_text()), json.loads(resaved.read_text())
-        assert (old["format_version"], new["format_version"]) == (1, 2)
-        for head in ("projection", "classifier"):
-            for name, rows in old[head].items():
-                field = new[head][name]
-                assert field["dtype"] == "<f8" and field["shape"] == list(np.shape(rows))
-                assert base64.b64decode(field["data"]) == np.asarray(rows, dtype="<f8").tobytes()
         assert old["config"]["train"]["ofc"].pop("reduction") == "mean"
-        assert new["config"] == old["config"]
-        rest = ("vocabulary", "embed_dim", "decision_threshold")
-        assert [new[key] for key in rest] == [old[key] for key in rest]
+        assert new == old
 
+    def test_format_1_model_exits_3_naming_the_file_and_the_migration(self, workspace, tmp_path, capsys):
+        model = json.loads(workspace["model"].read_text())
+        model["format_version"] = 1
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(path), "--text", "eta?"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unknown artifact format_version 1 (supported: 2)"), err
+        assert str(path) in err[0] and "README" in err[0] and "migrate" in err[0], err
 
     def test_float64_model_loads_bit_for_bit_and_scores_in_float64(self, tmp_path, capsys):
         # a format-2 model whose arrays are "<f8", written while training ran
@@ -967,7 +972,7 @@ _BAD_INPUTS = [
     pytest.param("combos", b'[["nope"]]', 2, id="combos-unknown-label"),
     pytest.param("taxonomy", b'{"labels": ["a", "b"], "descriptions": {"a": 5}}', 3, id="taxonomy-description"),
     pytest.param("taxonomy", b'{"labels": ["eta \\ud800", "b"]}', 3, id="taxonomy-lone-surrogate"),
-    pytest.param("model", b'{"format_version": 1, "vocabulary": {"labels": ["a"]}, "embed_dim": 1e400}', 3,
+    pytest.param("model", b'{"format_version": 2, "vocabulary": {"labels": ["a"]}, "embed_dim": 1e400}', 3,
                  id="model-embed-dim-overflow"),
     # format-2 arrays whose shape lies about the data, or whose data is not base64
     pytest.param("model", json.dumps({

@@ -12,16 +12,19 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from intentclf import (
     ProviderConfig,
     ValidationError,
     embed_dataset,
+    embed_texts,
     finetune,
     offline_generate,
     pretrain,
     save_artifact,
+    score_samples,
     TrainConfig,
 )
 from intentclf import service
@@ -431,6 +434,32 @@ class TestRendererContract:
         printed = capsys.readouterr().out
         response = http_post(f"{server}/classify", {"text": text})
         assert printed.rstrip("\n").encode("utf-8") == response.content
+
+    def test_float32_scores_print_the_shortest_decimal_that_reads_back(self, small_vocab, tmp_path, capsys):
+        # float(p) of a float32 score prints 17 digits; the bodies carry the
+        # float32 value's own shortest decimal, which reads back exactly
+        dataset = offline_generate(small_vocab, per_class=10, combos=[], seed=6)
+        provider = ProviderConfig(kind="toy", dim=64, seed=6)
+        x, y = embed_dataset(dataset, provider).astype(np.float32), dataset.labels
+        config = TrainConfig(seed=6, epochs_pretrain=2, epochs_finetune=4, batch_size=16, d_hidden=32, d_proj=32)
+        head, _ = pretrain(x, y, config)
+        artifact, _ = finetune(x, y, small_vocab, head, config, provider)
+        model_path = tmp_path / "m.json"
+        save_artifact(artifact, model_path)
+        text = "waiting time at the anchorage for the tanker"
+        assert main(["predict", "--model", str(model_path), "--text", text]) == 0
+        printed = capsys.readouterr().out.rstrip("\n")
+        with _running(artifact) as srv:
+            response = _post(srv.server_address[1], text)
+        assert response.content == printed.encode("utf-8")
+        want = score_samples(embed_texts([text], provider), artifact)[0]
+        assert want.dtype == np.float32
+        scores = json.loads(printed, parse_float=str)["scores"]
+        assert list(scores) == list(small_vocab.labels)
+        for value, expected in zip(scores.values(), want, strict=True):
+            mantissa = value.lower().split("e")[0].lstrip("-").replace(".", "").lstrip("0")
+            assert len(mantissa) <= 9, value
+            assert np.float32(float(value)) == expected, (value, expected)
 
     def test_health_body_shape(self, artifact):
         assert json.loads(health_body(artifact)) == {"status": "ok", "model_version": ARTIFACT_FORMAT_VERSION}

@@ -334,7 +334,6 @@ def _probs_artifact(small_vocab, probabilities, threshold=0.5):
     classifier = ClassifierHead(w=np.zeros((d_proj, len(probabilities))), b=np.array(logits))
     return ModelArtifact(
         vocabulary=small_vocab,
-        embed_dim=d_in,
         projection=head,
         classifier=classifier,
         decision_threshold=threshold,
@@ -420,13 +419,6 @@ def _encoded(array, dtype="<f8") -> dict:
     return {"shape": list(array.shape), "dtype": dtype, "data": base64.b64encode(array.tobytes()).decode()}
 
 
-def _as_format_1(obj: dict) -> dict:
-    """The same model as a format-1 object, every array as nested lists."""
-    lists = {head: {name: _decoded(field).tolist() for name, field in obj[head].items()}
-             for head in ("projection", "classifier")}
-    return {**obj, "format_version": 1, **lists}
-
-
 def _head_arrays(artifact: ModelArtifact) -> list[np.ndarray]:
     return [*artifact.projection.params(), *artifact.classifier.params()]
 
@@ -450,13 +442,17 @@ class TestArtifactPersistence:
             x = rng.normal(size=64)
             assert predict(x, artifact) == predict(x, loaded)
 
-    def test_unknown_version(self, tmp_path, small_vocab, separable_samples):
+    @pytest.mark.parametrize("version", [1, 999])
+    def test_unknown_version(self, tmp_path, small_vocab, separable_samples, version):
+        # format 1 (nested lists) is refused too; the file's arrays are valid
+        # format 2, so only the version can be what is refused
         _, path = self._trained(small_vocab, separable_samples, tmp_path)
         obj = json.loads(path.read_text())
-        obj["format_version"] = 999
+        obj["format_version"] = version
         path.write_text(json.dumps(obj))
-        with pytest.raises(FileFormatError, match="999"):
+        with pytest.raises(FileFormatError, match=rf"format_version {version} \(supported: 2\)") as caught:
             load_artifact(path)
+        assert str(path) in str(caught.value)
 
     def test_truncated_file(self, tmp_path, small_vocab, separable_samples):
         _, path = self._trained(small_vocab, separable_samples, tmp_path)
@@ -493,8 +489,7 @@ class TestArtifactPersistence:
             ("classifier", "b", lambda b: b[:-1]),  # b vs labels
             ("projection", "w1", lambda w: [[math.nan, *w[0][1:]], *w[1:]]),
             ("classifier", "b", lambda b: [math.inf, *b[1:]]),
-            ("projection", "w2", lambda w: [["x", *w[0][1:]], *w[1:]]),
-            ("projection", "b1", lambda b: {"values": b}),
+            ("projection", "b1", lambda b: {"values": b}),  # an object without shape, dtype and data
             ("projection", "w1", lambda w: w[0]),  # wrong ndim
             ("classifier", "b", lambda b: [b]),
             # a provider that cannot produce embed_dim-long inputs
@@ -503,22 +498,13 @@ class TestArtifactPersistence:
         ],
     )
     def test_each_shape_and_value_rule(self, tmp_path, small_vocab, separable_samples, head, name, edit):
-        # an array edit applies to the decoded nested lists; an edited array
-        # that is not finite and numeric ("x", an object, NaN, inf) has no
-        # format-2 form, so it is written into a format-1 copy of the model
+        # an array edit applies to the decoded nested lists, and a list it
+        # returns is stored back as "<f8" bytes, NaN and inf included
         _, path = self._trained(small_vocab, separable_samples, tmp_path)
         obj = json.loads(path.read_text())
         if head in ("projection", "classifier"):
             edited = edit(_decoded(obj[head][name]).tolist())
-            try:
-                array = np.asarray(edited, dtype=np.float64)
-            except (TypeError, ValueError):
-                array = np.array(math.nan)
-            if np.isfinite(array).all():
-                obj[head][name] = _encoded(array)
-            else:
-                obj = _as_format_1(obj)
-                obj[head][name] = edited
+            obj[head][name] = edited if isinstance(edited, dict) else _encoded(edited)
         else:
             parent = obj if head is None else obj[head]
             parent[name] = edit(parent[name])
@@ -572,15 +558,6 @@ class TestArtifactPersistence:
         with pytest.raises(FileFormatError, match="head arrays mix dtypes float32, float64") as caught:
             load_artifact(path)
         assert str(path) in str(caught.value)
-
-    def test_format_1_file_loads_the_same_weights(self, tmp_path, small_vocab, separable_samples):
-        # decimal repr round-trips every float64, so a format-1 copy is the same model
-        artifact, path = self._trained(small_vocab, separable_samples, tmp_path)
-        path.write_text(json.dumps(_as_format_1(json.loads(path.read_text()))))
-        loaded = load_artifact(path)
-        assert loaded.format_version == 1
-        for want, got in zip(_head_arrays(artifact), _head_arrays(loaded), strict=True):
-            assert got.tobytes() == want.tobytes()
 
     def _edited(self, path, name, **changes):
         obj = json.loads(path.read_text())
