@@ -34,11 +34,7 @@ from .embedding import (
     save_embeddings,
 )
 from .errors import (
-    DegenerateAucError,
-    DegenerateEmbeddingError,
-    DegenerateProjectionError,
     FileFormatError,
-    GenerationError,
     PipelineError,
     RemoteServiceError,
     ValidationError,

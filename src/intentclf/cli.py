@@ -39,7 +39,7 @@ from .embedding import (
     load_embeddings,
     save_embeddings,
 )
-from .errors import FileFormatError, GenerationError, PipelineError, RemoteServiceError, ValidationError
+from .errors import FileFormatError, PipelineError, RemoteServiceError, ValidationError
 from .metrics import EvalReport, evaluate, save_report
 from .mining import _MODES, _POSITIVE_RULES
 from .service import classification_body, serve_forever
@@ -56,11 +56,11 @@ from .trainer import (
 _EXIT_OK = 0
 _EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 _EXIT_TERMINATED = 143  # 128 + SIGTERM
-# first match wins: FileFormatError is a PipelineError but a file problem
+# one code per error class; an OSError is a file problem
 _EXIT_CODES = (
-    ((RemoteServiceError, GenerationError), 4),
+    (ValidationError, 2),
     (FileFormatError, 3),
-    (PipelineError, 2),
+    (RemoteServiceError, 4),
     (OSError, 3),
 )
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import JsonConfig
 from .dataset import Dataset, LabelSet, LabelVocabulary, _lone_surrogate
-from .errors import GenerationError, RemoteServiceError, ValidationError
+from .errors import RemoteServiceError, ValidationError
 from .httpclient import check_remote, post_json
 
 logger = logging.getLogger(__name__)
@@ -97,7 +97,7 @@ def parse_generation(raw: str, requested: int) -> list[str]:
     """Split a completion into queries: strip list markers and quotes, drop
     empties and lines that are not valid UTF-8 (a lone surrogate escape),
     dedupe case-insensitively keeping first occurrences, cap at
-    ``requested``. Raises :class:`GenerationError` when nothing parses.
+    ``requested``. Raises :class:`RemoteServiceError` when nothing parses.
     """
     texts: list[str] = []
     seen: set[str] = set()
@@ -113,7 +113,7 @@ def parse_generation(raw: str, requested: int) -> list[str]:
         if len(texts) == requested:
             break
     if not texts:
-        raise GenerationError("response contained no parseable queries")
+        raise RemoteServiceError("response contained no parseable queries")
     return texts
 
 
@@ -164,8 +164,8 @@ def generate_class(label: str, description: str, n: int, config: LLMClientConfig
         )
     try:
         texts = parse_generation(content, n)
-    except GenerationError as exc:
-        raise GenerationError(f"completion for {label!r} from {config.endpoint_url}: {exc}") from None
+    except RemoteServiceError as exc:
+        raise RemoteServiceError(f"completion for {label!r} from {config.endpoint_url}: {exc}") from None
     if len(texts) < n:
         logger.warning("class %r: requested %d queries, parsed %d", label, n, len(texts))
     return texts

@@ -29,11 +29,7 @@ import numpy as np
 
 from .config import JsonConfig
 from .dataset import Dataset, check_utf8
-from .errors import (
-    DegenerateEmbeddingError,
-    FileFormatError,
-    ValidationError,
-)
+from .errors import FileFormatError, RemoteServiceError, ValidationError
 from . import httpclient
 from .httpclient import check_remote, post_json
 
@@ -89,9 +85,8 @@ def _normalize_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.linalg.norm(row)`` in float64, rounded once to ``out``'s dtype. A row
     whose peak lies outside (1e-150, 1e150) is first divided by its peak,
     since its sum of squares would overflow to inf or underflow towards 0.
-    Raises :class:`ValidationError` for the first row with a non-finite entry
-    and :class:`DegenerateEmbeddingError` for the first zero row, each naming
-    the row by its place in ``x``.
+    Raises :class:`ValidationError` for the first row that is zero or has a
+    non-finite entry, naming the row by its place in ``x``.
     """
     out = x if out is None else out
     for start in range(0, len(x), _NORM_BLOCK):
@@ -100,9 +95,8 @@ def _normalize_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         usable = (peak > 0.0) & (peak < np.inf)
         if not usable.all():
             row = int(np.argmin(usable))
-            if math.isfinite(peak[row]):
-                raise DegenerateEmbeddingError(f"row {start + row} is a zero vector")
-            raise ValidationError(f"row {start + row} has non-finite entries")
+            problem = "is a zero vector" if math.isfinite(peak[row]) else "has non-finite entries"
+            raise ValidationError(f"row {start + row} {problem}")
         extreme = (peak <= 1e-150) | (peak >= 1e150)
         if extreme.any():
             block[extreme] /= peak[extreme, None]
@@ -241,7 +235,7 @@ def _embed_remote(texts: Sequence[str], config: ProviderConfig) -> np.ndarray:
     Texts go out in consecutive requests of at most ``MAX_REPLY_BYTES //
     (2 * 25 * dim)`` each: a float64 in shortest form takes at most 26 bytes
     with its separator, so no reply reaches the cap. Each request is retried
-    on its own.
+    on its own. A reply the pipeline cannot use is a :class:`RemoteServiceError`.
     """
     out = np.empty((len(texts), config.dim), dtype=np.float64)
     per_request = max(1, httpclient.MAX_REPLY_BYTES // (2 * 25 * config.dim))
@@ -251,21 +245,21 @@ def _embed_remote(texts: Sequence[str], config: ProviderConfig) -> np.ndarray:
         vectors = body.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(batch):
             got = len(vectors) if isinstance(vectors, list) else "none"
-            raise ValidationError(f"encoder returned {got} vectors for {len(batch)} texts")
+            raise RemoteServiceError(f"encoder returned {got} vectors for {len(batch)} texts")
         for row, vec in enumerate(vectors, start=start):
             # numpy would read "1.5" and true as numbers; a JSON reply holds int or float
             if not isinstance(vec, list) or not all(type(v) in (int, float) for v in vec):
-                raise ValidationError(f"encoder row {row} is not a vector of JSON numbers")
+                raise RemoteServiceError(f"encoder row {row} is not a vector of JSON numbers")
             if len(vec) != config.dim:
-                raise ValidationError(f"encoder row {row} has dim {len(vec)} but config.dim={config.dim}")
+                raise RemoteServiceError(f"encoder row {row} has dim {len(vec)} but config.dim={config.dim}")
             try:
                 out[row] = vec
             except OverflowError:
-                raise ValidationError(f"encoder row {row} has an entry beyond float range") from None
+                raise RemoteServiceError(f"encoder row {row} has an entry beyond float range") from None
     try:
         return _normalize_rows(out)
-    except (DegenerateEmbeddingError, ValidationError) as exc:
-        raise type(exc)(f"encoder {exc}") from None
+    except ValidationError as exc:
+        raise RemoteServiceError(f"encoder {exc}") from None
 
 
 def check_embeds_text(config: ProviderConfig | None) -> None:
@@ -280,10 +274,13 @@ def check_embeds_text(config: ProviderConfig | None) -> None:
         )
 
 
-def check_provider_width(config: ProviderConfig | None, width: int, error: type = ValidationError) -> None:
-    """Raise ``error`` unless ``config`` embeds ``width``-long rows; a file provider's rows fix the width."""
+def check_provider_width(config: ProviderConfig | None, width: int) -> None:
+    """Raise :class:`ValidationError` unless ``config`` embeds ``width``-long rows.
+
+    A file provider's rows fix the width, so it always passes.
+    """
     if config is not None and config.kind != "file" and config.dim != width:
-        raise error(f"provider dim {config.dim} does not match embedding width {width}")
+        raise ValidationError(f"provider dim {config.dim} does not match embedding width {width}")
 
 
 # How far a stored entry may sit from the float64 toy row it was written from.
@@ -392,5 +389,5 @@ def load_embeddings(path: str | Path, dataset: Dataset) -> np.ndarray:
     out = x if x.dtype == np.float32 and x.flags.c_contiguous else np.empty(shape, dtype=np.float32)
     try:
         return _normalize_rows(x, out)
-    except (DegenerateEmbeddingError, ValidationError) as exc:
-        raise type(exc)(f"{exc} [{path}]") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{exc} [{path}]") from None

@@ -1,16 +1,16 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline: one class per CLI exit code."""
 
 
 class PipelineError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; only its subclasses are raised."""
 
 
 class ValidationError(PipelineError, ValueError):
-    """An input violates a documented contract (labels, shapes, config values)."""
+    """An input violates a documented contract (labels, shapes, config values, a zero row); exit 2."""
 
 
 class FileFormatError(PipelineError, ValueError):
-    """A data or model file is malformed or carries an unsupported version.
+    """A data or model file is malformed or carries an unsupported version; exit 3.
 
     ``path`` and ``line`` (1-based) are attached when known so callers can
     point at the offending record.
@@ -29,20 +29,4 @@ class FileFormatError(PipelineError, ValueError):
 
 
 class RemoteServiceError(PipelineError, RuntimeError):
-    """A remote endpoint kept failing after the configured retries."""
-
-
-class GenerationError(PipelineError, RuntimeError):
-    """A generation response contained no usable queries."""
-
-
-class DegenerateEmbeddingError(PipelineError, ValueError):
-    """A zero-norm vector cannot be normalized."""
-
-
-class DegenerateProjectionError(PipelineError, ValueError):
-    """The projection collapsed to a zero vector before normalization."""
-
-
-class DegenerateAucError(PipelineError, ValueError):
-    """AUC is undefined when only one class is present in the truth cells."""
+    """A remote endpoint kept failing after the configured retries, or its reply is unusable; exit 4."""

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import read_json
-from .errors import DegenerateAucError, ValidationError
+from .errors import ValidationError
 
 
 def _checked(x, truth, dtype=bool) -> tuple[np.ndarray, np.ndarray]:
@@ -146,12 +146,12 @@ def auc(scores, truth) -> float:
     """Micro AUC: the Mann-Whitney statistic over flattened cells.
 
     Equals the fraction of (positive, negative) cell pairs ranked correctly,
-    ties counted 0.5. Raises :class:`DegenerateAucError` when either class is
+    ties counted 0.5. Raises :class:`ValidationError` when either class is
     absent.
     """
     value = _auc(*_checked(scores, truth, np.float64))
     if value is None:
-        raise DegenerateAucError("AUC needs both positive and negative cells")
+        raise ValidationError("AUC needs both positive and negative cells")
     return value
 
 

@@ -33,8 +33,8 @@ A fixed pool of ``WORKER_THREADS`` threads answers the connections, one at a
 time each. One deadline, ``CONNECTION_TIMEOUT_S`` after the connection is
 accepted, bounds the whole request and its reply, however the client spaces
 its bytes. A connection that passes the deadline, is closed before its
-request is complete or is reset before its reply is dropped without a
-response and logged at DEBUG.
+request is complete, or fails with any other socket error is dropped
+without a response and logged at DEBUG.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def _classify(artifact: ModelArtifact, raw: bytes) -> tuple[int, str]:
     """Status and body answering the request body ``raw``."""
     try:
         request = json.loads(raw)
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested past the parser's depth
         return 400, _error_body("body is not valid JSON")
     if not isinstance(request, dict) or not isinstance(request.get("text"), str):
         return 400, _error_body("body must be an object with a string 'text'")
@@ -258,7 +258,7 @@ class PooledHTTPServer(socketserver.TCPServer):
         try:
             request_line, status, body = _respond(request, deadline, self.artifact)
             _send(request, deadline, status, body)
-        except (ConnectionError, TimeoutError) as exc:
+        except OSError as exc:  # a timeout, a reset or any other socket error
             logger.debug("%s - connection dropped: %s", client_address[0], exc)
             return
         logger.debug('%s - "%s" %d', client_address[0], request_line, status)

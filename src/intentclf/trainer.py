@@ -28,11 +28,7 @@ import numpy as np
 from .config import JsonConfig, coerce
 from .dataset import LabelSet, LabelVocabulary, read_json
 from .embedding import ProviderConfig, check_provider_width
-from .errors import (
-    DegenerateProjectionError,
-    FileFormatError,
-    ValidationError,
-)
+from .errors import FileFormatError, ValidationError
 from .losses import OFCConfig, cs_loss, ofc_loss, oc_loss
 from .metrics import threshold_scores
 from .mining import (
@@ -180,7 +176,7 @@ def _project_batch(x: np.ndarray, head: ProjectionHead):
     a2 = h @ head.w2 + head.b2
     norms = np.linalg.norm(a2, axis=1)
     if np.any(norms == 0.0):
-        raise DegenerateProjectionError("projection collapsed to a zero vector")
+        raise ValidationError("projection collapsed to a zero vector")
     z = a2 / norms[:, None]
     return z, (x, h, z, norms)
 
@@ -555,8 +551,8 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         train_config = TrainConfig.from_json(config_obj["train"])
         provider_obj = config_obj.get("provider")
         provider = ProviderConfig.from_json(provider_obj) if provider_obj else None
-        check_provider_width(provider, embed_dim, FileFormatError)
-    except FileFormatError as exc:
+        check_provider_width(provider, embed_dim)
+    except (FileFormatError, ValidationError) as exc:
         raise FileFormatError(str(exc), path=str(path)) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"artifact is missing or mistypes a field: {exc}", path=str(path)) from exc

@@ -23,6 +23,10 @@ from hypothesis.extra import numpy as hnp
 import intentclf
 
 from intentclf import (
+    FileFormatError,
+    PipelineError,
+    RemoteServiceError,
+    ValidationError,
     default_taxonomy,
     load_artifact,
     load_dataset,
@@ -31,6 +35,7 @@ from intentclf import (
     split_indices,
     two_label_combos,
 )
+import intentclf.cli as cli
 import intentclf.datagen as datagen
 import intentclf.embedding as embedding
 import intentclf.service as service
@@ -517,13 +522,13 @@ class TestPredict:
 
 class TestRemoteReplies:
     """A reply of the wrong shape from the encoder or the LLM endpoint exits
-    with a documented code and one error line, never a traceback."""
+    4 with one error line, never a traceback."""
 
     @pytest.mark.parametrize(
         "vector", [["a", 1], {"x": 1}, [[1.0, 0.0]], [10**400, 1], ["1.5", True], [1.0, True], ["1", "0"]],
         ids=["string-entry", "object", "nested", "int-overflow", "numeric-string", "boolean", "numeric-strings"],
     )
-    def test_encoder_reply_without_numeric_vectors_exits_2(
+    def test_encoder_reply_without_numeric_vectors_exits_4(
         self, workspace, tmp_path, monkeypatch, capsys, vector
     ):
         def reply(url, payload, **kwargs):
@@ -536,7 +541,7 @@ class TestRemoteReplies:
             "embed", "--taxonomy", str(workspace["taxonomy"]), "--dataset", str(workspace["dataset"]),
             "--provider", "http", "--endpoint", "http://127.0.0.1:9/embed", "--dim", "2",
             "--out", str(out),
-        ]) == 2
+        ]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: encoder row 0 "), err
         assert not out.exists()
@@ -587,6 +592,18 @@ class TestRemoteReplies:
             " response contained no parseable queries"
         ], err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code", [(ValidationError, 2), (FileFormatError, 3), (RemoteServiceError, 4)])
+def test_each_error_class_is_one_exit_code(monkeypatch, capsys, error, code):
+    assert set(PipelineError.__subclasses__()) == {ValidationError, FileFormatError, RemoteServiceError}
+
+    def fail(args):
+        raise error("it failed")
+
+    monkeypatch.setattr(cli, "run_predict", fail)
+    assert main(["predict", "--model", "model.json", "--text", "eta?"]) == code
+    assert capsys.readouterr().err == "error: it failed\n"
 
 
 _GOOD_URL = "http://127.0.0.1:9/v1"

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import intentclf
 import intentclf.httpclient as httpclient
 from intentclf import (
-    GenerationError,
     LLMClientConfig,
     LabelVocabulary,
     RemoteServiceError,
@@ -80,7 +79,7 @@ class TestParseGeneration:
         assert parse_generation(raw, 10) == ["ETA of ship Y?", "something else"]
 
     def test_blank_response_fails(self):
-        with pytest.raises(GenerationError):
+        with pytest.raises(RemoteServiceError, match="no parseable queries"):
             parse_generation("\n  \n\t\n", 5)
 
     def test_truncates_to_requested(self):
@@ -92,7 +91,7 @@ class TestParseGeneration:
     def test_idempotent_on_own_output(self, raw):
         try:
             first = parse_generation(raw, 50)
-        except GenerationError:
+        except RemoteServiceError:
             return
         again = parse_generation("\n".join(first), len(first))
         assert again == first

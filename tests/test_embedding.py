@@ -14,10 +14,8 @@ import intentclf.embedding as embedding
 import intentclf.httpclient as httpclient
 from intentclf import (
     Dataset,
-    DegenerateEmbeddingError,
     FileFormatError,
     LabelVocabulary,
-    PipelineError,
     ProviderConfig,
     RemoteServiceError,
     ValidationError,
@@ -73,7 +71,7 @@ class TestNormalizeRows:
         assert np.max(np.abs(_normalized(v) - v)) < 1e-12
 
     def test_zero_vector(self):
-        with pytest.raises(DegenerateEmbeddingError):
+        with pytest.raises(ValidationError, match="zero vector"):
             _normalized([0.0, 0.0])
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300, 5e-324])
@@ -287,7 +285,7 @@ class TestEmbeddingFile:
         for row in load_embeddings(path, tiny_dataset):
             assert abs(np.linalg.norm(row) - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("bad, error", [(np.nan, ValidationError), (0.0, DegenerateEmbeddingError)])
+    @pytest.mark.parametrize("bad, error", [(np.nan, ValidationError), (0.0, ValidationError)])
     def test_non_finite_or_zero_row_refused(self, tmp_path, tiny_dataset, bad, error):
         path = tmp_path / "e.npy"
         save_embeddings([np.ones(4), np.full(4, bad), np.ones(4)], path)
@@ -298,7 +296,7 @@ class TestEmbeddingFile:
     def test_bad_row_named_with_the_file(self, tmp_path, tiny_dataset, bad, message):
         path = tmp_path / "e.npy"
         save_embeddings([np.ones(4), np.full(4, bad), np.zeros(4)], path)
-        with pytest.raises(PipelineError) as caught:
+        with pytest.raises(ValidationError) as caught:
             load_embeddings(path, tiny_dataset)
         assert str(caught.value) == f"{message} [{path}]"
 
@@ -351,7 +349,7 @@ class TestEmbeddingFile:
         rows[row] = bad
         path = tmp_path / "e.npy"
         np.save(path, rows)
-        with pytest.raises(PipelineError) as caught:
+        with pytest.raises(ValidationError) as caught:
             load_embeddings(path, _dataset_of(len(rows)))
         assert str(caught.value) == f"row {row} {message} [{path}]"
 
@@ -447,18 +445,18 @@ class TestRemoteProvider:
         monkeypatch.setattr(httpclient, "MAX_REPLY_BYTES", 2 * 25 * 3)
         replies = [(200, {"vectors": [[1, 0, 0]]}), (200, {"vectors": [[0, 0, 0]]})]
         with stub_server(replies) as (url, _):
-            with pytest.raises(DegenerateEmbeddingError, match="^encoder row 1 is a zero vector$"):
+            with pytest.raises(RemoteServiceError, match="^encoder row 1 is a zero vector$"):
                 embed_texts(["a", "b"], self._config(url))
 
     def test_inconsistent_dims_rejected(self):
         body = {"vectors": [[1, 0, 0], [0, 1]]}
         with stub_server([(200, body)]) as (url, _):
-            with pytest.raises(ValidationError, match="row 1"):
+            with pytest.raises(RemoteServiceError, match="row 1"):
                 embed_texts(["a", "b"], self._config(url))
 
     def test_wrong_count_rejected(self):
         with stub_server([(200, {"vectors": [[1, 0, 0]]})]) as (url, _):
-            with pytest.raises(ValidationError, match="1 vectors for 2 texts"):
+            with pytest.raises(RemoteServiceError, match="1 vectors for 2 texts"):
                 embed_texts(["a", "b"], self._config(url))
 
     def test_server_error_after_retries(self):

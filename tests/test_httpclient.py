@@ -250,7 +250,7 @@ def test_any_reply_exits_with_a_documented_code(remote_inputs, command, shaped, 
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(_argv(command, root, peer.url))
-    assert code in (0, 2, 3, 4)
+    assert code in (0, 4)
     assert "Traceback" not in err.getvalue()
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
     assert len(errors) == (1 if code else 0), err.getvalue()

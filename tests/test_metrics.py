@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from intentclf import DegenerateAucError, ValidationError, evaluate
+from intentclf import ValidationError, evaluate
 from intentclf.metrics import MicroCounts, auc, jaccard, subset_accuracy
 from intentclf.metrics import load_report, save_report, threshold_scores
 from bf_oracles import (
@@ -142,7 +142,7 @@ class TestAuc:
         assert auc(scores, truth) == 0.75
 
     def test_single_class_is_degenerate(self):
-        with pytest.raises(DegenerateAucError):
+        with pytest.raises(ValidationError, match="both positive and negative"):
             auc(np.array([[0.5, 0.4]]), np.array([[1, 1]]))
 
     def test_invariant_under_strictly_increasing_transform(self):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
@@ -329,6 +330,27 @@ class TestWorkerPool:
         assert "Traceback" not in capsys.readouterr().err
         assert any("connection dropped" in r.getMessage() for r in caplog.records)
 
+    def test_socket_error_on_send_drops_the_connection_quietly(self, artifact, monkeypatch, caplog, capsys):
+        send = service._send
+        failures = [OSError(errno.EHOSTUNREACH, "No route to host")]
+
+        def unreachable(*args):
+            if failures:
+                raise failures.pop()
+            send(*args)
+
+        monkeypatch.setattr(service, "_send", unreachable)
+        with caplog.at_level(logging.DEBUG, logger="intentclf.service"), _running(artifact) as srv:
+            port = srv.server_address[1]
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                sock.sendall(b"GET /health HTTP/1.0\r\n\r\n")
+                assert sock.makefile("rb").read() == b""
+            assert _post(port, "eta please").status_code == 200
+        assert "Traceback" not in capsys.readouterr().err
+        dropped = [r for r in caplog.records if "connection dropped" in r.getMessage()]
+        assert len(dropped) == 1 and dropped[0].levelno == logging.DEBUG, caplog.records
+        assert "No route to host" in dropped[0].getMessage()
+
 
     def test_sigint_taken_by_a_worker_stops_serve(self, artifact, tmp_path):
         model = tmp_path / "model.json"
@@ -416,6 +438,14 @@ class TestRawRequests:
         head = f"POST /classify HTTP/1.0\r\nContent-Length: {len(body)}\r\ncontent-length: {len(body)}\r\n\r\n"
         reply = self._exchange(server, head.encode("ascii") + body)
         assert reply.split(b"\r\n\r\n", 1)[1] == classification_body(artifact, "eta please").encode("utf-8")
+
+    def test_body_nested_past_the_parser_depth_400(self, server, caplog):
+        body = b"[" * 60_000  # under the body cap, far past json's recursion limit
+        assert len(body) <= MAX_BODY_BYTES
+        head = f"POST /classify HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n".encode("ascii")
+        status, error = self._status_and_error(server, head + body)
+        assert (status, error) == (b"400", {"error": "body is not valid JSON"})
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     @pytest.mark.parametrize("method", [b"PUT", b"DELETE", b"HEAD"])
     def test_unknown_method_501_with_json_body(self, server, method):

@@ -512,6 +512,16 @@ class TestArtifactPersistence:
         with pytest.raises(FileFormatError):
             load_artifact(path)
 
+    def test_provider_width_mismatch_names_the_file(self, tmp_path, small_vocab, separable_samples):
+        artifact, path = self._trained(small_vocab, separable_samples, tmp_path)
+        obj = json.loads(path.read_text())
+        obj["config"]["provider"]["dim"] = 32
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FileFormatError) as caught:
+            load_artifact(path)
+        width = artifact.embed_dim
+        assert str(caught.value) == f"provider dim 32 does not match embedding width {width} [{path}]"
+
     def test_round_trip_is_bit_exact(self, tmp_path, small_vocab, separable_samples):
         artifact, path = self._trained(small_vocab, separable_samples, tmp_path)
         obj = json.loads(path.read_text())
