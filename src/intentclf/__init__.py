@@ -28,7 +28,6 @@ from .datagen import (
 )
 from .embedding import (
     ProviderConfig,
-    embed_dataset,
     embed_texts,
     load_embeddings,
     save_embeddings,

@@ -3,10 +3,11 @@
 Subcommands: ``generate``, ``embed``, ``train``, ``eval``, ``predict``,
 ``serve``. ``generate``, ``embed``, ``train`` and ``eval`` accept
 ``--config cfg.json``, a JSON object of settings: a flag's ``dest`` is the
-key it sets (``taxonomy``, ``generate.per_class``, ``train.lr_pretrain``),
+key it sets (``taxonomy``, ``generate.per_class``, ``train.mining.p``),
 a given flag wins over the file and the file over the defaults. The
-``train``, ``mining``, ``ofc``, ``provider`` and ``llm`` sections hold
-fields of the matching config dataclass. Exit codes:
+``train``, ``provider`` and ``llm`` sections hold fields of the matching
+config dataclass, ``train.mining`` and ``train.ofc`` included, so a model's
+``config`` snapshot is a config file. Exit codes:
 0 success, 2 validation, 3 file/I-O, 4 remote service, 130 interrupted
 (Ctrl-C), 143 terminated (SIGTERM to ``serve``).
 """
@@ -35,7 +36,7 @@ from .embedding import (
     check_embeds_text,
     check_provider_width,
     check_toy_reproduces,
-    embed_dataset,
+    embed_texts,
     load_embeddings,
     save_embeddings,
 )
@@ -87,18 +88,24 @@ def _raise_terminated(signum, frame):
 def _settings(args) -> dict:
     """The ``--config`` object with each given flag set at its ``dest`` key.
 
-    A ``dest`` is a top-level key (``taxonomy``) or ``<section>.<key>``
-    (``train.lr_pretrain``); the section must be a JSON object.
+    A ``dest`` is a top-level key (``taxonomy``) or a dotted path through
+    sections (``train.lr_pretrain``, ``train.mining.p``); each section must
+    be a JSON object. Mining and focal settings live under ``train`` only.
     """
     tree = read_json(args.config, "config") if args.config else {}
+    for moved in ("mining", "ofc"):
+        if moved in tree:
+            raise ValidationError(f"config section {moved!r} belongs under train: write it as 'train.{moved}'")
     for key, value in vars(args).items():
         if value is None or key in ("command", "handler", "config"):
             continue
         section, _, name = key.rpartition(".")
+        node = tree
         if section:
-            tree[section] = {**_get(tree, section, dict, {}), name: value}
-        else:
-            tree[name] = value
+            _get(tree, section, dict, {})  # refuses a section on the way that is not an object
+            for part in section.split("."):
+                node = node.setdefault(part, {})
+        node[name] = value
     return tree
 
 
@@ -138,16 +145,6 @@ def _load_combos(path: str | None, vocabulary: LabelVocabulary) -> list[frozense
     return [frozenset(c) for c in obj]
 
 
-def _train_config(s: dict) -> TrainConfig:
-    # train may nest mining/ofc, as the artifact's config snapshot does;
-    # the top-level sections win key by key
-    nested = {
-        name: {**_get(s, f"train.{name}", dict, {}), **_get(s, name, dict, {})}
-        for name in ("mining", "ofc")
-    }
-    return TrainConfig.from_json({**_get(s, "train", dict, {}), **nested})
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -180,7 +177,7 @@ def run_embed(args) -> int:
     out_path = _get(s, "embeddings", str, required="--out")
     _, dataset = _load_dataset(s)
     provider = ProviderConfig.from_json(_get(s, "provider", dict, {}))
-    x = embed_dataset(dataset, provider)
+    x = embed_texts(dataset.texts, provider)
     save_embeddings(x, out_path)
     print(f"embedded {len(x)} samples at dim {x.shape[1]} -> {out_path}")
     return _EXIT_OK
@@ -211,7 +208,7 @@ def run_train(args) -> int:
     train_idx, _ = _split(s, len(x))
     x, y = x[train_idx], dataset.labels[train_idx]
 
-    config = _train_config(s)
+    config = TrainConfig.from_json(_get(s, "train", dict, {}))
     provider = ProviderConfig.from_json(_get(s, "provider", dict, {}))
     check_provider_width(provider, x.shape[1])
     # serving embeds queries with this provider, so it must re-embed the first training row as the file has it
@@ -291,7 +288,6 @@ def _add_provider(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dim", dest="provider.dim", type=int)
     sub.add_argument("--embed-seed", dest="provider.seed", type=int)
     sub.add_argument("--endpoint", dest="provider.endpoint")
-    sub.add_argument("--path", dest="provider.path", help="precomputed vectors (file provider)")
 
 
 def _add_split(sub: argparse.ArgumentParser) -> None:
@@ -348,12 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decision-threshold", dest="train.decision_threshold", type=float)
     p.add_argument("--d-hidden", dest="train.d_hidden", type=int)
     p.add_argument("--d-proj", dest="train.d_proj", type=int)
-    p.add_argument("--mining-p", dest="mining.p", type=float)
-    p.add_argument("--mining-mode", dest="mining.mode", choices=_MODES)
-    p.add_argument("--positive-rule", dest="mining.positive_rule", choices=_POSITIVE_RULES)
-    p.add_argument("--alpha", dest="ofc.alpha", type=float)
-    p.add_argument("--gamma", dest="ofc.gamma", type=float)
-    p.add_argument("--margin", dest="ofc.margin", type=float)
+    p.add_argument("--mining-p", dest="train.mining.p", type=float)
+    p.add_argument("--mining-mode", dest="train.mining.mode", choices=_MODES)
+    p.add_argument("--positive-rule", dest="train.mining.positive_rule", choices=_POSITIVE_RULES)
+    p.add_argument("--alpha", dest="train.ofc.alpha", type=float)
+    p.add_argument("--gamma", dest="train.ofc.gamma", type=float)
+    p.add_argument("--margin", dest="train.ofc.margin", type=float)
     _add_split(p)
     _add_provider(p)
     p.add_argument("--loss-log", dest="loss_log")

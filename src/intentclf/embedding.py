@@ -6,12 +6,14 @@ Three provider kinds exist:
   and offline runs;
 * ``http`` - a remote encoder speaking ``POST {"texts": [..]} ->
   {"vectors": [[..], ..]}``;
-* ``file`` - precomputed vectors aligned row-for-row with a dataset, stored
-  as one n x d ``.npy`` matrix, numpy's own binary format.
+* ``file`` - the rows came from an embeddings file made elsewhere, so no
+  new text can be embedded.
 
-Every provider normalizes at the boundary, so cosine similarity downstream is
-a plain dot product. Text providers return float64 rows; embeddings files
-are written and read as float32, the pipeline's compute dtype.
+Embeddings files hold one n x d ``.npy`` matrix, numpy's own binary format,
+aligned row-for-row with a dataset. Every row is normalized at the boundary,
+so cosine similarity downstream is a plain dot product. Text providers
+return float64 rows; embeddings files are written and read as float32, the
+pipeline's compute dtype.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ class ProviderConfig(JsonConfig):
 
     kind: str = "toy"
     dim: int = 256
-    path: str | None = None
     endpoint: str | None = None
     seed: int = 0
     timeout: float = 30.0
@@ -58,8 +59,6 @@ class ProviderConfig(JsonConfig):
             raise ValidationError(f"embedding dim must be >= 2, got {self.dim}")
         if self.kind == "http":
             check_remote(self, "endpoint")
-        if self.kind == "file" and not self.path:
-            raise ValidationError("file provider needs a path")
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -238,6 +237,7 @@ def _embed_remote(texts: Sequence[str], config: ProviderConfig) -> np.ndarray:
     on its own. A reply the pipeline cannot use is a :class:`RemoteServiceError`.
     """
     out = np.empty((len(texts), config.dim), dtype=np.float64)
+    source = f"encoder {config.endpoint}"  # every reply error names the endpoint
     per_request = max(1, httpclient.MAX_REPLY_BYTES // (2 * 25 * config.dim))
     for start in range(0, len(texts), per_request):
         batch = list(texts[start : start + per_request])
@@ -245,27 +245,28 @@ def _embed_remote(texts: Sequence[str], config: ProviderConfig) -> np.ndarray:
         vectors = body.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(batch):
             got = len(vectors) if isinstance(vectors, list) else "none"
-            raise RemoteServiceError(f"encoder returned {got} vectors for {len(batch)} texts")
+            raise RemoteServiceError(f"{source}: returned {got} vectors for {len(batch)} texts")
         for row, vec in enumerate(vectors, start=start):
             # numpy would read "1.5" and true as numbers; a JSON reply holds int or float
             if not isinstance(vec, list) or not all(type(v) in (int, float) for v in vec):
-                raise RemoteServiceError(f"encoder row {row} is not a vector of JSON numbers")
+                raise RemoteServiceError(f"{source}: row {row} is not a vector of JSON numbers")
             if len(vec) != config.dim:
-                raise RemoteServiceError(f"encoder row {row} has dim {len(vec)} but config.dim={config.dim}")
+                raise RemoteServiceError(f"{source}: row {row} has dim {len(vec)} but config.dim={config.dim}")
             try:
                 out[row] = vec
             except OverflowError:
-                raise RemoteServiceError(f"encoder row {row} has an entry beyond float range") from None
+                raise RemoteServiceError(f"{source}: row {row} has an entry beyond float range") from None
     try:
         return _normalize_rows(out)
     except ValidationError as exc:
-        raise RemoteServiceError(f"encoder {exc}") from None
+        raise RemoteServiceError(f"{source}: {exc}") from None
 
 
 def check_embeds_text(config: ProviderConfig | None) -> None:
     """Raise :class:`ValidationError` unless ``config`` can embed new text.
 
-    Only toy and http providers can; a file provider holds precomputed rows.
+    Only toy and http providers can; a file provider's rows came from an
+    embeddings file.
     """
     kind = "none" if config is None else config.kind
     if kind not in _TEXT_PROVIDER_KINDS:
@@ -311,13 +312,6 @@ def embed_texts(texts: Sequence[str], config: ProviderConfig) -> np.ndarray:
     if config.kind == "toy":
         return _toy_embed(texts, config.dim, config.seed)
     return _embed_remote(texts, config)
-
-
-def embed_dataset(dataset: Dataset, config: ProviderConfig) -> np.ndarray:
-    """Embed every sample of a dataset (toy/http) or load the aligned file, one row each."""
-    if config.kind == "file":
-        return load_embeddings(config.path, dataset)
-    return embed_texts(dataset.texts, config)
 
 
 # numpy's .npy header readers, by format version; 3.0 only adds UTF-8 field

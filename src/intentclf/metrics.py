@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import read_json
 from .errors import ValidationError
 
 
@@ -97,10 +96,6 @@ class EvalReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EvalReport":
-        return cls(**{k: obj[k] for k in cls.__dataclass_fields__})
 
 
 def _subset_accuracy(p: np.ndarray, t: np.ndarray) -> float:
@@ -196,7 +191,3 @@ def evaluate(scores, threshold: float, truth) -> EvalReport:
 
 def save_report(report: EvalReport, path: str | Path) -> None:
     Path(path).write_text(json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
-
-
-def load_report(path: str | Path) -> EvalReport:
-    return EvalReport.from_json(read_json(path, "report"))

@@ -29,11 +29,11 @@ from intentclf import (
 )
 from intentclf.cli import main
 from intentclf.metrics import (
+    EvalReport,
     MicroCounts,
     auc,
     evaluate,
     jaccard,
-    load_report,
     subset_accuracy,
     threshold_scores,
 )
@@ -226,7 +226,7 @@ def test_criterion_end_to_end_toy_pipeline(toy_run):
     ):
         dataset = load_dataset(toy_run["dataset"], default_taxonomy())
         assert len(dataset) == 8 * PER_CLASS + COMBOS
-        report = load_report(toy_run["report"])
+        report = EvalReport(**json.loads(toy_run["report"].read_text()))
         assert report.sample_count == round(
             (8 * PER_CLASS + COMBOS) * HOLDOUT_FRACTION
         )
@@ -253,11 +253,11 @@ def test_criterion_contrastive_benefit(toy_run):
 
 def test_criterion_ablation_harness(toy_run, tmp_path_factory):
     with criterion("ablation harness: ofc / oc / cs all produce reports"):
-        reports = {"ofc": load_report(toy_run["report"])}
+        reports = {"ofc": EvalReport(**json.loads(toy_run["report"].read_text()))}
         for loss_kind in ("oc", "cs"):
             root = tmp_path_factory.mktemp(f"ablation_{loss_kind}")
             paths = _run_pipeline(root, loss_kind=loss_kind)
-            reports[loss_kind] = load_report(paths["report"])
+            reports[loss_kind] = EvalReport(**json.loads(paths["report"].read_text()))
         for loss_kind, report in reports.items():
             assert report.sample_count == round((8 * PER_CLASS + COMBOS) * HOLDOUT_FRACTION)
             assert 0.0 <= report.subset_accuracy <= 1.0
@@ -307,7 +307,7 @@ def test_criterion_holdout_prediction_consistency(toy_run):
     artifact = load_artifact(toy_run["model"])
     scores = score_samples(x, artifact)
     report = evaluate(scores, artifact.decision_threshold, truth)
-    assert report == load_report(toy_run["report"])
+    assert report == EvalReport(**json.loads(toy_run["report"].read_text()))
     pred = threshold_scores(scores, artifact.decision_threshold)
     assert pred.any(axis=1).all(), "fallback rule guarantees non-empty predictions"
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -11,6 +13,7 @@ import socket
 import subprocess
 import sys
 import time
+import typing
 import warnings
 from pathlib import Path
 
@@ -24,8 +27,11 @@ import intentclf
 
 from intentclf import (
     FileFormatError,
+    LLMClientConfig,
     PipelineError,
+    ProviderConfig,
     RemoteServiceError,
+    TrainConfig,
     ValidationError,
     default_taxonomy,
     load_artifact,
@@ -41,7 +47,7 @@ import intentclf.embedding as embedding
 import intentclf.service as service
 import intentclf.trainer as trainer
 from intentclf.cli import main
-from intentclf.metrics import load_report
+from intentclf.metrics import EvalReport
 from intentclf import evaluate, save_artifact, score_samples
 from intentclf.trainer import ARTIFACT_FORMAT_VERSION
 from stubs import http_get, npy_bytes
@@ -174,31 +180,20 @@ class TestEmbed:
         ]) == 0
         assert np.load(out).shape == (0, 64)
 
-    def test_file_provider_normalizes_passthrough(self, workspace, tmp_path):
-        outs = []
-        for name in ("copy_a.npy", "copy_b.npy"):
-            out = tmp_path / name
-            assert main([
-                "embed", "--taxonomy", str(workspace["taxonomy"]),
-                "--dataset", str(workspace["dataset"]), "--provider", "file",
-                "--dim", "64", "--path", str(workspace["embeddings"]), "--out", str(out),
-            ]) == 0
-            outs.append(out)
-        # renormalization may flip last-ulp bits vs the source, but the
-        # passthrough itself is deterministic and numerically unchanged
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-        assert np.allclose(np.load(workspace["embeddings"]), np.load(outs[0]), atol=1e-12)
-
-    def test_file_provider_reports_the_file_width(self, workspace, tmp_path, capsys):
-        vectors = tmp_path / "ext.npy"
-        np.save(vectors, np.ones((len(np.load(workspace["embeddings"])), 48)))
-        out = tmp_path / "wide.npy"
+    def test_file_provider_exits_2_and_writes_no_file(self, workspace, tmp_path, capsys):
+        # precomputed vectors go to train and eval as --embeddings; embed has nothing to copy
+        out = tmp_path / "e.npy"
         capsys.readouterr()
         assert main([
             "embed", "--taxonomy", str(workspace["taxonomy"]), "--dataset", str(workspace["dataset"]),
-            "--provider", "file", "--path", str(vectors), "--out", str(out),
-        ]) == 0
-        assert f"at dim 48 -> {out}" in capsys.readouterr().out
+            "--provider", "file", "--out", str(out),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: provider 'file' cannot embed new text; it must be one of ('http', 'toy')"
+        ]
+        assert not out.exists()
 
 
 class TestTrain:
@@ -357,7 +352,7 @@ class TestEval:
         scores = score_samples(x[holdout_idx], artifact)
         truth = dataset.labels[holdout_idx]
         expected = evaluate(scores, artifact.decision_threshold, truth)
-        assert load_report(workspace["report"]) == expected
+        assert EvalReport(**json.loads(workspace["report"].read_text())) == expected
 
     def test_perfect_fixture_reports_zero_hamming(self, tmp_path):
         from intentclf import LabelVocabulary, save_vocabulary
@@ -387,7 +382,7 @@ class TestEval:
                      "--embeddings", str(args["e"]), "--model", str(args["m"]),
                      "--holdout-fraction", "0.25", "--split-seed", "5",
                      "--out", str(args["r"])]) == 0
-        report = load_report(args["r"])
+        report = EvalReport(**json.loads(args["r"].read_text()))
         assert report.hamming_loss == 0.0
         assert report.subset_accuracy == 1.0
 
@@ -488,6 +483,7 @@ class TestPredict:
         save_artifact(load_artifact(model), resaved)
         old, new = json.loads(model.read_text()), json.loads(resaved.read_text())
         assert old["config"]["train"]["ofc"].pop("reduction") == "mean"
+        assert old["config"]["provider"].pop("path") is None
         assert new == old
 
     def test_format_1_model_exits_3_naming_the_file_and_the_migration(self, workspace, tmp_path, capsys):
@@ -515,9 +511,12 @@ class TestPredict:
         arrays = [*artifact.projection.params(), *artifact.classifier.params()]
         assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
         assert score_samples(np.full((2, artifact.embed_dim), 0.25, dtype=np.float32), artifact).dtype == np.float64
+        # saving keeps the weights bit for bit and drops the provider's old "path" key
         resaved = tmp_path / "model.json"
         save_artifact(artifact, resaved)
-        assert resaved.read_bytes() == model.read_bytes()
+        old, new = json.loads(model.read_text()), json.loads(resaved.read_text())
+        assert old["config"]["provider"].pop("path") is None
+        assert new == old
 
 
 class TestRemoteReplies:
@@ -543,7 +542,7 @@ class TestRemoteReplies:
             "--out", str(out),
         ]) == 4
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: encoder row 0 "), err
+        assert len(err) == 1 and err[0].startswith("error: encoder http://127.0.0.1:9/embed: row 0 "), err
         assert not out.exists()
 
     @pytest.mark.parametrize("content", [5, None, ["a"], {"text": "a"}])
@@ -797,9 +796,9 @@ class TestConfigFile:
         [
             {"train": {"lr_pretrain": "abc"}},
             {"train": {"batch_size": None}},
-            {"mining": {"p": [1]}},
+            {"train": {"mining": {"p": [1]}}},
             {"provider": {"seed": "x"}},
-            {"ofc": []},
+            {"train": {"ofc": []}},
             {"split": {"holdout_fraction": "x"}},
             {"split": {"seed": [3]}},
             {"split": {"seed": -1}},
@@ -828,7 +827,7 @@ class TestConfigFile:
             (["--margin=-inf"], {}, "margin"),
             ([], {"train": {"grad_clip_norm": math.nan}}, "grad_clip_norm"),
             ([], {"train": {"momentum": -math.inf}}, "momentum"),
-            ([], {"ofc": {"gamma": math.nan}}, "gamma"),
+            ([], {"train": {"ofc": {"gamma": math.nan}}}, "gamma"),
             ([], {"provider": {"timeout": math.inf}}, "timeout"),
             ([], {"split": {"holdout_fraction": math.nan}}, "holdout_fraction"),
         ],
@@ -902,21 +901,35 @@ class TestConfigFile:
         out = tmp_path / "m.json"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "train": {"grad_clip_norm": 0.25, "epochs_pretrain": 1, "epochs_finetune": 1, "d_proj": 8},
-            "ofc": {"epsilon": 1e-9},
-            "mining": {"mode": "standard"},
+            "train": {
+                "grad_clip_norm": 0.25, "epochs_pretrain": 1, "epochs_finetune": 1, "d_proj": 8,
+                "ofc": {"epsilon": 1e-9, "margin": 0.7},
+                "mining": {"mode": "standard", "p": 20.0},
+            },
             "provider": {"timeout": 5.0},
         }))
         assert main(self._train_argv(
-            workspace, out, cfg, "--d-hidden", "16", "--d-proj", "32",
+            workspace, out, cfg, "--d-hidden", "16", "--d-proj", "32", "--mining-p", "50", "--margin", "0.3",
             "--provider", "toy", "--dim", "64", "--embed-seed", "3",
         )) == 0
         snapshot = json.loads(out.read_text())["config"]
         assert snapshot["train"]["grad_clip_norm"] == 0.25
-        assert snapshot["train"]["ofc"]["epsilon"] == 1e-9
-        assert snapshot["train"]["mining"]["mode"] == "standard"
+        assert snapshot["train"]["ofc"] == {"alpha": 1.0, "gamma": 2.0, "margin": 0.3, "epsilon": 1e-9}
+        assert snapshot["train"]["mining"] == {"p": 50.0, "mode": "standard", "positive_rule": "exact"}
         assert snapshot["train"]["d_proj"] == 32
         assert snapshot["provider"]["timeout"] == 5.0
+
+    @pytest.mark.parametrize("moved", ["mining", "ofc"])
+    def test_top_level_mining_or_ofc_section_exits_2(self, workspace, tmp_path, capsys, moved):
+        # mining and focal settings live under train; a top-level section is refused, not ignored
+        out = tmp_path / "m.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({moved: {}}))
+        capsys.readouterr()
+        assert main(self._train_argv(workspace, out, cfg, "--provider", "toy", "--dim", "64", "--embed-seed", "3")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: config section {moved!r} belongs under train: write it as 'train.{moved}'"], err
+        assert not out.exists()
 
     def test_artifact_records_the_mining_oc_trains_on(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -933,22 +946,32 @@ class TestConfigFile:
         assert mining == {"p": 0.0, "mode": "standard", "positive_rule": "exact"}
 
     def test_snapshot_config_reproduces_model(self, workspace, tmp_path):
-        snapshot = json.loads(workspace["model"].read_text())["config"]
+        # the model's config object, pasted unchanged, is a config file
         out = tmp_path / "again.json"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "taxonomy": str(workspace["taxonomy"]),
-            "dataset": str(workspace["dataset"]),
-            "embeddings": str(workspace["embeddings"]),
-            "model": str(out),
-            "split": {"holdout_fraction": 0.2, "seed": 3},
-            "train": snapshot["train"],
-            "mining": snapshot["train"]["mining"],
-            "ofc": snapshot["train"]["ofc"],
-            "provider": snapshot["provider"],
-        }))
-        assert main(["train", "--config", str(cfg)]) == 0
+        cfg.write_text(json.dumps(json.loads(workspace["model"].read_text())["config"]))
+        assert main([
+            *self._train_argv(workspace, out, cfg), "--holdout-fraction", "0.2", "--split-seed", "3",
+        ]) == 0
         assert out.read_bytes() == workspace["model"].read_bytes()
+
+    def test_every_dotted_dest_names_a_config_field(self):
+        # a flag's dest is its --config key: a train, provider or llm key must
+        # name a field of that config, a nested one included
+        configs = {"train": TrainConfig, "provider": ProviderConfig, "llm": LLMClientConfig}
+        subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for sub in subcommands.choices.values() for a in sub._actions if "." in a.dest}
+        for dest in dests:
+            section, *path = dest.split(".")
+            if section in ("generate", "split"):  # read key by key, not through a config
+                continue
+            assert section in configs, dest
+            kind = configs[section]
+            for name in path:
+                assert dataclasses.is_dataclass(kind) and name in {f.name for f in dataclasses.fields(kind)}, dest
+                kind = typing.get_type_hints(kind)[name]
+            assert not dataclasses.is_dataclass(kind), dest
+        assert {"train.mining.p", "train.ofc.margin", "provider.seed", "llm.timeout"} <= dests
 
 
 def _argv_reading(kind: str, workspace, path, out) -> list[str]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import sys
 import threading
 import tracemalloc
@@ -19,7 +20,6 @@ from intentclf import (
     ProviderConfig,
     RemoteServiceError,
     ValidationError,
-    embed_dataset,
     embed_texts,
     load_embeddings,
     save_embeddings,
@@ -445,18 +445,18 @@ class TestRemoteProvider:
         monkeypatch.setattr(httpclient, "MAX_REPLY_BYTES", 2 * 25 * 3)
         replies = [(200, {"vectors": [[1, 0, 0]]}), (200, {"vectors": [[0, 0, 0]]})]
         with stub_server(replies) as (url, _):
-            with pytest.raises(RemoteServiceError, match="^encoder row 1 is a zero vector$"):
+            with pytest.raises(RemoteServiceError, match=f"^encoder {re.escape(url)}: row 1 is a zero vector$"):
                 embed_texts(["a", "b"], self._config(url))
 
     def test_inconsistent_dims_rejected(self):
         body = {"vectors": [[1, 0, 0], [0, 1]]}
         with stub_server([(200, body)]) as (url, _):
-            with pytest.raises(RemoteServiceError, match="row 1"):
+            with pytest.raises(RemoteServiceError, match=f"^encoder {re.escape(url)}: row 1 has dim 2 "):
                 embed_texts(["a", "b"], self._config(url))
 
     def test_wrong_count_rejected(self):
         with stub_server([(200, {"vectors": [[1, 0, 0]]})]) as (url, _):
-            with pytest.raises(RemoteServiceError, match="1 vectors for 2 texts"):
+            with pytest.raises(RemoteServiceError, match=f"^encoder {re.escape(url)}: returned 1 vectors for 2 texts$"):
                 embed_texts(["a", "b"], self._config(url))
 
     def test_server_error_after_retries(self):
@@ -479,22 +479,17 @@ class TestProviderConfig:
         with pytest.raises(ValidationError):
             ProviderConfig(kind="http", dim=4)
 
-    def test_file_needs_path(self):
-        with pytest.raises(ValidationError):
-            ProviderConfig(kind="file", dim=4)
-
-    def test_file_provider_cannot_embed_text(self, tmp_path):
-        config = ProviderConfig(kind="file", dim=4, path=str(tmp_path / "e.npy"))
-        with pytest.raises(ValidationError):
-            embed_texts(["x"], config)
+    def test_file_provider_cannot_embed_text(self):
+        with pytest.raises(ValidationError, match="cannot embed new text"):
+            embed_texts(["x"], ProviderConfig(kind="file", dim=4))
 
     def test_json_round_trip(self):
         config = ProviderConfig(kind="toy", dim=64, seed=9)
         assert ProviderConfig.from_json(config.to_json()) == config
 
 
-def test_embed_dataset_toy_provider(tiny_dataset):
-    embedded = embed_dataset(tiny_dataset, ProviderConfig(kind="toy", dim=32, seed=4))
+def test_embed_texts_toy_provider(tiny_dataset):
+    embedded = embed_texts(tiny_dataset.texts, ProviderConfig(kind="toy", dim=32, seed=4))
     assert embedded.shape == (3, 32)
     for row, text in zip(embedded, tiny_dataset.texts):
         expected = _toy_row(text, 32, 4)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from intentclf import ValidationError, evaluate
 from intentclf.metrics import MicroCounts, auc, jaccard, subset_accuracy
-from intentclf.metrics import load_report, save_report, threshold_scores
+from intentclf.metrics import EvalReport, save_report, threshold_scores
 from bf_oracles import (
     auc_bf,
     counts_bf,
@@ -209,7 +211,7 @@ class TestEvaluate:
         assert report.mcc == counts.mcc
         save_report(report, tmp_path / "r.json")
         assert '"auc": null' in (tmp_path / "r.json").read_text()
-        assert load_report(tmp_path / "r.json") == report
+        assert EvalReport(**json.loads((tmp_path / "r.json").read_text())) == report
 
     def test_fields_match_standalone_ops(self):
         # the standalone ops are bf_oracles' loops, thresholding included
@@ -284,7 +286,7 @@ class TestEvaluate:
         report = evaluate(scores, 0.5, truth)
         path = tmp_path / "report.json"
         save_report(report, path)
-        assert load_report(path) == report
+        assert EvalReport(**json.loads(path.read_text())) == report
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):

@@ -19,7 +19,6 @@ import pytest
 from intentclf import (
     ProviderConfig,
     ValidationError,
-    embed_dataset,
     embed_texts,
     finetune,
     offline_generate,
@@ -76,7 +75,7 @@ finally:
 def artifact(small_vocab):
     dataset = offline_generate(small_vocab, per_class=10, combos=[], seed=6)
     provider = ProviderConfig(kind="toy", dim=64, seed=6)
-    x, y = embed_dataset(dataset, provider), dataset.labels
+    x, y = embed_texts(dataset.texts, provider), dataset.labels
     config = TrainConfig(
         seed=6, epochs_pretrain=4, epochs_finetune=8, batch_size=16,
         d_hidden=32, d_proj=32,
@@ -470,7 +469,7 @@ class TestRendererContract:
         # float32 value's own shortest decimal, which reads back exactly
         dataset = offline_generate(small_vocab, per_class=10, combos=[], seed=6)
         provider = ProviderConfig(kind="toy", dim=64, seed=6)
-        x, y = embed_dataset(dataset, provider).astype(np.float32), dataset.labels
+        x, y = embed_texts(dataset.texts, provider).astype(np.float32), dataset.labels
         config = TrainConfig(seed=6, epochs_pretrain=2, epochs_finetune=4, batch_size=16, d_hidden=32, d_proj=32)
         head, _ = pretrain(x, y, config)
         artifact, _ = finetune(x, y, small_vocab, head, config, provider)

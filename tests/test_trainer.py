@@ -15,7 +15,7 @@ from intentclf import (
     ProviderConfig,
     TrainConfig,
     ValidationError,
-    embed_dataset,
+    embed_texts,
     finetune,
     load_artifact,
     offline_generate,
@@ -43,7 +43,7 @@ from grad_oracle import grad_check, max_relative_error, projection_margin_gap
 def separable_samples(small_vocab):
     """Embeddings and label rows of a small dataset, as one (x, y) pair."""
     dataset = offline_generate(small_vocab, per_class=12, combos=[], seed=5)
-    return embed_dataset(dataset, ProviderConfig(kind="toy", dim=64, seed=5)), dataset.labels
+    return embed_texts(dataset.texts, ProviderConfig(kind="toy", dim=64, seed=5)), dataset.labels
 
 
 def _fast_config(**overrides):
